@@ -28,6 +28,7 @@ from .fields import (
     gradient,
     time_derivative,
     trace_streamline,
+    trace_streamlines,
 )
 from .evoform import (
     A1Variant,

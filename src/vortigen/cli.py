@@ -52,14 +52,10 @@ from .evoform import (
     TransportModel,
 )
 from .exact import CenteredFan
-from .fields import FieldSet, Snapshot, StructuredGrid2D, frame_along, trace_streamline
+from .fields import FieldSet, Snapshot, StructuredGrid2D, frame_along, trace_streamlines
 from .thermo import EntropyConvention, GasModel, PrimitiveState, derive_state
 
 __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: Path, text: str):
@@ -80,11 +76,13 @@ def _write_json(path: Path, obj):
 
 
 def _write_csv(path: Path, header: Sequence[str], rows):
+    """Floats as ``%.17g``, other values as ``str``, typed by the first row."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row))
+    if rows:
+        template = ",".join(
+            "%.17g" if isinstance(v, (float, np.floating)) else "%s"
+            for v in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -92,14 +90,13 @@ def _write_csv(path: Path, header: Sequence[str], rows):
 # ingestion
 
 
-def _read_grid_csv(path, columns: Sequence[str]):
-    """Scattered (x, y, values...) rows -> uniform grid + node arrays."""
-    expected = ["x", "y", *columns]
+def _read_rows(path, expected: Sequence[str]) -> List[List[float]]:
+    """Float rows of a CSV whose header is exactly ``expected``."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [h.strip() for h in header] != expected:
+            if header is None or [h.strip() for h in header] != list(expected):
                 raise ParseError(
                     f"{path}: header must be exactly {','.join(expected)}")
             data = []
@@ -115,6 +112,12 @@ def _read_grid_csv(path, columns: Sequence[str]):
                     raise ParseError(f"{path}:{ln}: {exc}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    return data
+
+
+def _read_grid_csv(path, columns: Sequence[str]):
+    """Scattered (x, y, values...) rows -> uniform grid + node arrays."""
+    data = _read_rows(path, ["x", "y", *columns])
     if not data:
         raise ParseError(f"{path}: no data rows")
     arr = np.asarray(data)
@@ -198,25 +201,7 @@ def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
 
 def load_initial_1d(path):
     """1-D initial data CSV with header ``x,rho,u,p``."""
-    expected = ["x", "rho", "u", "p"]
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != expected:
-                raise ParseError(f"{path}: header must be exactly x,rho,u,p")
-            rows = []
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ParseError(f"{path}:{ln}: expected 4 fields")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{ln}: {exc}") from None
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    rows = _read_rows(path, ["x", "rho", "u", "p"])
     if len(rows) < 3:
         raise ParseError(f"{path}: need at least 3 samples")
     arr = np.asarray(rows)
@@ -263,8 +248,11 @@ class ScenarioConfig:
             raise ParseError(f"cannot read config {path}: {exc}") from None
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_dict(raw, default_id=Path(path).stem,
-                             base=Path(path).parent)
+        try:
+            return cls.from_dict(raw, default_id=Path(path).stem,
+                                 base=Path(path).parent)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict, default_id: str = "scenario",
@@ -312,6 +300,14 @@ class ScenarioConfig:
                 raise ParseError(f"tolerance {name} must be positive")
 
         traj = raw.get("trajectories", {})
+        seeds = traj.get("seeds")
+        if seeds is not None and not (isinstance(seeds, list) and all(
+                isinstance(seed, list) and len(seed) == 2 and all(
+                    type(c) in (int, float) and abs(c) <= sys.float_info.max
+                    for c in seed)
+                for seed in seeds)):
+            raise ParseError("trajectories.seeds must be a list of finite "
+                             "[x, y] pairs")
         cfg = cls(
             scenario_id=raw.get("scenario_id", default_id),
             gas=gas,
@@ -323,7 +319,7 @@ class ScenarioConfig:
             fields_path=resolve(raw.get("fields")),
             manifest_path=resolve(raw.get("manifest")),
             initial_data_path=resolve(raw.get("initial_data")),
-            seeds=traj.get("seeds"),
+            seeds=seeds,
             traj_step=traj.get("step"),
             traj_max_len=traj.get("max_len"),
             include_time_term=raw.get("include_time_term"),
@@ -335,12 +331,10 @@ class ScenarioConfig:
         if cfg.jump_checks is not None \
                 and cfg.jump_checks.get("relation") not in ("contact", "char"):
             raise ParseError("jump_checks.relation must be contact or char")
-        for p in (cfg.fields_path, cfg.manifest_path, cfg.initial_data_path):
+        for p in (cfg.fields_path, cfg.manifest_path, cfg.initial_data_path,
+                  cfg.forces_spec.get("path")):
             if p is not None and not Path(p).exists():
                 raise ParseError(f"referenced path does not exist: {p}")
-        fp = cfg.forces_spec.get("path")
-        if fp is not None and not Path(fp).exists():
-            raise ParseError(f"referenced path does not exist: {fp}")
         return cfg
 
     def build_forces(self, grid: StructuredGrid2D) -> ForceModel:
@@ -380,20 +374,7 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "lagrange": self.lagrange,
-            "max_K": self.max_K,
-            "tolerance": self.tolerance,
-            "classification": self.classification,
-            "dominant": self.dominant,
-            "regime": self.regime,
-            "envelope": self.envelope,
-            "moc_residuals": self.moc_residuals,
-            "identical_on_pseudostructure": self.identical_on_pseudostructure,
-            "jump_checks": self.jump_checks,
-            "wall_time_s": self.wall_time_s,
-        }
+        return dataclasses.asdict(self)
 
 
 def _default_seeds(fs: FieldSet) -> List[List[float]]:
@@ -414,10 +395,8 @@ def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K):
     extra = [n for n in K.attribution if n not in names]
     names += sorted(extra)
     header = ["xi1", "A1", "Anu", "K", *names]
-    rows = []
-    for i in range(len(xi)):
-        rows.append([xi[i], a1_samples[i], anu_samples[i], K.K[i],
-                     *[K.attribution[n][i] for n in names]])
+    rows = np.column_stack([xi, a1_samples, anu_samples, K.K,
+                            *[K.attribution[n] for n in names]]).tolist()
     _write_csv(path, header, rows)
 
 
@@ -438,29 +417,33 @@ def _write_net_csv(path: Path, net: moc.CharNet):
     _write_csv(path, header, rows)
 
 
+def _default_t_end(analytic, x, rho, p, gamma: float) -> float:
+    """1.5x the analytic envelope time, else one slowest-sound crossing."""
+    if analytic is not None:
+        return 1.5 * analytic.t_star
+    return float(x[-1] - x[0]) / float(np.min(np.sqrt(gamma * p / rho)))
+
+
+def _write_net_outputs(out: Path, net: moc.CharNet, analytic):
+    """Write net.csv and envelope.json; return (residuals, envelope)."""
+    _write_net_csv(out / "net.csv", net)
+    event = net.envelope or moc.detect_envelope(net)
+    envelope = {"detected": event is not None, "event": _event_dict(event),
+                "analytic": _event_dict(analytic)}
+    _write_json(out / "envelope.json", envelope)
+    return {fam: moc.pseudostructure_residual(net, fam)
+            for fam in ("C0", "C+", "C-")}, envelope
+
+
 def _run_moc_part(cfg: ScenarioConfig, out: Path):
     x, rho, u, p = load_initial_1d(cfg.initial_data_path)
     nodes = moc.nodes_from_primitive(x, rho, u, p, cfg.gas)
     analytic = moc.detect_envelope(nodes)
-    if cfg.t_end is not None:
-        t_end = float(cfg.t_end)
-    elif analytic is not None:
-        t_end = 1.5 * analytic.t_star
-    else:
-        a_min = float(np.min(np.sqrt(cfg.gas.gamma * p / rho)))
-        t_end = float(x[-1] - x[0]) / a_min
+    t_end = (float(cfg.t_end) if cfg.t_end is not None
+             else _default_t_end(analytic, x, rho, p, cfg.gas.gamma))
     net = moc.advance_net(nodes, t_end=t_end, m=cfg.gas,
                           corrector_tol=cfg.tolerances["corrector"])
-    residuals = {fam: moc.pseudostructure_residual(net, fam)
-                 for fam in ("C0", "C+", "C-")}
-    _write_net_csv(out / "net.csv", net)
-    event = net.envelope or moc.detect_envelope(net)
-    envelope = {
-        "detected": event is not None,
-        "event": _event_dict(event),
-        "analytic": _event_dict(analytic),
-    }
-    _write_json(out / "envelope.json", envelope)
+    residuals, envelope = _write_net_outputs(out, net, analytic)
     # the identical relation holds on the trajectory pseudostructure when
     # the transported quantity is conserved to discretization accuracy
     s_scale = max(float(np.max(net.s[0])), 1e-300)
@@ -472,7 +455,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the configured pipeline and write report plus CSVs."""
     t_start = time.perf_counter()
     out = Path(os.environ.get("VORTIGEN_OUT", cfg.output_dir))
-    out.mkdir(parents=True, exist_ok=True)
 
     lagrange = max_K = tolerance = classification = dominant = regime = None
     envelope = moc_residuals = identical = None
@@ -487,12 +469,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
                 "has no snapshot series")
 
         rep = evoform.lagrange_criterion(fs, forces)
-        lagrange = {
-            "stationary": rep.stationary,
-            "potential": rep.potential,
-            "simply_connected": rep.simply_connected,
-            "predicts_equilibrium": rep.predicts_equilibrium,
-        }
+        lagrange = {**dataclasses.asdict(rep),
+                    "predicts_equilibrium": rep.predicts_equilibrium}
 
         if cfg.transport is not None:
             a1 = evoform.viscous_a1(fs, cfg.transport, cfg.gas, cfg.a1_variant)
@@ -505,11 +483,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
         seeds = cfg.seeds if cfg.seeds is not None else _default_seeds(fs)
         worst = None
-        for ti, seed in enumerate(seeds):
-            try:
-                traj = trace_streamline(fs, seed, step=cfg.traj_step,
-                                        max_len=cfg.traj_max_len)
-            except VortigenError:
+        for ti, traj in enumerate(trace_streamlines(
+                fs, seeds, step=cfg.traj_step, max_len=cfg.traj_max_len)):
+            if isinstance(traj, VortigenError):
                 continue
             frame = frame_along(traj)
             anu = evoform.crocco_normal_coefficient(
@@ -571,23 +547,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 def _cmd_solve_moc(args) -> int:
     out = Path(os.environ.get("VORTIGEN_OUT", args.out))
-    out.mkdir(parents=True, exist_ok=True)
     gas = GasModel(gamma=args.gamma, R=args.R)
     x, rho, u, p = load_initial_1d(args.init)
     nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
     net = moc.advance_net(nodes, t_end=args.t_end, m=gas)
-    _write_net_csv(out / "net.csv", net)
-    residuals = {fam: moc.pseudostructure_residual(net, fam)
-                 for fam in ("C0", "C+", "C-")}
+    residuals, envelope = _write_net_outputs(out, net,
+                                             moc.detect_envelope(nodes))
     _write_json(out / "residuals.json", residuals)
-    event = net.envelope or moc.detect_envelope(net)
-    _write_json(out / "envelope.json", {
-        "detected": event is not None,
-        "event": _event_dict(event),
-        "analytic": _event_dict(moc.detect_envelope(nodes)),
-    })
     print(f"net: {net.n_levels} levels, envelope: "
-          f"{'yes' if event else 'no'} -> {out}")
+          f"{'yes' if envelope['detected'] else 'no'} -> {out}")
     return 0
 
 
@@ -655,7 +623,6 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
 
 def _cmd_verify_jumps(args) -> int:
     out = Path(os.environ.get("VORTIGEN_OUT", args.out))
-    out.mkdir(parents=True, exist_ok=True)
     reports = _jump_check_sweep(args.relation, args.gamma, args.refine,
                                 args.tol)
     for rec in reports:
@@ -668,17 +635,12 @@ def _cmd_verify_jumps(args) -> int:
 
 def _cmd_detect_shock(args) -> int:
     out = Path(os.environ.get("VORTIGEN_OUT", args.out))
-    out.mkdir(parents=True, exist_ok=True)
     gas = GasModel(gamma=args.gamma, R=args.R)
     x, rho, u, p = load_initial_1d(args.init)
     nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
     analytic = moc.detect_envelope(nodes)
-    if args.t_end is not None:
-        t_end = args.t_end
-    elif analytic is not None:
-        t_end = 1.5 * analytic.t_star
-    else:
-        t_end = float(x[-1] - x[0]) / float(np.min(np.sqrt(gas.gamma * p / rho)))
+    t_end = (args.t_end if args.t_end is not None
+             else _default_t_end(analytic, x, rho, p, gas.gamma))
     net = moc.advance_net(nodes, t_end=t_end, m=gas)
     event = net.envelope or moc.detect_envelope(net)
     _write_json(out / "envelope_report.json", {

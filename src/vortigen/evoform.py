@@ -29,9 +29,8 @@ formulation, and is retained behind the ``sign`` switch.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -156,13 +155,15 @@ class TransportModel:
 class NormalCoefficient:
     """A_nu sampled along a trajectory, split into its additive terms.
 
-    ``piece_fields`` holds the per-term vector node fields the samples were
-    projected from; commutator evaluation differentiates these directly.
+    ``piece_fields`` holds, per term, the vector node field G the samples
+    were projected from and its node Jacobian, stacked (6, ny, nx) as
+    (Gx, Gy, dGx/dx, dGx/dy, dGy/dx, dGy/dy); commutator evaluation
+    contracts the Jacobian directly.
     """
 
     samples: np.ndarray
     pieces: Dict[str, np.ndarray]
-    piece_fields: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+    piece_fields: Optional[Dict[str, np.ndarray]] = None
     sign: CroccoSign = CroccoSign.CONSISTENT
 
     @classmethod
@@ -189,7 +190,7 @@ class A1Coefficient:
     def sample_along(self, traj: Trajectory, grid: StructuredGrid2D) -> np.ndarray:
         if self.is_zero:
             return np.zeros(len(traj))
-        return np.array([interp_bilinear(self.field, grid, p) for p in traj.points])
+        return interp_bilinear(self.field, grid, traj.points)
 
 
 @dataclass(frozen=True)
@@ -244,47 +245,28 @@ class EquilibriumClass:
 # coefficient construction
 
 
-def _sample_vector(fx, fy, grid, points):
-    sx = np.array([interp_bilinear(fx, grid, p) for p in points])
-    sy = np.array([interp_bilinear(fy, grid, p) for p in points])
-    return sx, sy
+def _along_normal(vec, grid, traj, frame):
+    """(Vx, Vy) . n per sample for a stacked (2, ny, nx) node field."""
+    sx, sy = interp_bilinear(vec, grid, traj.points)
+    return sx * frame.normal[:, 0] + sy * frame.normal[:, 1]
 
 
-def crocco_normal_coefficient(
-    fs: FieldSet,
-    traj: Trajectory,
-    frame: AccompanyingFrame,
-    forces: ForceModel,
-    m: GasModel,
-    sign: CroccoSign = CroccoSign.CONSISTENT,
-    time_index: int = 0,
-    include_time_term: Optional[bool] = None,
-) -> NormalCoefficient:
-    """Normal coefficient A_nu = (grad h0 -/+ U x rot U - F + dU/dt) . n / T.
+def _cached(fs: FieldSet, key: tuple, build):
+    """``build()``, kept in ``fs.memo`` while ``key`` holds the same objects."""
+    hit = fs.memo.get(key[0])
+    if hit is None or any(a is not b for a, b in zip(hit[0], key)):
+        hit = fs.memo[key[0]] = (key, build())
+    return hit[1]
 
-    The vortical sign is minus for ``CONSISTENT`` (the momentum-balance
-    identity) and plus for ``PAPER_LITERAL``.  The time term needs at least
-    two snapshots; ``include_time_term=None`` enables it automatically when
-    a time series is attached.  The field set's primary arrays should hold
-    the state at ``time_index`` so the spatial and temporal terms refer to
-    the same instant.
 
-    Raises
-    ------
-    MissingSnapshots
-        When the time term is requested explicitly without a time series.
-    """
+def _crocco_pieces(fs: FieldSet, forces: ForceModel, m: GasModel,
+                   sign: CroccoSign, time_index: int,
+                   include_time_term: bool) -> Dict[str, np.ndarray]:
+    """The stacked A_nu piece fields and Jacobians (see NormalCoefficient)."""
     grid = fs.grid
-    forces.validate(grid)
     derived = derive_fields(fs.rho, fs.p, m)
     T = derived["T"]
     h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
-
-    has_series = fs.snapshots is not None and len(fs.snapshots) >= 2
-    if include_time_term is None:
-        include_time_term = has_series
-    elif include_time_term and not has_series:
-        raise MissingSnapshots("time term requested but no snapshot series")
 
     vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
 
@@ -305,10 +287,47 @@ def crocco_normal_coefficient(
         dvdt = time_derivative(fs, "v", time_index)
         piece_fields["nonstationarity"] = (dudt / T, dvdt / T)
 
-    pieces = {}
-    for name, (fx, fy) in piece_fields.items():
-        sx, sy = _sample_vector(fx, fy, grid, traj.points)
-        pieces[name] = sx * frame.normal[:, 0] + sy * frame.normal[:, 1]
+    return {name: np.stack([fx, fy, *gradient(fx, grid), *gradient(fy, grid)])
+            for name, (fx, fy) in piece_fields.items()}
+
+
+def crocco_normal_coefficient(
+    fs: FieldSet,
+    traj: Trajectory,
+    frame: AccompanyingFrame,
+    forces: ForceModel,
+    m: GasModel,
+    sign: CroccoSign = CroccoSign.CONSISTENT,
+    time_index: int = 0,
+    include_time_term: Optional[bool] = None,
+) -> NormalCoefficient:
+    """Normal coefficient A_nu = (grad h0 -/+ U x rot U - F + dU/dt) . n / T.
+
+    The vortical sign is minus for ``CONSISTENT`` (the momentum-balance
+    identity) and plus for ``PAPER_LITERAL``.  The time term needs at least
+    two snapshots; ``include_time_term=None`` enables it automatically when
+    a time series is attached.  The field set's primary arrays should hold
+    the state at ``time_index`` so the spatial and temporal terms refer to
+    the same instant.  The piece fields are built once per field set and
+    (forces, gas, sign, time term) and kept on the field set.
+
+    Raises
+    ------
+    MissingSnapshots
+        When the time term is requested explicitly without a time series.
+    """
+    forces.validate(fs.grid)
+    has_series = fs.snapshots is not None and len(fs.snapshots) >= 2
+    if include_time_term is None:
+        include_time_term = has_series
+    elif include_time_term and not has_series:
+        raise MissingSnapshots("time term requested but no snapshot series")
+
+    args = (forces, m, sign, time_index, bool(include_time_term))
+    piece_fields = _cached(fs, ("crocco_pieces", *args),
+                           lambda: _crocco_pieces(fs, *args))
+    pieces = {name: _along_normal(g[:2], fs.grid, traj, frame)
+              for name, g in piece_fields.items()}
     total = np.sum(list(pieces.values()), axis=0)
     return NormalCoefficient(samples=total, pieces=pieces,
                              piece_fields=piece_fields, sign=sign)
@@ -379,25 +398,13 @@ def viscous_a1(
 # commutator
 
 
-def _frame_contraction(fx, fy, grid, traj, frame):
-    """t . grad(F . n) per sample with the frame frozen at the sample."""
-    dxx, dxy = gradient(fx, grid)
-    dyx, dyy = gradient(fy, grid)
-    out = np.empty(len(traj))
-    for i, p in enumerate(traj.points):
-        jac = np.array([
-            [interp_bilinear(dxx, grid, p), interp_bilinear(dyx, grid, p)],
-            [interp_bilinear(dxy, grid, p), interp_bilinear(dyy, grid, p)],
-        ])  # jac[a, b] = dF_b/dx_a
-        out[i] = frame.tangent[i] @ jac @ frame.normal[i]
-    return out
-
-
-def _normal_derivative(field, grid, traj, frame):
-    """n . grad(field) per sample."""
-    gx, gy = gradient(field, grid)
-    sx, sy = _sample_vector(gx, gy, grid, traj.points)
-    return sx * frame.normal[:, 0] + sy * frame.normal[:, 1]
+def _frame_contraction(jac, grid, traj, frame):
+    """t . grad(F . n) per sample with the frame frozen at the sample, from
+    the stacked node Jacobian (dFx/dx, dFx/dy, dFy/dx, dFy/dy)."""
+    dxx, dxy, dyx, dyy = interp_bilinear(jac, grid, traj.points)
+    t, n = frame.tangent, frame.normal
+    return ((t[:, 0] * dxx + t[:, 1] * dxy) * n[:, 0]
+            + (t[:, 0] * dyx + t[:, 1] * dyy) * n[:, 1])
 
 
 def commutator(
@@ -419,8 +426,8 @@ def commutator(
 
     anu = fc.anu
     if anu.piece_fields is not None:
-        for name, (fx, fy) in anu.piece_fields.items():
-            attribution[name] = _frame_contraction(fx, fy, grid, traj, frame)
+        for name, g in anu.piece_fields.items():
+            attribution[name] = _frame_contraction(g[2:], grid, traj, frame)
     else:
         xi = traj.arclength
         edge = 2 if len(xi) >= 3 else 1
@@ -428,8 +435,11 @@ def commutator(
             attribution[name] = np.gradient(samples, xi, edge_order=edge)
 
     if not fc.a1.is_zero:
-        for name, piece in fc.a1.pieces.items():
-            attribution[name] = -_normal_derivative(piece, grid, traj, frame)
+        grads = _cached(fs, ("a1_gradients", fc.a1), lambda: {
+            name: np.stack(gradient(piece, grid))
+            for name, piece in fc.a1.pieces.items()})
+        for name, grad in grads.items():
+            attribution[name] = -_along_normal(grad, grid, traj, frame)
 
     K = np.sum(list(attribution.values()), axis=0)
     return Commutator(xi=traj.arclength.copy(), K=K, attribution=attribution)
@@ -439,40 +449,42 @@ def commutator(
 # classification
 
 
-def _flood_components(mask: np.ndarray):
-    ny, nx = mask.shape
-    seen = np.zeros(mask.shape, dtype=bool)
-    comps = []
-    for j in range(ny):
-        for i in range(nx):
-            if mask[j, i] and not seen[j, i]:
-                q = deque([(j, i)])
-                seen[j, i] = True
-                cells = []
-                while q:
-                    cj, ci = q.popleft()
-                    cells.append((cj, ci))
-                    for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        nj, ni = cj + dj, ci + di
-                        if 0 <= nj < ny and 0 <= ni < nx and mask[nj, ni] \
-                                and not seen[nj, ni]:
-                            seen[nj, ni] = True
-                            q.append((nj, ni))
-                comps.append(cells)
-    return comps
+_EDGE = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_EDGE_OR_CORNER = _EDGE + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _is_simply_connected(mask: np.ndarray) -> bool:
-    """Fluid region connected and every excluded pocket open to the edge."""
-    fluid = _flood_components(mask)
-    if len(fluid) != 1:
-        return False
+def _count_components(mask: np.ndarray, steps) -> int:
     ny, nx = mask.shape
-    for comp in _flood_components(~mask):
-        touches = any(j in (0, ny - 1) or i in (0, nx - 1) for j, i in comp)
-        if not touches:
-            return False
-    return True
+    seen = ~mask
+    count = 0
+    for start in zip(*np.nonzero(mask)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            j, i = stack.pop()
+            for dj, di in steps:
+                nj, ni = j + dj, i + di
+                if 0 <= nj < ny and 0 <= ni < nx and not seen[nj, ni]:
+                    seen[nj, ni] = True
+                    stack.append((nj, ni))
+    return count
+
+
+def _is_simply_connected(mask: Optional[np.ndarray]) -> bool:
+    """Fluid region connected and every excluded pocket open to the edge.
+
+    Fluid nodes connect through edges, excluded nodes also through corners
+    (4/8 dual pair), so a pocket reaching the edge only diagonally is open:
+    it joins the frame of excluded nodes laid around the grid.
+    """
+    if mask is None or mask.all():
+        return True
+    framed = np.pad(~mask, 1, constant_values=True)
+    return (_count_components(mask, _EDGE) == 1
+            and _count_components(framed, _EDGE_OR_CORNER) == 1)
 
 
 def lagrange_criterion(
@@ -507,8 +519,8 @@ def lagrange_criterion(
     else:
         potential = True
 
-    mask = fs.mask if fs.mask is not None else np.ones(fs.grid.shape, dtype=bool)
-    simply_connected = _is_simply_connected(np.asarray(mask, dtype=bool))
+    simply_connected = _is_simply_connected(
+        None if fs.mask is None else np.asarray(fs.mask, dtype=bool))
 
     return LagrangeReport(stationary=stationary, potential=potential,
                           simply_connected=simply_connected)

@@ -9,8 +9,8 @@ documented here precisely so reference calculations can replicate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     SeedOutsideDomain,
     ShapeMismatch,
     StagnationAtSeed,
+    VortigenError,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "interp_bilinear",
     "directional_derivative",
     "trace_streamline",
+    "trace_streamlines",
     "frame_along",
 ]
 
@@ -76,8 +78,10 @@ class StructuredGrid2D:
     def ymax(self) -> float:
         return self.y0 + self.hy * (self.ny - 1)
 
-    def contains(self, x: float, y: float) -> bool:
-        return (self.x0 <= x <= self.xmax) and (self.y0 <= y <= self.ymax)
+    def contains(self, x, y):
+        """Closed-rectangle membership, elementwise for coordinate arrays."""
+        return ((self.x0 <= x) & (x <= self.xmax)
+                & (self.y0 <= y) & (y <= self.ymax))
 
     def check_conforms(self, arr: np.ndarray, name: str = "field"):
         if np.shape(arr) != self.shape:
@@ -106,7 +110,9 @@ class FieldSet:
     snapshot when a series is attached).  ``mask`` marks fluid nodes; False
     nodes are excluded from the domain (used by the connectedness test).
     Masked-out nodes still need finite placeholder values: the stencil
-    operators run on the full arrays.
+    operators run on the full arrays.  ``memo`` keeps node fields derived
+    from the arrays for reuse across trajectories, so the arrays must not
+    change in place.
     """
 
     grid: StructuredGrid2D
@@ -116,6 +122,8 @@ class FieldSet:
     p: np.ndarray
     snapshots: Optional[Sequence[Snapshot]] = None
     mask: Optional[np.ndarray] = None
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         for name in ("rho", "u", "v", "p"):
@@ -256,23 +264,32 @@ def time_derivative(fs: FieldSet, name: str, index: int) -> np.ndarray:
 # off-node evaluation
 
 
-def interp_bilinear(f: np.ndarray, grid: StructuredGrid2D, point) -> float:
-    """Bilinear interpolation of a node field at an interior point."""
-    x, y = float(point[0]), float(point[1])
-    if not grid.contains(x, y):
-        raise PointOutsideDomain(f"point ({x}, {y}) outside grid")
+def interp_bilinear(f: np.ndarray, grid: StructuredGrid2D, points):
+    """Bilinear interpolation of node fields at interior points.
+
+    ``points`` is one (x, y) pair or an (n, 2) array; ``f`` is one node
+    field (ny, nx) or a stack (..., ny, nx) that shares the cell indices
+    and weights.  One point of one field gives a float, otherwise an array
+    of shape (..., n) (or (...,) for one point).  Raises
+    ``PointOutsideDomain`` if any point lies outside the grid.
+    """
+    pts = np.asarray(points, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    inside = grid.contains(x, y)
+    if not np.all(inside):
+        bx, by = pts.reshape(-1, 2)[np.argmin(np.ravel(inside))]
+        raise PointOutsideDomain(f"point ({bx}, {by}) outside grid")
     fx = (x - grid.x0) / grid.hx
     fy = (y - grid.y0) / grid.hy
-    i = min(int(fx), grid.nx - 2)
-    j = min(int(fy), grid.ny - 2)
+    i = np.minimum(fx.astype(int), grid.nx - 2)
+    j = np.minimum(fy.astype(int), grid.ny - 2)
     tx = fx - i
     ty = fy - j
-    return float(
-        (1 - tx) * (1 - ty) * f[j, i]
-        + tx * (1 - ty) * f[j, i + 1]
-        + (1 - tx) * ty * f[j + 1, i]
-        + tx * ty * f[j + 1, i + 1]
-    )
+    out = ((1 - tx) * (1 - ty) * f[..., j, i]
+           + tx * (1 - ty) * f[..., j, i + 1]
+           + (1 - tx) * ty * f[..., j + 1, i]
+           + tx * ty * f[..., j + 1, i + 1])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def directional_derivative(
@@ -282,9 +299,7 @@ def directional_derivative(
     d = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    dfdx, dfdy = gradient(f, grid)
-    gx = interp_bilinear(dfdx, grid, point)
-    gy = interp_bilinear(dfdy, grid, point)
+    gx, gy = interp_bilinear(np.stack(gradient(f, grid)), grid, point)
     return gx * d[0] + gy * d[1]
 
 
@@ -292,13 +307,75 @@ def directional_derivative(
 # streamlines and frames
 
 
-def _unit_velocity(fs: FieldSet, x: float, y: float, vtol: float):
-    ux = interp_bilinear(fs.u, fs.grid, (x, y))
-    vy = interp_bilinear(fs.v, fs.grid, (x, y))
-    speed = np.hypot(ux, vy)
-    if speed < vtol:
-        return None
-    return ux / speed, vy / speed
+def trace_streamlines(
+    fs: FieldSet,
+    seeds,
+    step: Optional[float] = None,
+    max_len: Optional[float] = None,
+) -> List[Union[Trajectory, VortigenError]]:
+    """Trace the streamlines through many seeds as one batched RK4.
+
+    Every seed follows exactly the arithmetic of ``trace_streamline``; all
+    live seeds share the arclength and hence the step.  Returns one entry
+    per seed: its Trajectory, or the error tracing it alone would raise
+    (``SeedOutsideDomain``, ``StagnationAtSeed``, ``DegenerateTrajectory``).
+    """
+    grid = fs.grid
+    seeds = np.array(seeds, dtype=float).reshape(-1, 2)
+    if step is None:
+        step = 0.25 * min(grid.hx, grid.hy)
+    if max_len is None:
+        max_len = 4.0 * np.hypot(grid.xmax - grid.x0, grid.ymax - grid.y0)
+    vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
+    uv = np.stack([fs.u, fs.v])
+
+    def rhs(p):
+        """Unit velocity at ``p`` and the mask of inside, moving points."""
+        ok = grid.contains(p[:, 0], p[:, 1])
+        if not ok.all():
+            p = np.where(ok[:, None], p, (grid.x0, grid.y0))
+        vel = interp_bilinear(uv, grid, p)
+        speed = np.hypot(vel[0], vel[1])
+        ok &= speed >= vtol
+        return (vel / np.where(ok, speed, 1.0)).T, ok
+
+    inside = grid.contains(seeds[:, 0], seeds[:, 1])
+    moving = rhs(seeds)[1]
+    live = np.flatnonzero(moving)
+    p = seeds[live]
+    # every accepted point with the seed it belongs to, in step order
+    owners, points = [np.arange(len(seeds))], [seeds]
+    n_steps = np.zeros(len(seeds), dtype=int)
+    arc = 0.0
+    while arc < max_len and live.size:
+        h = min(step, max_len - arc)
+        k1, ok = rhs(p)
+        k2, ok2 = rhs(p + 0.5 * h * k1)
+        k3, ok3 = rhs(p + 0.5 * h * k2)
+        k4, ok4 = rhs(p + h * k3)
+        new = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ok &= ok2 & ok3 & ok4 & grid.contains(new[:, 0], new[:, 1])
+        live, p = live[ok], new[ok]
+        n_steps[live] += 1
+        arc += h
+        owners.append(live)
+        points.append(p)
+
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    paths = np.split(np.concatenate(points)[order], np.cumsum(n_steps + 1)[:-1])
+    results: List[Union[Trajectory, VortigenError]] = []
+    for s, (x, y) in enumerate(seeds.tolist()):
+        if not inside[s]:
+            results.append(SeedOutsideDomain(f"seed ({x}, {y}) outside grid"))
+        elif not moving[s]:
+            results.append(StagnationAtSeed(
+                f"speed below tolerance at seed ({x}, {y})"))
+        elif n_steps[s] == 0:
+            results.append(DegenerateTrajectory(
+                "streamline terminated at its seed"))
+        else:
+            results.append(Trajectory.from_points(paths[s]))
+    return results
 
 
 def trace_streamline(
@@ -312,52 +389,12 @@ def trace_streamline(
     Integrates dx/dxi = U/|U| (xi is arclength) with bilinear velocity
     interpolation; stops at the domain boundary, at ``max_len``, or where
     the speed drops below the stagnation tolerance (1e-10 of the grid's
-    peak speed).
+    peak speed).  The one-seed view of ``trace_streamlines``.
     """
-    grid = fs.grid
-    x, y = float(seed[0]), float(seed[1])
-    if not grid.contains(x, y):
-        raise SeedOutsideDomain(f"seed ({x}, {y}) outside grid")
-    if step is None:
-        step = 0.25 * min(grid.hx, grid.hy)
-    if max_len is None:
-        max_len = 4.0 * np.hypot(grid.xmax - grid.x0, grid.ymax - grid.y0)
-    vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
-    if _unit_velocity(fs, x, y, vtol) is None:
-        raise StagnationAtSeed(f"speed below tolerance at seed ({x}, {y})")
-
-    pts = [(x, y)]
-    arc = 0.0
-    while arc < max_len:
-        h = min(step, max_len - arc)
-
-        def rhs(px, py):
-            if not grid.contains(px, py):
-                return None
-            return _unit_velocity(fs, px, py, vtol)
-
-        k1 = rhs(x, y)
-        if k1 is None:
-            break
-        k2 = rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
-        if k2 is None:
-            break
-        k3 = rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
-        if k3 is None:
-            break
-        k4 = rhs(x + h * k3[0], y + h * k3[1])
-        if k4 is None:
-            break
-        nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if not grid.contains(nx, ny):
-            break
-        x, y = nx, ny
-        arc += h
-        pts.append((x, y))
-    if len(pts) < 2:
-        raise DegenerateTrajectory("streamline terminated at its seed")
-    return Trajectory.from_points(np.array(pts))
+    out = trace_streamlines(fs, [seed], step=step, max_len=max_len)[0]
+    if isinstance(out, VortigenError):
+        raise out
+    return out
 
 
 def frame_along(traj: Trajectory) -> AccompanyingFrame:

@@ -179,18 +179,17 @@ def measure_jump(f: np.ndarray, grid: StructuredGrid2D, surface: Surface,
     n = surface.normal
     h = _normal_spacing(grid, n) if spacing is None else spacing
     x0, y0 = float(point[0]), float(point[1])
-
-    def sample(k):
-        px, py = x0 + k * h * n[0], y0 + k * h * n[1]
-        if not grid.contains(px, py):
-            raise TooCloseToBoundary(
-                f"stencil sample at offset {k} leaves the grid")
-        return interp_bilinear(f, grid, (px, py))
-
     # quadratic fit through offsets (h, 2h, 3h), derivative at the surface
-    fp = (-5.0 * sample(1) + 8.0 * sample(2) - 3.0 * sample(3)) / (2.0 * h)
-    fm = (5.0 * sample(-1) - 8.0 * sample(-2) + 3.0 * sample(-3)) / (2.0 * h)
-    return fp - fm
+    k = np.array([1, 2, 3, -1, -2, -3])
+    px, py = x0 + k * h * n[0], y0 + k * h * n[1]
+    inside = grid.contains(px, py)
+    if not inside.all():
+        raise TooCloseToBoundary(f"stencil sample at offset "
+                                 f"{k[np.argmin(inside)]} leaves the grid")
+    p1, p2, p3, m1, m2, m3 = interp_bilinear(f, grid, np.column_stack([px, py]))
+    fp = (-5.0 * p1 + 8.0 * p2 - 3.0 * p3) / (2.0 * h)
+    fm = (5.0 * m1 - 8.0 * m2 + 3.0 * m3) / (2.0 * h)
+    return float(fp - fm)
 
 
 def measure_discontinuity(fs: FieldSet, m: GasModel, surface: Surface,

@@ -118,13 +118,6 @@ class CharNet:
             u=float(self.u[k][i]), a=float(self.a[k][i]), s=float(self.s[k][i]),
         )
 
-    def nodes(self, k: int) -> List[CharNode]:
-        return [self.node(k, i) for i in range(self.level_size(k))]
-
-    @property
-    def levels(self) -> List[List[CharNode]]:
-        return [self.nodes(k) for k in range(self.n_levels)]
-
     def cplus_parent(self, k: int, i: int):
         return (k - 1, i) if k >= 1 else None
 
@@ -142,10 +135,6 @@ class CharNet:
         if family == "C-":
             return np.arange(n) + k
         raise ValueError(f"unknown family {family!r}")
-
-    def family_labels(self, family: str) -> List[np.ndarray]:
-        """Per-level chain ids for one characteristic family."""
-        return [self.chain_ids(family, k) for k in range(self.n_levels)]
 
     def validate(self):
         for k in range(self.n_levels):

@@ -257,6 +257,44 @@ class TestScenarios:
         cfgp = self.write_config(tmp_path, fields="f.csv")
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
 
+    @pytest.mark.parametrize("seeds", [5, [[0.1]], [[0.1, float("nan")]],
+                                       [[0.1, "0.5"]]])
+    def test_malformed_seeds_exit_2(self, tmp_path, capsys, seeds):
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = self.write_config(tmp_path, fields="f.csv",
+                                 trajectories={"seeds": seeds})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err and "trajectories.seeds" in err
+
+    def test_derived_fields_built_once_per_run(self, tmp_path, monkeypatch):
+        # guards against per-seed recomputation of the node fields
+        import vortigen
+        from vortigen import fields, thermo
+        fs, _ = couette_flow(mu=0.1, k=0.05, nx=33, ny=33)
+        write_fields_csv(tmp_path / "f.csv", fs)
+        counts = {}
+        for fn in (thermo.derive_fields, fields.gradient):
+            def counted(*a, _fn=fn, **kw):
+                counts[_fn.__name__] += 1
+                return _fn(*a, **kw)
+            for mod in vars(vortigen).values():
+                if getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, counted)
+        seen = []
+        for n in (8, 64):
+            counts.update(derive_fields=0, gradient=0)
+            seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
+            cfgp = self.write_config(
+                tmp_path, fields="f.csv", transport={"mu": 0.1, "k": 0.05},
+                trajectories={"seeds": seeds},
+                output_dir=str(tmp_path / f"out{n}"))
+            assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+            assert len(list((tmp_path / f"out{n}").glob("trajectory_*"))) == n
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["derive_fields"] <= 3
+
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"
         path.write_text("x,rho,u,p\n0.0,1,0,1\n0.2,1,0,1\n0.1,1,0,1\n")

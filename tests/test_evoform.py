@@ -267,6 +267,18 @@ class TestLagrange:
         fs = FieldSet(fs0.grid, fs0.rho, fs0.u, fs0.v, fs0.p, mask=mask)
         assert lagrange_criterion(fs, NO_FORCE).simply_connected
 
+    def test_diagonal_pocket_open_to_edge(self):
+        # 4-connected fluid, 8-connected background: the pocket at (1, 1)
+        # reaches the edge through the corner node (0, 0)
+        fs0 = uniform_fs(6)
+        mask = np.ones(fs0.grid.shape, dtype=bool)
+        mask[0, 0] = mask[1, 1] = False
+        fs = FieldSet(fs0.grid, fs0.rho, fs0.u, fs0.v, fs0.p, mask=mask)
+        assert lagrange_criterion(fs, NO_FORCE).simply_connected
+        mask[0, 0] = True
+        fs = FieldSet(fs0.grid, fs0.rho, fs0.u, fs0.v, fs0.p, mask=mask)
+        assert not lagrange_criterion(fs, NO_FORCE).simply_connected
+
     def test_rotational_tabulated_force_flagged(self):
         fs = source_flow(33)
         X, Y = np.meshgrid(fs.grid.x, fs.grid.y)

@@ -22,6 +22,7 @@ from vortigen.fields import (
     interp_bilinear,
     time_derivative,
     trace_streamline,
+    trace_streamlines,
 )
 
 
@@ -170,6 +171,37 @@ class TestBilinearAndDirectional:
         with pytest.raises(PointOutsideDomain):
             interp_bilinear(np.zeros(grid.shape), grid, (-0.1, 0.0))
 
+    def test_array_matches_scalar_bitwise(self):
+        grid = StructuredGrid2D(9, 7, x0=-0.3, y0=0.2, hx=0.13, hy=0.21)
+        rng = np.random.default_rng(7)
+        f, g = rng.normal(size=(2, *grid.shape))
+        pts = np.column_stack([rng.uniform(grid.x0, grid.xmax, 200),
+                               rng.uniform(grid.y0, grid.ymax, 200)])
+        edges = [(grid.xmax, grid.ymax), (grid.xmax, 0.5), (0.1, grid.ymax),
+                 (grid.x0, grid.y0), (grid.x[3], grid.y[4])]
+        pts = np.vstack([pts, edges])
+        got = interp_bilinear(f, grid, pts)
+        # the scalar formula as written before arrays were accepted
+        ref = []
+        for x, y in pts.tolist():
+            fx, fy = (x - grid.x0) / grid.hx, (y - grid.y0) / grid.hy
+            i, j = min(int(fx), grid.nx - 2), min(int(fy), grid.ny - 2)
+            tx, ty = fx - i, fy - j
+            ref.append((1 - tx) * (1 - ty) * f[j, i] + tx * (1 - ty) * f[j, i + 1]
+                       + (1 - tx) * ty * f[j + 1, i] + tx * ty * f[j + 1, i + 1])
+        assert got.tolist() == ref
+        assert [interp_bilinear(f, grid, pt) for pt in pts] == ref
+        both = interp_bilinear(np.stack([f, g]), grid, pts)
+        assert both.shape == (2, len(pts))
+        assert both[0].tolist() == ref
+        assert both[1].tolist() == interp_bilinear(g, grid, pts).tolist()
+
+    def test_one_outside_point_in_batch_raises(self):
+        grid = StructuredGrid2D(6, 6)
+        pts = [(1.0, 1.0), (2.5, 4.0), (5.0, 5.0 + 1e-12), (3.0, 3.0)]
+        with pytest.raises(PointOutsideDomain, match="5.000000000001"):
+            interp_bilinear(np.zeros(grid.shape), grid, pts)
+
     def test_directional_constant_zero(self):
         grid = StructuredGrid2D(8, 8)
         f = np.full(grid.shape, 5.0)
@@ -223,6 +255,85 @@ class TestStreamline:
         fs = uniform_fieldset(grid, u=1.0)
         traj = trace_streamline(fs, (0.5, 0.5), max_len=100.0)
         assert traj.points[-1, 0] <= grid.xmax + 1e-12
+
+
+def scalar_rk4_reference(fs, seed, step, max_len):
+    """The per-seed scalar RK4 the batched tracer replaced, kept as the
+    bit-for-bit reference; returns the points or the error class."""
+    grid = fs.grid
+    x, y = float(seed[0]), float(seed[1])
+    if not grid.contains(x, y):
+        return SeedOutsideDomain
+    vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
+
+    def rhs(px, py):
+        if not grid.contains(px, py):
+            return None
+        ux = interp_bilinear(fs.u, grid, (px, py))
+        vy = interp_bilinear(fs.v, grid, (px, py))
+        speed = np.hypot(ux, vy)
+        return None if speed < vtol else (ux / speed, vy / speed)
+
+    if rhs(x, y) is None:
+        return StagnationAtSeed
+    pts, arc = [(x, y)], 0.0
+    while arc < max_len:
+        h = min(step, max_len - arc)
+        k1 = rhs(x, y)
+        k2 = k1 and rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
+        k3 = k2 and rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
+        k4 = k3 and rhs(x + h * k3[0], y + h * k3[1])
+        if k4 is None:
+            break
+        nx = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        ny = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if not grid.contains(nx, ny):
+            break
+        x, y = nx, ny
+        arc += h
+        pts.append((x, y))
+    return np.array(pts) if len(pts) >= 2 else DegenerateTrajectory
+
+
+class TestBatchedStreamlines:
+    # rotation about (0.5, 0.5): circles, some leaving the unit square
+    SEEDS = [(0.7, 0.5), (1.5, 0.5), (0.5, 0.5), (1.0, 0.2), (0.05, 0.05),
+             (0.3, 0.6), (0.95, 0.5)]
+    EXPECTED = [None, SeedOutsideDomain, StagnationAtSeed,
+                DegenerateTrajectory, None, None, None]
+
+    def rotation(self):
+        grid = StructuredGrid2D(21, 21, hx=0.05, hy=0.05)
+        X, Y = mesh(grid)
+        one = np.ones(grid.shape)
+        return FieldSet(grid, one, -(Y - 0.5), X - 0.5, one)
+
+    def test_matches_single_seed_and_scalar_reference(self):
+        fs = self.rotation()
+        step, max_len = 0.01, 2.5
+        batch = trace_streamlines(fs, self.SEEDS, step=step, max_len=max_len)
+        lengths = set()
+        for seed, got, kind in zip(self.SEEDS, batch, self.EXPECTED):
+            ref = scalar_rk4_reference(fs, seed, step, max_len)
+            if kind is not None:
+                assert type(got) is kind and ref is kind
+                with pytest.raises(kind):
+                    trace_streamline(fs, seed, step=step, max_len=max_len)
+                continue
+            single = trace_streamline(fs, seed, step=step, max_len=max_len)
+            assert got.points.tolist() == ref.tolist()
+            assert single.points.tolist() == ref.tolist()
+            assert got.arclength.tolist() == single.arclength.tolist()
+            lengths.add(len(got))
+        assert len(lengths) >= 2  # seeds stopped at different steps
+
+    def test_default_step_matches_single_seed(self):
+        fs = self.rotation()
+        batch = trace_streamlines(fs, self.SEEDS)
+        for seed, got in zip(self.SEEDS, batch):
+            if isinstance(got, Trajectory):
+                assert got.points.tolist() == \
+                    trace_streamline(fs, seed).points.tolist()
 
 
 class TestFrame:
