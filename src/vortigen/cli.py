@@ -16,7 +16,7 @@ All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale) and written atomically
 (temp-file-then-rename).  The environment variable ``VORTIGEN_OUT``
 overrides every output directory.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure.
+error, 3 numerical failure (including a non-finite result).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -40,6 +41,7 @@ from .errors import (
     GridInferenceError,
     MissingSnapshots,
     NonConvergence,
+    NonFiniteResult,
     NonPhysicalState,
     ParseError,
     VortigenError,
@@ -58,12 +60,19 @@ from .thermo import EntropyConvention, GasModel, PrimitiveState, derive_state
 __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
 
 
-def _atomic_write(path: Path, text: str):
+@contextmanager
+def _atomic_write(path: Path):
+    """Text file handle whose content replaces ``path`` only when complete;
+    the file gets the mode a plain ``open`` would give it under the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            # mkstemp creates 0600; setting the umask is the way to read it
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,26 +81,34 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_json(path: Path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult(f"{path}: result is not finite") from None
+    with _atomic_write(path) as fh:
+        fh.write(text + "\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows):
-    """Floats as ``%.17g``, other values as ``str``, typed by the first row."""
-    lines = [",".join(header)]
-    if rows:
-        template = ",".join(
-            "%.17g" if isinstance(v, (float, np.floating)) else "%s"
-            for v in rows[0])
-        lines.extend(template % tuple(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _read_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _out_dir(default) -> Path:
+    """``VORTIGEN_OUT`` if set, else ``default``."""
+    return Path(os.environ.get("VORTIGEN_OUT", default))
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 
 
-def _read_rows(path, expected: Sequence[str]) -> List[List[float]]:
-    """Float rows of a CSV whose header is exactly ``expected``."""
+def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
+    """Finite float rows of a CSV whose header is exactly ``expected``;
+    ``rho`` and ``p`` columns must be positive."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -100,8 +117,10 @@ def _read_rows(path, expected: Sequence[str]) -> List[List[float]]:
                 raise ParseError(
                     f"{path}: header must be exactly {','.join(expected)}")
             data = []
+            blank = []  # number of data rows read before each blank line
             for ln, row in enumerate(reader, start=2):
                 if not row:
+                    blank.append(len(data))
                     continue
                 if len(row) != len(expected):
                     raise ParseError(f"{path}:{ln}: expected "
@@ -112,15 +131,26 @@ def _read_rows(path, expected: Sequence[str]) -> List[List[float]]:
                     raise ParseError(f"{path}:{ln}: {exc}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return data
+    arr = np.array(data, dtype=float).reshape(len(data), len(expected))
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        i, j = bad[0]
+        ln = i + 2 + sum(b <= i for b in blank)
+        raise ParseError(f"{path}:{ln}: column {expected[j]} is not finite "
+                         f"({arr[i, j]})")
+    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
+           if name in ("rho", "p")):
+        raise NonPhysicalState(f"{path}: rho and p must be positive")
+    return arr
 
 
-def _read_grid_csv(path, columns: Sequence[str]):
-    """Scattered (x, y, values...) rows -> uniform grid + node arrays."""
-    data = _read_rows(path, ["x", "y", *columns])
-    if not data:
+def _read_grid_csv(path, columns: Sequence[str],
+                   like: Optional[StructuredGrid2D] = None):
+    """Scattered (x, y, values...) rows -> uniform grid + node arrays; the
+    grid must match ``like`` (to 1e-12) when given."""
+    arr = _read_rows(path, ["x", "y", *columns])
+    if not len(arr):
         raise ParseError(f"{path}: no data rows")
-    arr = np.asarray(data)
 
     def axis(vals):
         uniq = np.unique(vals)
@@ -139,6 +169,10 @@ def _read_grid_csv(path, columns: Sequence[str]):
             f"{path}: {len(arr)} rows do not fill a {len(xs)}x{len(ys)} grid")
     grid = StructuredGrid2D(nx=len(xs), ny=len(ys), x0=float(xs[0]),
                             y0=float(ys[0]), hx=float(hx), hy=float(hy))
+    if like is not None and not np.allclose(
+            dataclasses.astuple(grid), dataclasses.astuple(like),
+            rtol=0.0, atol=1e-12):
+        raise ParseError(f"{path}: grid differs from the field grid")
     ix = np.rint((arr[:, 0] - grid.x0) / grid.hx).astype(int)
     iy = np.rint((arr[:, 1] - grid.y0) / grid.hy).astype(int)
     flat = iy * grid.nx + ix
@@ -152,12 +186,6 @@ def _read_grid_csv(path, columns: Sequence[str]):
     return grid, fields
 
 
-def _same_grid(a: StructuredGrid2D, b: StructuredGrid2D) -> bool:
-    return (a.nx == b.nx and a.ny == b.ny
-            and abs(a.x0 - b.x0) <= 1e-12 and abs(a.y0 - b.y0) <= 1e-12
-            and abs(a.hx - b.hx) <= 1e-12 and abs(a.hy - b.hy) <= 1e-12)
-
-
 def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
     """Load a ``x,y,rho,u,v,p`` node CSV, optionally with a snapshot manifest.
 
@@ -168,52 +196,58 @@ def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
     grid, f = _read_grid_csv(path, ("rho", "u", "v", "p"))
     snapshots = None
     if manifest is not None:
-        try:
-            with open(manifest) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read manifest {manifest}: {exc}") from None
-        entries = spec.get("snapshots")
+        spec = _read_json(manifest, "manifest")
+        entries = spec.get("snapshots") if isinstance(spec, dict) else None
         if not isinstance(entries, list) or not entries:
             raise ParseError(f"{manifest}: needs a nonempty 'snapshots' list")
         base = Path(manifest).parent
         snapshots = []
-        last_t = None
         for ent in entries:
             try:
                 t = float(ent["t"])
                 sub = base / ent["path"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{manifest}: bad snapshot entry: {exc}") from None
-            if last_t is not None and t <= last_t:
+            if snapshots and not t > snapshots[-1].t:
                 raise ParseError(f"{manifest}: snapshot times must increase")
-            last_t = t
-            sgrid, sf = _read_grid_csv(sub, ("rho", "u", "v", "p"))
-            if not _same_grid(grid, sgrid):
-                raise ParseError(f"{sub}: snapshot grid differs from {path}")
+            _, sf = _read_grid_csv(sub, ("rho", "u", "v", "p"), grid)
             snapshots.append(Snapshot(t=t, rho=sf["rho"], u=sf["u"],
                                       v=sf["v"], p=sf["p"]))
-    if np.any(f["rho"] <= 0.0) or np.any(f["p"] <= 0.0):
-        raise NonPhysicalState(f"{path}: rho and p must be positive")
     return FieldSet(grid, rho=f["rho"], u=f["u"], v=f["v"], p=f["p"],
                     snapshots=snapshots)
 
 
 def load_initial_1d(path):
     """1-D initial data CSV with header ``x,rho,u,p``."""
-    rows = _read_rows(path, ["x", "rho", "u", "p"])
-    if len(rows) < 3:
+    arr = _read_rows(path, ["x", "rho", "u", "p"])
+    if len(arr) < 3:
         raise ParseError(f"{path}: need at least 3 samples")
-    arr = np.asarray(rows)
     if np.any(np.diff(arr[:, 0]) <= 0.0):
         raise ParseError(f"{path}: x samples must be strictly increasing")
-    if np.any(arr[:, 1] <= 0.0) or np.any(arr[:, 3] <= 0.0):
-        raise NonPhysicalState(f"{path}: rho and p must be positive")
     return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 
 # ---------------------------------------------------------------------------
 # scenario configuration
+
+
+def _number(name: str, value, default=None) -> Optional[float]:
+    """A finite config number (a JSON number, not a bool) as float, or
+    ``default`` when absent or null; else a ParseError naming the field."""
+    if value is None:
+        return default
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _choice(name: str, value, options: dict):
+    """``options[value]`` for a config enum field, else a ParseError naming
+    the field and its allowed values."""
+    if isinstance(value, str) and value in options:
+        return options[value]
+    raise ParseError(f"{name} must be one of {', '.join(options)}, "
+                     f"got {value!r}")
 
 
 @dataclass
@@ -241,17 +275,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "ScenarioConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read config {path}: {exc}") from None
-        if overrides:
-            raw.update({k: v for k, v in overrides.items() if v is not None})
+        """Read a JSON config; its relative paths resolve against its own
+        directory, relative path ``overrides`` (command-line flags) against
+        the working directory."""
+        raw = _read_json(path, "config")
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
+        raw.update({k: os.path.abspath(v) for k, v in (overrides or {}).items()
+                    if v is not None})
         try:
             return cls.from_dict(raw, default_id=Path(path).stem,
                                  base=Path(path).parent)
-        except ParseError as exc:
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from None
 
     @classmethod
@@ -259,78 +294,89 @@ class ScenarioConfig:
                   base: Optional[Path] = None) -> "ScenarioConfig":
         base = base or Path(".")
 
-        def resolve(p):
+        def section(name, default=None):
+            val = raw.get(name)
+            if val is not None and not isinstance(val, dict):
+                raise ParseError(f"{name} must be a JSON object")
+            return default if val is None else val
+
+        def resolve(name, p):
             if p is None:
                 return None
+            if not isinstance(p, str):
+                raise ParseError(f"{name} must be a path string")
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
-        gas_raw = raw.get("gas", {})
-        conv = {"entropy_function": EntropyConvention.ENTROPY_FUNCTION,
-                "specific": EntropyConvention.SPECIFIC}[
-            gas_raw.get("entropy_convention", "entropy_function")]
-        gas = GasModel(gamma=float(gas_raw.get("gamma", 1.4)),
-                       R=float(gas_raw.get("R", 287.05)),
-                       entropy_convention=conv,
-                       s_ref=float(gas_raw.get("s_ref", 0.0)))
+        gas_raw = section("gas", {})
+        gas = GasModel(
+            gamma=_number("gas.gamma", gas_raw.get("gamma"), 1.4),
+            R=_number("gas.R", gas_raw.get("R"), 287.05),
+            entropy_convention=_choice(
+                "gas.entropy_convention",
+                gas_raw.get("entropy_convention", "entropy_function"),
+                {"entropy_function": EntropyConvention.ENTROPY_FUNCTION,
+                 "specific": EntropyConvention.SPECIFIC}),
+            s_ref=_number("gas.s_ref", gas_raw.get("s_ref"), 0.0))
 
-        forces_spec = dict(raw.get("forces", {"kind": "none"}))
-        if forces_spec.get("kind") not in ("none", "potential", "tabulated"):
-            raise ParseError(f"unknown force kind {forces_spec.get('kind')!r}")
+        forces_spec = dict(section("forces", {"kind": "none"}))
+        _choice("forces.kind", forces_spec.get("kind"),
+                dict.fromkeys(("none", "potential", "tabulated")))
         if "path" in forces_spec:
-            forces_spec["path"] = resolve(forces_spec["path"])
+            forces_spec["path"] = resolve("forces.path", forces_spec["path"])
 
-        transport = None
-        if raw.get("transport") is not None:
-            tr = raw["transport"]
-            transport = TransportModel(mu=float(tr.get("mu", 0.0)),
-                                       k=float(tr.get("k", 0.0)))
+        tr = section("transport")
+        transport = None if tr is None else TransportModel(
+            mu=_number("transport.mu", tr.get("mu"), 0.0),
+            k=_number("transport.k", tr.get("k"), 0.0))
 
-        sign = {"consistent": CroccoSign.CONSISTENT,
-                "paper": CroccoSign.PAPER_LITERAL}[
-            raw.get("crocco_sign", "consistent")]
-        variant = {"paper": A1Variant.PAPER_LITERAL,
-                   "standard": A1Variant.STANDARD_PRODUCTION}[
-            raw.get("a1_variant", "paper")]
+        sign = _choice("crocco_sign", raw.get("crocco_sign", "consistent"),
+                       {"consistent": CroccoSign.CONSISTENT,
+                        "paper": CroccoSign.PAPER_LITERAL})
+        variant = _choice("a1_variant", raw.get("a1_variant", "paper"),
+                          {"paper": A1Variant.PAPER_LITERAL,
+                           "standard": A1Variant.STANDARD_PRODUCTION})
 
         tol = {"equilibrium": None, "jump_rel_error": 1e-2, "corrector": 1e-12}
-        tol.update(raw.get("tolerances", {}))
+        tol.update(section("tolerances", {}))
         for name, val in tol.items():
-            if val is not None and not float(val) > 0.0:
+            if not (val is None and name == "equilibrium"
+                    or _number(f"tolerances.{name}", val, 0.0) > 0.0):
                 raise ParseError(f"tolerance {name} must be positive")
 
-        traj = raw.get("trajectories", {})
+        traj = section("trajectories", {})
         seeds = traj.get("seeds")
         if seeds is not None and not (isinstance(seeds, list) and all(
-                isinstance(seed, list) and len(seed) == 2 and all(
-                    type(c) in (int, float) and abs(c) <= sys.float_info.max
-                    for c in seed)
-                for seed in seeds)):
+                isinstance(seed, list) and len(seed) == 2 for seed in seeds)):
             raise ParseError("trajectories.seeds must be a list of finite "
                              "[x, y] pairs")
+        seeds = seeds and [[_number("trajectories.seeds", c) for c in seed]
+                           for seed in seeds]
+        jump_checks = section("jump_checks")
+        if jump_checks is not None:
+            _choice("jump_checks.relation", jump_checks.get("relation"),
+                    dict.fromkeys(("contact", "char")))
+            _number("jump_checks.refine", jump_checks.get("refine", 3))
         cfg = cls(
-            scenario_id=raw.get("scenario_id", default_id),
+            scenario_id=str(raw.get("scenario_id", default_id)),
             gas=gas,
             forces_spec=forces_spec,
             transport=transport,
             crocco_sign=sign,
             a1_variant=variant,
             tolerances=tol,
-            fields_path=resolve(raw.get("fields")),
-            manifest_path=resolve(raw.get("manifest")),
-            initial_data_path=resolve(raw.get("initial_data")),
+            fields_path=resolve("fields", raw.get("fields")),
+            manifest_path=resolve("manifest", raw.get("manifest")),
+            initial_data_path=resolve("initial_data", raw.get("initial_data")),
             seeds=seeds,
-            traj_step=traj.get("step"),
-            traj_max_len=traj.get("max_len"),
+            traj_step=_number("trajectories.step", traj.get("step")),
+            traj_max_len=_number("trajectories.max_len", traj.get("max_len")),
             include_time_term=raw.get("include_time_term"),
-            time_index=int(raw.get("time_index", 0)),
-            t_end=raw.get("t_end"),
-            jump_checks=raw.get("jump_checks"),
-            output_dir=raw.get("output_dir", "."),
+            time_index=int(_number("time_index", raw.get("time_index"), 0)),
+            t_end=_number("t_end", raw.get("t_end")),
+            jump_checks=jump_checks,
+            output_dir=resolve("output_dir", raw.get("output_dir")) or ".",
         )
-        if cfg.jump_checks is not None \
-                and cfg.jump_checks.get("relation") not in ("contact", "char"):
-            raise ParseError("jump_checks.relation must be contact or char")
         for p in (cfg.fields_path, cfg.manifest_path, cfg.initial_data_path,
                   cfg.forces_spec.get("path")):
             if p is not None and not Path(p).exists():
@@ -344,14 +390,10 @@ class ScenarioConfig:
         path = self.forces_spec.get("path")
         if path is None:
             raise ParseError(f"force kind {kind!r} needs a 'path' CSV")
+        _, f = _read_grid_csv(
+            path, ("phi",) if kind == "potential" else ("fx", "fy"), grid)
         if kind == "potential":
-            g, f = _read_grid_csv(path, ("phi",))
-            if not _same_grid(grid, g):
-                raise ParseError(f"{path}: force grid differs from field grid")
             return ForceModel.potential(f["phi"])
-        g, f = _read_grid_csv(path, ("fx", "fy"))
-        if not _same_grid(grid, g):
-            raise ParseError(f"{path}: force grid differs from field grid")
         return ForceModel.tabulated(f["fx"], f["fy"])
 
 
@@ -361,20 +403,17 @@ class RunReport:
     ``max_K`` and ``tolerance``."""
 
     scenario_id: str
-    lagrange: Optional[dict]
-    max_K: Optional[float]
-    tolerance: Optional[float]
-    classification: Optional[str]
-    dominant: Optional[str]
-    regime: Optional[str]
-    envelope: Optional[dict]
-    moc_residuals: Optional[dict]
-    identical_on_pseudostructure: Optional[bool]
+    lagrange: Optional[dict] = None
+    max_K: Optional[float] = None
+    tolerance: Optional[float] = None
+    classification: Optional[str] = None
+    dominant: Optional[str] = None
+    regime: Optional[str] = None
+    envelope: Optional[dict] = None
+    moc_residuals: Optional[dict] = None
+    identical_on_pseudostructure: Optional[bool] = None
     jump_checks: List[dict] = field(default_factory=list)
     wall_time_s: float = 0.0
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _default_seeds(fs: FieldSet) -> List[List[float]]:
@@ -385,9 +424,7 @@ def _default_seeds(fs: FieldSet) -> List[List[float]]:
 
 
 def _event_dict(ev) -> Optional[dict]:
-    if ev is None:
-        return None
-    return {"t_star": ev.t_star, "x_star": ev.x_star, "family": ev.family}
+    return None if ev is None else dataclasses.asdict(ev)
 
 
 def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K):
@@ -395,69 +432,66 @@ def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K):
     extra = [n for n in K.attribution if n not in names]
     names += sorted(extra)
     header = ["xi1", "A1", "Anu", "K", *names]
-    rows = np.column_stack([xi, a1_samples, anu_samples, K.K,
-                            *[K.attribution[n] for n in names]]).tolist()
-    _write_csv(path, header, rows)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with _atomic_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([row % tuple(r) for r in np.column_stack(
+            [xi, a1_samples, anu_samples, K.K,
+             *[K.attribution[n] for n in names]]).tolist()]))
 
 
 def _write_net_csv(path: Path, net: moc.CharNet):
-    header = ["level", "index", "t", "x", "u", "a", "s",
-              "cplus_parent", "cminus_parent", "c0_parent"]
-    rows = []
-    for k in range(net.n_levels):
-        for i in range(net.level_size(k)):
-            if k == 0:
-                cp = cm = c0 = -1
-            else:
-                cp, cm = i, i + 1
-                c0 = int(net.c0_parent[k][i])
-            rows.append([k, i, float(net.t[k][i]), float(net.x[k][i]),
-                         float(net.u[k][i]), float(net.a[k][i]),
-                         float(net.s[k][i]), cp, cm, c0])
-    _write_csv(path, header, rows)
+    """Stream the net one level (one write) at a time; parent indices refer
+    to the previous level, -1 on the initial level."""
+    with _atomic_write(path) as fh:
+        fh.write("level,index,t,x,u,a,s,cplus_parent,cminus_parent,c0_parent\n")
+        for k in range(net.n_levels):
+            n = net.level_size(k)
+            parents = ([[-1] * n] * 3 if k == 0 else
+                       [range(n), range(1, n + 1), net.c0_parent[k].tolist()])
+            row = f"{k},%d" + ",%.17g" * 5 + ",%d,%d,%d\n"
+            fh.write("".join(map(row.__mod__, zip(
+                range(n), net.t[k].tolist(), net.x[k].tolist(),
+                net.u[k].tolist(), net.a[k].tolist(), net.s[k].tolist(),
+                *parents))))
 
 
-def _default_t_end(analytic, x, rho, p, gamma: float) -> float:
-    """1.5x the analytic envelope time, else one slowest-sound crossing."""
-    if analytic is not None:
-        return 1.5 * analytic.t_star
-    return float(x[-1] - x[0]) / float(np.min(np.sqrt(gamma * p / rho)))
+def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
+              corrector_tol: float = 1e-12):
+    """Load 1-D initial data and advance its characteristic net; returns
+    the net and the analytic straight-characteristic envelope estimate.
+
+    Without ``t_end`` the net runs to 1.5x the analytic envelope time,
+    else for one slowest-sound crossing of the data.
+    """
+    x, rho, u, p = load_initial_1d(init_path)
+    nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
+    analytic = moc.detect_envelope(nodes)
+    if t_end is None:
+        a_min = float(np.min(np.sqrt(gas.gamma * p / rho)))
+        t_end = (1.5 * analytic.t_star if analytic is not None
+                 else float(x[-1] - x[0]) / a_min)
+    net = moc.advance_net(nodes, t_end=t_end, m=gas,
+                          corrector_tol=corrector_tol)
+    return net, analytic
 
 
 def _write_net_outputs(out: Path, net: moc.CharNet, analytic):
     """Write net.csv and envelope.json; return (residuals, envelope)."""
     _write_net_csv(out / "net.csv", net)
-    event = net.envelope or moc.detect_envelope(net)
-    envelope = {"detected": event is not None, "event": _event_dict(event),
+    envelope = {"detected": net.envelope is not None,
+                "event": _event_dict(net.envelope),
                 "analytic": _event_dict(analytic)}
     _write_json(out / "envelope.json", envelope)
     return {fam: moc.pseudostructure_residual(net, fam)
             for fam in ("C0", "C+", "C-")}, envelope
 
 
-def _run_moc_part(cfg: ScenarioConfig, out: Path):
-    x, rho, u, p = load_initial_1d(cfg.initial_data_path)
-    nodes = moc.nodes_from_primitive(x, rho, u, p, cfg.gas)
-    analytic = moc.detect_envelope(nodes)
-    t_end = (float(cfg.t_end) if cfg.t_end is not None
-             else _default_t_end(analytic, x, rho, p, cfg.gas.gamma))
-    net = moc.advance_net(nodes, t_end=t_end, m=cfg.gas,
-                          corrector_tol=cfg.tolerances["corrector"])
-    residuals, envelope = _write_net_outputs(out, net, analytic)
-    # the identical relation holds on the trajectory pseudostructure when
-    # the transported quantity is conserved to discretization accuracy
-    s_scale = max(float(np.max(net.s[0])), 1e-300)
-    identical = residuals["C0"] <= 1e-3 * s_scale
-    return net, residuals, envelope, identical
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the configured pipeline and write report plus CSVs."""
     t_start = time.perf_counter()
-    out = Path(os.environ.get("VORTIGEN_OUT", cfg.output_dir))
-
-    lagrange = max_K = tolerance = classification = dominant = regime = None
-    envelope = moc_residuals = identical = None
+    out = _out_dir(cfg.output_dir)
+    report = RunReport(scenario_id=cfg.scenario_id)
 
     if cfg.fields_path is not None:
         fs = load_fields(cfg.fields_path, cfg.manifest_path)
@@ -469,17 +503,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
                 "has no snapshot series")
 
         rep = evoform.lagrange_criterion(fs, forces)
-        lagrange = {**dataclasses.asdict(rep),
-                    "predicts_equilibrium": rep.predicts_equilibrium}
+        report.lagrange = {**dataclasses.asdict(rep),
+                           "predicts_equilibrium": rep.predicts_equilibrium}
 
         if cfg.transport is not None:
             a1 = evoform.viscous_a1(fs, cfg.transport, cfg.gas, cfg.a1_variant)
         else:
             a1 = evoform.ideal_a1()
 
-        tolerance = cfg.tolerances["equilibrium"]
-        if tolerance is None:
-            tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
+        report.tolerance = cfg.tolerances["equilibrium"]
+        if report.tolerance is None:
+            report.tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
 
         seeds = cfg.seeds if cfg.seeds is not None else _default_seeds(fs)
         worst = None
@@ -498,46 +532,40 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             a1_samples = a1.sample_along(traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv",
                                   traj.arclength, a1_samples, anu.samples, K)
-            cls = evoform.equilibrium_classifier(K, tolerance)
+            cls = evoform.equilibrium_classifier(K, report.tolerance)
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls
         if worst is None:
             raise ParseError("no trajectory could be traced from the seeds")
-        max_K = worst.magnitude
-        classification = worst.kind
-        dominant = worst.dominant
+        report.max_K = worst.magnitude
+        report.classification = worst.kind
+        report.dominant = worst.dominant
 
         j = int(np.argmax(fs.speed))
         q = PrimitiveState(rho=float(fs.rho.flat[j]),
                            u=(float(fs.u.flat[j]), float(fs.v.flat[j])),
                            p=float(fs.p.flat[j]))
-        regime = evoform.classify_regime(derive_state(q, cfg.gas)).value
+        report.regime = evoform.classify_regime(derive_state(q, cfg.gas)).value
 
     if cfg.initial_data_path is not None:
-        _, moc_residuals, envelope, identical = _run_moc_part(cfg, out)
+        net, analytic = _solve_1d(cfg.initial_data_path, cfg.gas, cfg.t_end,
+                                  cfg.tolerances["corrector"])
+        report.moc_residuals, report.envelope = _write_net_outputs(
+            out, net, analytic)
+        # the identical relation holds on the trajectory pseudostructure when
+        # the transported quantity is conserved to discretization accuracy
+        s_scale = max(float(np.max(net.s[0])), 1e-300)
+        report.identical_on_pseudostructure = (
+            report.moc_residuals["C0"] <= 1e-3 * s_scale)
 
-    jump_records = []
     if cfg.jump_checks is not None:
-        jump_records = _jump_check_sweep(
+        report.jump_checks = _jump_check_sweep(
             cfg.jump_checks["relation"], cfg.gas.gamma,
             int(cfg.jump_checks.get("refine", 3)),
             cfg.tolerances["jump_rel_error"])
 
-    report = RunReport(
-        scenario_id=cfg.scenario_id,
-        lagrange=lagrange,
-        max_K=max_K,
-        tolerance=tolerance,
-        classification=classification,
-        dominant=dominant,
-        regime=regime,
-        envelope=envelope,
-        moc_residuals=moc_residuals,
-        identical_on_pseudostructure=identical,
-        jump_checks=jump_records,
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    _write_json(out / "run_report.json", report.to_json())
+    report.wall_time_s = time.perf_counter() - t_start
+    _write_json(out / "run_report.json", dataclasses.asdict(report))
     return report
 
 
@@ -545,17 +573,29 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # subcommands
 
 
-def _cmd_solve_moc(args) -> int:
-    out = Path(os.environ.get("VORTIGEN_OUT", args.out))
-    gas = GasModel(gamma=args.gamma, R=args.R)
-    x, rho, u, p = load_initial_1d(args.init)
-    nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
-    net = moc.advance_net(nodes, t_end=args.t_end, m=gas)
-    residuals, envelope = _write_net_outputs(out, net,
-                                             moc.detect_envelope(nodes))
-    _write_json(out / "residuals.json", residuals)
-    print(f"net: {net.n_levels} levels, envelope: "
-          f"{'yes' if envelope['detected'] else 'no'} -> {out}")
+def _cmd_1d(args) -> int:
+    """``solve-moc`` writes the net with its envelope and residuals,
+    ``detect-shock`` the envelope report alone."""
+    out = _out_dir(args.out)
+    net, analytic = _solve_1d(args.init, GasModel(gamma=args.gamma, R=args.R),
+                              args.t_end)
+    if args.command == "solve-moc":
+        residuals, envelope = _write_net_outputs(out, net, analytic)
+        _write_json(out / "residuals.json", residuals)
+        print(f"net: {net.n_levels} levels, envelope: "
+              f"{'yes' if envelope['detected'] else 'no'} -> {out}")
+        return 0
+    event = net.envelope
+    _write_json(out / "envelope_report.json", {
+        "detected": event is not None,
+        "numeric": _event_dict(event),
+        "analytic": _event_dict(analytic),
+    })
+    if event:
+        print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
+              f"family {event.family}")
+    else:
+        print("no envelope before t_end")
     return 0
 
 
@@ -622,7 +662,7 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
 
 
 def _cmd_verify_jumps(args) -> int:
-    out = Path(os.environ.get("VORTIGEN_OUT", args.out))
+    out = _out_dir(args.out)
     reports = _jump_check_sweep(args.relation, args.gamma, args.refine,
                                 args.tol)
     for rec in reports:
@@ -633,36 +673,8 @@ def _cmd_verify_jumps(args) -> int:
     return 0 if all(r["passed"] for r in reports) else 3
 
 
-def _cmd_detect_shock(args) -> int:
-    out = Path(os.environ.get("VORTIGEN_OUT", args.out))
-    gas = GasModel(gamma=args.gamma, R=args.R)
-    x, rho, u, p = load_initial_1d(args.init)
-    nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
-    analytic = moc.detect_envelope(nodes)
-    t_end = (args.t_end if args.t_end is not None
-             else _default_t_end(analytic, x, rho, p, gas.gamma))
-    net = moc.advance_net(nodes, t_end=t_end, m=gas)
-    event = net.envelope or moc.detect_envelope(net)
-    _write_json(out / "envelope_report.json", {
-        "detected": event is not None,
-        "numeric": _event_dict(event),
-        "analytic": _event_dict(analytic),
-    })
-    if event:
-        print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
-              f"family {event.family}")
-    else:
-        print("no envelope before t_end")
-    return 0
-
-
 def _cmd_report(args) -> int:
-    path = Path(args.run) / "run_report.json"
-    try:
-        with open(path) as fh:
-            rep = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    rep = _read_json(Path(args.run) / "run_report.json", "run report")
     print(f"scenario: {rep.get('scenario_id')}")
     lag = rep.get("lagrange")
     if lag:
@@ -701,13 +713,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-moc", help="advance a characteristic net")
-    p.add_argument("--init", required=True, help="initial data CSV (x,rho,u,p)")
-    p.add_argument("--gamma", type=float, default=1.4)
-    p.add_argument("--R", type=float, default=287.05)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_solve_moc)
+    for name, t_end, help_ in (
+            ("solve-moc", {"required": True}, "advance a characteristic net"),
+            ("detect-shock", {"default": None},
+             "envelope detection on 1-D data")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--init", required=True,
+                       help="initial data CSV (x,rho,u,p)")
+        p.add_argument("--gamma", type=float, default=1.4)
+        p.add_argument("--R", type=float, default=287.05)
+        p.add_argument("--t-end", type=float, **t_end)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_1d)
 
     p = sub.add_parser("diagnose", help="run the 2-D diagnostic pipeline")
     p.add_argument("--fields", help="field CSV (x,y,rho,u,v,p)")
@@ -724,14 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_jumps)
 
-    p = sub.add_parser("detect-shock", help="envelope detection on 1-D data")
-    p.add_argument("--init", required=True)
-    p.add_argument("--gamma", type=float, default=1.4)
-    p.add_argument("--R", type=float, default=287.05)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_detect_shock)
-
     p = sub.add_parser("report", help="pretty-print a run report")
     p.add_argument("--run", required=True, help="run output directory")
     p.set_defaults(func=_cmd_report)
@@ -745,10 +754,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.tol = 1e-2 if args.relation == "contact" else 0.02
     try:
         return args.func(args)
-    except NonConvergence as exc:
+    except (NonConvergence, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (VortigenError, ValueError, KeyError) as exc:
+    except (VortigenError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

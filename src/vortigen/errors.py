@@ -45,6 +45,10 @@ class NonConvergence(VortigenError):
     """Corrector iteration exceeded its iteration limit."""
 
 
+class NonFiniteResult(VortigenError):
+    """A computed result meant for a report is NaN or infinite."""
+
+
 class EnvelopeReached(VortigenError):
     """Characteristic envelope detected during net advancement.
 

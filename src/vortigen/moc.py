@@ -337,6 +337,19 @@ def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
     return (xP, tP, uP, aP, sP, labP, c0p), -1
 
 
+_FAMILIES = (("C+", 1.0), ("C-", -1.0))
+
+
+def _level_gaps(net: CharNet, k: int, sign: float):
+    """Corrected gaps of level k, their common times, and each gap over the
+    launch spacing of its chain pair, i.e. the tube-width ratio dx/dx0
+    (C+ pair i is chain i, C- pair i is chain i + k)."""
+    g, t_bar = _corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k], sign)
+    chain = np.arange(len(g)) + (0 if sign > 0.0 else k)
+    x0 = net.x[0]
+    return g, t_bar, g / (x0[chain + 1] - x0[chain])
+
+
 def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
     """Detect a same-family crossing between levels k and k+1.
 
@@ -344,34 +357,31 @@ def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
     mesh folds at an envelope, which inverts node ordering and drags the
     other family's gap negative too), the event belongs to the family
     whose chain tube had genuinely collapsed before the fold: the one
-    with the smaller launch-normalized gap on the still-healthy level k.
+    with the smaller launch-normalized gap on the still-healthy level k
+    (the first such pair; C+ on a tie).
     """
-    x0 = net.x[0]
     best = None
     best_gnorm = np.inf
-    for family, sign in (("C+", 1.0), ("C-", -1.0)):
-        g_prev, tb_prev = _corrected_gaps(
-            net.x[k], net.t[k], net.u[k], net.a[k], sign)
-        g_new, tb_new = _corrected_gaps(
-            net.x[k + 1], net.t[k + 1], net.u[k + 1], net.a[k + 1], sign)
-        if family == "C+":
-            pairs = zip(range(len(g_new)), range(len(g_new)))
-        else:
-            # C- chain pair (j, j+1) sits one node to the left on level k+1
-            pairs = zip(range(1, len(g_prev)), range(len(g_new)))
-        for ip, inew in pairs:
-            if g_prev[ip] > 0.0 >= g_new[inew]:
-                chain = ip if family == "C+" else ip + k
-                dx0 = x0[chain + 1] - x0[chain]
-                gnorm = g_prev[ip] / dx0
-                th = g_prev[ip] / (g_prev[ip] - g_new[inew])
-                t_star = (1 - th) * tb_prev[ip] + th * tb_new[inew]
-                x_prev = 0.5 * (net.x[k][ip] + net.x[k][ip + 1])
-                x_new = 0.5 * (net.x[k + 1][inew] + net.x[k + 1][inew + 1])
-                x_star = (1 - th) * x_prev + th * x_new
-                if t_star > 0.0 and gnorm < best_gnorm:
-                    best = EnvelopeEvent(float(t_star), float(x_star), family)
-                    best_gnorm = gnorm
+    for family, sign in _FAMILIES:
+        g_prev, tb_prev, gnorm = _level_gaps(net, k, sign)
+        g_new, tb_new, _ = _level_gaps(net, k + 1, sign)
+        # chain pair of level-(k+1) gap i sits at level-k gap i + off
+        off = 0 if sign > 0.0 else 1
+        m = min(len(g_new), len(g_prev) - off)
+        inew = np.flatnonzero((g_prev[off:off + m] > 0.0) & (g_new[:m] <= 0.0))
+        ip = inew + off
+        th = g_prev[ip] / (g_prev[ip] - g_new[inew])
+        t_star = (1 - th) * tb_prev[ip] + th * tb_new[inew]
+        live = np.flatnonzero((t_star > 0.0) & (gnorm[ip] < best_gnorm))
+        if len(live) == 0:
+            continue
+        j = live[np.argmin(gnorm[ip[live]])]
+        i, n = ip[j], inew[j]
+        x_prev = 0.5 * (net.x[k][i] + net.x[k][i + 1])
+        x_new = 0.5 * (net.x[k + 1][n] + net.x[k + 1][n + 1])
+        x_star = (1 - th[j]) * x_prev + th[j] * x_new
+        best = EnvelopeEvent(float(t_star[j]), float(x_star), family)
+        best_gnorm = gnorm[i]
     return best
 
 
@@ -397,17 +407,14 @@ def advance_net(
     """
     if len(initial) < 3:
         raise ValueError("need at least 3 initial nodes")
-    x0 = np.array([n.x for n in initial], float)
+    x0, t0, u0, a0, s0 = (np.array([getattr(n, q) for n in initial], float)
+                          for q in "xtuas")
     if np.any(np.diff(x0) <= 0.0):
         raise ValueError("initial nodes must be sorted and distinct in x")
-    net = CharNet(gamma=m.gamma)
-    net.x.append(x0)
-    net.t.append(np.array([n.t for n in initial], float))
-    net.u.append(np.array([n.u for n in initial], float))
-    net.a.append(np.array([n.a for n in initial], float))
-    net.s.append(np.array([n.s for n in initial], float))
-    net.labels.append(x0.copy())
-    net.c0_parent.append(np.full(len(initial), -1, dtype=int))
+    net = CharNet(gamma=m.gamma, x=[x0], t=[t0], u=[u0], a=[a0], s=[s0],
+                  labels=[x0.copy()],
+                  c0_parent=[np.full(len(initial), -1, dtype=int)])
+    levels = (net.x, net.t, net.u, net.a, net.s, net.labels, net.c0_parent)
 
     while net.level_size(net.n_levels - 1) >= 2:
         k = net.n_levels - 1
@@ -419,33 +426,21 @@ def advance_net(
             # degenerate unit process: characteristics no longer intersect
             # forward in time.  Report an envelope at the failing pair; the
             # family is the one whose chain tube has collapsed there (the
-            # smaller launch-normalized corrected gap).
-            x0 = net.x[0]
-            gnorm = {}
-            for fam, sign in (("C+", 1.0), ("C-", -1.0)):
-                g, _ = _corrected_gaps(net.x[k], net.t[k], net.u[k],
-                                       net.a[k], sign)
-                chain = bad if fam == "C+" else bad + k
-                chain = min(max(chain, 0), len(x0) - 2)
-                gnorm[fam] = g[bad] / (x0[chain + 1] - x0[chain])
+            # smaller launch-normalized corrected gap, C+ on a tie).
+            gnorm = {fam: _level_gaps(net, k, sign)[2][bad]
+                     for fam, sign in _FAMILIES}
             fam = min(gnorm, key=gnorm.get)
             t_star = max(float(net.t[k][bad]), 1e-300)
             x_star = float(0.5 * (net.x[k][bad] + net.x[k][bad + 1]))
             net.envelope = EnvelopeEvent(t_star, x_star, fam)
             break
-        xP, tP, uP, aP, sP, labP, c0p = result
-        net.x.append(xP)
-        net.t.append(tP)
-        net.u.append(uP)
-        net.a.append(aP)
-        net.s.append(sP)
-        net.labels.append(labP)
-        net.c0_parent.append(c0p)
+        for lst, arr in zip(levels, result):
+            lst.append(arr)
         event = _scan_level_pair(net, k)
         if event is not None:
             net.envelope = event
             break
-        if float(np.min(tP)) >= t_end:
+        if float(np.min(net.t[-1])) >= t_end:
             break
     if net.envelope is not None and raise_on_envelope:
         raise EnvelopeReached(net.envelope, net)
@@ -493,36 +488,33 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
 
 
 def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
-    """J(t) = dx/dx0 per launch point by adjacent-chain differencing."""
+    """J(t) = dx/dx0 per launch point by adjacent-chain differencing.
+
+    Each level's neighbor positions are slid onto a common time along
+    their own characteristic slopes (node times differ within a level):
+    chain j's J on level k is that level's corrected gap over the launch
+    spacing (:func:`_level_gaps`), followed while the pair stays on the net.
+    """
     if family not in ("C+", "C-"):
         raise ValueError(f"unknown family {family!r}")
     sign = 1.0 if family == "C+" else -1.0
-    n0 = net.level_size(0)
-    chains = []
-    for j in range(n0 - 1):
-        ts, Js = [], []
-        for k in range(net.n_levels):
-            if family == "C+":
-                i0, i1 = j, j + 1
-            else:
-                i0, i1 = j - k, j + 1 - k
-            if i0 < 0 or i1 > net.level_size(k) - 1:
-                break
-            dx0 = net.x[0][j + 1] - net.x[0][j]
-            # neighbor positions slid onto a common time along their own
-            # characteristic slopes (node times differ within a level)
-            t_bar = 0.5 * (net.t[k][i0] + net.t[k][i1])
-            lam0 = net.u[k][i0] + sign * net.a[k][i0]
-            lam1 = net.u[k][i1] + sign * net.a[k][i1]
-            x_at0 = net.x[k][i0] + lam0 * (t_bar - net.t[k][i0])
-            x_at1 = net.x[k][i1] + lam1 * (t_bar - net.t[k][i1])
-            Js.append((x_at1 - x_at0) / dx0)
-            ts.append(t_bar)
-        if Js:
-            chains.append(ChainJacobian(
-                x0=float(0.5 * (net.x[0][j] + net.x[0][j + 1])),
-                t=np.array(ts), J=np.array(Js)))
-    return JacobianTrace(family=family, chains=chains)
+    x0 = net.x[0]
+    nc = len(x0) - 1
+    J = np.zeros((net.n_levels, nc))
+    T = np.zeros_like(J)
+    on = np.zeros(J.shape, dtype=bool)
+    for k in range(net.n_levels):
+        _, t_bar, ratio = _level_gaps(net, k, sign)
+        off = 0 if sign > 0.0 else k
+        n = max(0, min(len(ratio), nc - off))
+        J[k, off:off + n], T[k, off:off + n] = ratio[:n], t_bar[:n]
+        on[k, off:off + n] = True
+    # a chain leaves the net at its first level without its pair
+    depth = np.where(on.all(axis=0), net.n_levels, np.argmin(on, axis=0))
+    mids = 0.5 * (x0[:-1] + x0[1:])
+    return JacobianTrace(family=family, chains=[
+        ChainJacobian(x0=float(mids[j]), t=T[:n, j].copy(), J=J[:n, j].copy())
+        for j, n in enumerate(depth) if n > 0])
 
 
 def detect_envelope(
@@ -531,30 +523,24 @@ def detect_envelope(
 ) -> Optional[EnvelopeEvent]:
     """Find the first same-family characteristic crossing.
 
-    On a :class:`CharNet`, rescans adjacent-chain gaps level by level (the
-    numeric path).  On initial-data nodes, uses the straight-characteristic
-    formula: with lam = u +/- a per family, the earliest crossing is
-    t* = -1 / min(dlam/dx) over points where the slope gradient is negative.
-    Returns None when no crossing occurs (before ``t_end`` if given).
+    On a :class:`CharNet`, returns the event :func:`advance_net` recorded
+    while scanning each level pair as it was built.  On initial-data nodes,
+    uses the straight-characteristic formula: with lam = u +/- a per
+    family, the earliest crossing is t* = -1 / min(dlam/dx) over points
+    where the slope gradient is negative.  Returns None when no crossing
+    occurs (before ``t_end`` if given).
     """
     if isinstance(source, CharNet):
-        event = None
-        for k in range(source.n_levels - 1):
-            event = _scan_level_pair(source, k)
-            if event is not None:
-                break
-        if event is None:
-            event = source.envelope
-        if event is not None and t_end is not None and event.t_star > t_end:
-            return None
-        return event
+        event = source.envelope
+        return None if event is None or (
+            t_end is not None and event.t_star > t_end) else event
 
     nodes = list(source)
     if len(nodes) < 3:
         raise ValueError("need at least 3 nodes for the analytic estimate")
     x = np.array([n.x for n in nodes])
     best = None
-    for family, sign in (("C+", 1.0), ("C-", -1.0)):
+    for family, sign in _FAMILIES:
         lam = np.array([n.u + sign * n.a for n in nodes])
         dlam = np.gradient(lam, x, edge_order=2)
         # ignore slope gradients at the rounding-noise level of the stencil

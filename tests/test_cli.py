@@ -50,6 +50,13 @@ def compression_init(path, n=821):
     return write_init_csv(path, x, rho, u, p)
 
 
+def write_config(dirpath, **cfg):
+    path = dirpath / "config.json"
+    path.write_text(json.dumps({"gas": {"gamma": GAMMA, "R": 1.0},
+                                "output_dir": str(dirpath / "out"), **cfg}))
+    return path
+
+
 class TestLoadFields:
     def test_uniform_roundtrip(self, tmp_path):
         path = write_uniform_csv(tmp_path / "f.csv", nx=3, ny=3)
@@ -109,6 +116,16 @@ class TestLoadFields:
         assert len(fs.snapshots) == 2
         assert np.all(fs.snapshots[1].u == 1.5)
 
+    def test_nonphysical_snapshot(self, tmp_path):
+        fpath = write_uniform_csv(tmp_path / "f.csv")
+        write_uniform_csv(tmp_path / "s0.csv")
+        write_uniform_csv(tmp_path / "s1.csv", rho=-1.0)
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"snapshots": [
+            {"t": 0.0, "path": "s0.csv"}, {"t": 0.5, "path": "s1.csv"}]}))
+        with pytest.raises(cli.NonPhysicalState, match="s1.csv"):
+            cli.load_fields(fpath, str(man))
+
     def test_nonphysical(self, tmp_path):
         path = tmp_path / "f.csv"
         write_uniform_csv(path, rho=1.0)
@@ -118,19 +135,9 @@ class TestLoadFields:
 
 
 class TestScenarios:
-    def write_config(self, tmp_path, **kw):
-        cfg = {
-            "gas": {"gamma": GAMMA, "R": 1.0},
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg.update(kw)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        return path
-
     def test_uniform_flow_locally_equilibrium(self, tmp_path):
         fpath = write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
-        cfgp = self.write_config(tmp_path, fields="f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv")
         rc = cli.main(["diagnose", "--config", str(cfgp)])
         assert rc == 0
         rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
@@ -141,7 +148,7 @@ class TestScenarios:
 
     def test_classification_recomputable(self, tmp_path):
         fpath = write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
-        cfgp = self.write_config(tmp_path, fields="f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv")
         cli.main(["diagnose", "--config", str(cfgp)])
         rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
         expect = ("locally_equilibrium" if rep["max_K"] <= rep["tolerance"]
@@ -150,7 +157,7 @@ class TestScenarios:
 
     def test_compression_scenario_envelope(self, tmp_path):
         init = compression_init(tmp_path / "init.csv")
-        cfgp = self.write_config(tmp_path, initial_data="init.csv", t_end=3.0)
+        cfgp = write_config(tmp_path, initial_data="init.csv", t_end=3.0)
         rc = cli.main(["diagnose", "--config", str(cfgp)])
         assert rc == 0
         rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
@@ -163,7 +170,7 @@ class TestScenarios:
     def test_couette_scenario_transport_dominant(self, tmp_path):
         fs, _ = couette_flow(mu=0.1, k=0.05)
         write_fields_csv(tmp_path / "f.csv", fs)
-        cfgp = self.write_config(
+        cfgp = write_config(
             tmp_path, fields="f.csv",
             transport={"mu": 0.1, "k": 0.05},
             trajectories={"seeds": [[0.1, 0.3], [0.1, 0.7]]})
@@ -187,7 +194,7 @@ class TestScenarios:
         y_seed = 1.0
         results = {}
         for sign in ("paper", "consistent"):
-            cfgp = self.write_config(
+            cfgp = write_config(
                 tmp_path, fields="f.csv", crocco_sign=sign,
                 output_dir=str(tmp_path / f"out_{sign}"),
                 trajectories={"seeds": [[0.1, y_seed]]})
@@ -202,7 +209,7 @@ class TestScenarios:
         assert np.max(np.abs(results["consistent"])) <= 1e-8
 
     def test_jump_checks_in_report(self, tmp_path):
-        cfgp = self.write_config(
+        cfgp = write_config(
             tmp_path, jump_checks={"relation": "contact", "refine": 2})
         rc = cli.main(["diagnose", "--config", str(cfgp)])
         assert rc == 0
@@ -224,7 +231,7 @@ class TestScenarios:
         (tmp_path / "m.json").write_text(json.dumps({"snapshots": [
             {"t": s.t, "path": f"snap{i}.csv"}
             for i, s in enumerate(fs.snapshots)]}))
-        cfgp = self.write_config(
+        cfgp = write_config(
             tmp_path, fields="f.csv", manifest="m.json", time_index=1,
             trajectories={"seeds": [[0.55, 0.02]], "max_len": 0.5})
         rc = cli.main(["diagnose", "--config", str(cfgp)])
@@ -236,32 +243,32 @@ class TestScenarios:
 
     def test_missing_snapshots_exits_2(self, tmp_path, capsys):
         write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
-        cfgp = self.write_config(tmp_path, fields="f.csv",
+        cfgp = write_config(tmp_path, fields="f.csv",
                                  include_time_term=True)
         rc = cli.main(["diagnose", "--config", str(cfgp)])
         assert rc == 2
         assert "nonstationary" in capsys.readouterr().err
 
     def test_nonexistent_path_exits_2(self, tmp_path):
-        cfgp = self.write_config(tmp_path, fields="missing.csv")
+        cfgp = write_config(tmp_path, fields="missing.csv")
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
 
     def test_invalid_gas_model_exits_2(self, tmp_path):
         write_uniform_csv(tmp_path / "f.csv")
-        cfgp = self.write_config(tmp_path, fields="f.csv",
+        cfgp = write_config(tmp_path, fields="f.csv",
                                  gas={"gamma": 0.9, "R": 1.0})
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
 
     def test_all_seeds_stagnant_exits_2(self, tmp_path):
         write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17, u=0.0, v=0.0)
-        cfgp = self.write_config(tmp_path, fields="f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv")
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
 
     @pytest.mark.parametrize("seeds", [5, [[0.1]], [[0.1, float("nan")]],
                                        [[0.1, "0.5"]]])
     def test_malformed_seeds_exit_2(self, tmp_path, capsys, seeds):
         write_uniform_csv(tmp_path / "f.csv")
-        cfgp = self.write_config(tmp_path, fields="f.csv",
+        cfgp = write_config(tmp_path, fields="f.csv",
                                  trajectories={"seeds": seeds})
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
         err = capsys.readouterr().err
@@ -285,7 +292,7 @@ class TestScenarios:
         for n in (8, 64):
             counts.update(derive_fields=0, gradient=0)
             seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
-            cfgp = self.write_config(
+            cfgp = write_config(
                 tmp_path, fields="f.csv", transport={"mu": 0.1, "k": 0.05},
                 trajectories={"seeds": seeds},
                 output_dir=str(tmp_path / f"out{n}"))
@@ -413,3 +420,177 @@ class TestDeterminism:
         rep1.pop("wall_time_s")
         rep2.pop("wall_time_s")
         assert rep1 == rep2
+
+
+def replace_cell(path, line, column, token):
+    """Put ``token`` into one cell of a CSV (line numbers from 1)."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = token
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def net_csv_reference(net):
+    """Reference: the row-list builder the streamed net.csv writer replaced."""
+    header = ["level", "index", "t", "x", "u", "a", "s",
+              "cplus_parent", "cminus_parent", "c0_parent"]
+    rows = []
+    for k in range(net.n_levels):
+        for i in range(net.level_size(k)):
+            if k == 0:
+                cp = cm = c0 = -1
+            else:
+                cp, cm = i, i + 1
+                c0 = int(net.c0_parent[k][i])
+            rows.append([k, i, float(net.t[k][i]), float(net.x[k][i]),
+                         float(net.u[k][i]), float(net.a[k][i]),
+                         float(net.s[k][i]), cp, cm, c0])
+    template = ",".join("%.17g" if isinstance(v, float) else "%s"
+                        for v in rows[0])
+    return "\n".join([",".join(header)]
+                     + [template % tuple(r) for r in rows]) + "\n"
+
+
+class TestOnePassPipeline:
+    @pytest.mark.parametrize("n", [101, 206])  # crossing / degenerate end
+    def test_net_csv_bytes_match_row_builder(self, tmp_path, n):
+        from vortigen import moc
+        x, rho, u, p = cli.load_initial_1d(
+            compression_init(tmp_path / "init.csv", n=n))
+        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                              t_end=3.0, m=M)
+        assert net.envelope is not None
+        cli._write_net_csv(tmp_path / "net.csv", net)
+        assert (tmp_path / "net.csv").read_bytes() \
+            == net_csv_reference(net).encode()
+
+    @pytest.mark.parametrize("n", [101, 206, 0])  # 0: expansion, no envelope
+    def test_detect_shock_scans_each_level_pair_once(self, tmp_path,
+                                                      monkeypatch, n):
+        from vortigen import moc
+        scanned, nets = [], []
+        scan, advance = moc._scan_level_pair, moc.advance_net
+        monkeypatch.setattr(moc, "_scan_level_pair",
+                            lambda net, k: scanned.append(k) or scan(net, k))
+        monkeypatch.setattr(moc, "advance_net", lambda *a, **kw: nets.append(
+            advance(*a, **kw)) or nets[-1])
+        if n:
+            init = compression_init(tmp_path / "init.csv", n=n)
+        else:
+            w = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
+            init = write_init_csv(tmp_path / "init.csv", *w.primitive_profile(
+                np.linspace(-1.0, 1.0, 101), M))
+        assert cli.main(["detect-shock", "--init", str(init), "--gamma",
+                         str(GAMMA), "--R", "1.0",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(nets) == 1
+        assert (nets[0].envelope is None) == (n == 0)
+        assert scanned == list(range(nets[0].n_levels - 1))
+
+
+class TestInputValidation:
+    def test_nan_velocity_in_1d_init_exits_2(self, tmp_path, capsys):
+        path = compression_init(tmp_path / "init.csv", n=21)
+        replace_cell(path, 9, 2, "nan")
+        # a blank line before the bad row must not shift the line number
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + [""] + lines[4:]) + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["detect-shock", "--init", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"{path}:10: column u is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inf_in_field_csv_exits_2(self, tmp_path, capsys):
+        path = write_uniform_csv(tmp_path / "f.csv")
+        replace_cell(path, 4, 5, "inf")
+        cfgp = write_config(tmp_path, fields="f.csv")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert f"{path}:4: column p is not finite" in capsys.readouterr().err
+
+    def test_non_finite_report_value_exits_3(self, tmp_path):
+        with pytest.raises(cli.NonFiniteResult, match="r.json"):
+            cli._write_json(tmp_path / "r.json", {"a": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text("[1, 2]")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err and "config must be a JSON object" in err
+
+    @pytest.mark.parametrize("section", ["gas", "forces", "transport",
+                                         "tolerances", "trajectories",
+                                         "jump_checks"])
+    def test_non_object_section_exits_2(self, tmp_path, capsys, section):
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv", **{section: [1, 2]})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err and f"{section} must be a JSON object" in err
+
+    @pytest.mark.parametrize("cfg, field, allowed", [
+        ({"gas": {"gamma": GAMMA, "R": 1.0, "entropy_convention": "bogus"}},
+         "gas.entropy_convention", "entropy_function, specific"),
+        ({"crocco_sign": "bogus"}, "crocco_sign", "consistent, paper"),
+        ({"a1_variant": "bogus"}, "a1_variant", "paper, standard"),
+    ])
+    def test_unknown_enum_value_exits_2(self, tmp_path, capsys, cfg, field,
+                                        allowed):
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv", **cfg)
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err
+        assert f"{field} must be one of {allowed}, got 'bogus'" in err
+
+
+class TestPathsAndModes:
+    def test_output_dir_resolves_against_config_dir(self, tmp_path,
+                                                     monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_uniform_csv(sub / "f.csv", nx=17, ny=17)
+        (sub / "a.json").write_text(json.dumps({
+            "gas": {"gamma": GAMMA, "R": 1.0}, "fields": "f.csv",
+            "output_dir": "run"}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["diagnose", "--config", "sub/a.json"]) == 0
+        assert (sub / "run" / "run_report.json").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_path_flags_resolve_against_cwd(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_uniform_csv(sub / "f.csv", nx=17, ny=17)
+        write_uniform_csv(sub / "s0.csv", nx=17, ny=17)
+        write_uniform_csv(sub / "s1.csv", nx=17, ny=17, u=1.5)
+        (sub / "m.json").write_text(json.dumps({"snapshots": [
+            {"t": 0.0, "path": "s0.csv"}, {"t": 0.5, "path": "s1.csv"}]}))
+        (sub / "a.json").write_text(json.dumps({
+            "gas": {"gamma": GAMMA, "R": 1.0}, "output_dir": "run"}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["diagnose", "--config", "sub/a.json",
+                         "--fields", "sub/f.csv", "--manifest", "sub/m.json",
+                         "--out", "out"]) == 0
+        rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert rep["lagrange"]["stationary"] is False  # the manifest was read
+        assert not (sub / "run").exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_outputs_get_the_umask_mode(self, tmp_path, umask, mode):
+        import os
+        import stat
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            rc = cli.main(["verify-jumps", "--relation", "contact",
+                           "--refine", "1", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        [path] = out.iterdir()  # the temp file was renamed, none left over
+        assert path.name == "jump_reports.json"
+        assert stat.S_IMODE(path.stat().st_mode) == mode

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from vortigen import moc
 from vortigen.errors import EnvelopeReached, NonConvergence
 from vortigen.exact import SimpleWave
 from vortigen.moc import (
+    CharNet,
     CharNode,
-    advance_net,
+    EnvelopeEvent,
     char_slopes,
     compat_residual,
     detect_envelope,
@@ -20,6 +22,21 @@ from fv_oracle import godunov_solve
 
 GAMMA = 1.4
 M = GasModel(gamma=GAMMA, R=1.0)
+
+
+def advance_net(*args, **kwargs):
+    """moc.advance_net, checking on every net that a rescan of all its level
+    pairs finds nothing the pair-by-pair scan during advancement missed."""
+    net = moc.advance_net(*args, **kwargs)
+    rescan = None
+    for k in range(net.n_levels - 1):
+        rescan = moc._scan_level_pair(net, k)
+        if rescan is not None:
+            break
+    # without a crossing the net may still end at a degenerate unit process
+    assert (rescan or net.envelope) == net.envelope
+    assert detect_envelope(net) == net.envelope
+    return net
 
 
 def uniform_nodes(n=21, u=0.0, a=1.0, s=1.0, span=(0.0, 1.0)):
@@ -414,3 +431,198 @@ class TestConnectivity:
         net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
         np.testing.assert_array_equal(net.chain_ids("C+", 2), np.arange(5))
         np.testing.assert_array_equal(net.chain_ids("C-", 2), np.arange(5) + 2)
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the per-node loops they replaced
+
+
+def scan_level_pair_loop(net, k, families=(("C+", 1.0), ("C-", -1.0))):
+    """Reference: the per-pair loop of the level-pair crossing scan."""
+    x0 = net.x[0]
+    best = None
+    best_gnorm = np.inf
+    for family, sign in families:
+        g_prev, tb_prev = moc._corrected_gaps(
+            net.x[k], net.t[k], net.u[k], net.a[k], sign)
+        g_new, tb_new = moc._corrected_gaps(
+            net.x[k + 1], net.t[k + 1], net.u[k + 1], net.a[k + 1], sign)
+        if family == "C+":
+            pairs = zip(range(len(g_new)), range(len(g_new)))
+        else:
+            pairs = zip(range(1, len(g_prev)), range(len(g_new)))
+        for ip, inew in pairs:
+            if g_prev[ip] > 0.0 >= g_new[inew]:
+                chain = ip if family == "C+" else ip + k
+                dx0 = x0[chain + 1] - x0[chain]
+                gnorm = g_prev[ip] / dx0
+                th = g_prev[ip] / (g_prev[ip] - g_new[inew])
+                t_star = (1 - th) * tb_prev[ip] + th * tb_new[inew]
+                x_prev = 0.5 * (net.x[k][ip] + net.x[k][ip + 1])
+                x_new = 0.5 * (net.x[k + 1][inew] + net.x[k + 1][inew + 1])
+                x_star = (1 - th) * x_prev + th * x_new
+                if t_star > 0.0 and gnorm < best_gnorm:
+                    best = EnvelopeEvent(float(t_star), float(x_star), family)
+                    best_gnorm = gnorm
+    return best
+
+
+def jacobian_trace_loop(net, family):
+    """Reference: the node-by-node double loop of the chain Jacobians."""
+    sign = 1.0 if family == "C+" else -1.0
+    chains = []
+    for j in range(net.level_size(0) - 1):
+        ts, Js = [], []
+        for k in range(net.n_levels):
+            i0, i1 = (j, j + 1) if family == "C+" else (j - k, j + 1 - k)
+            if i0 < 0 or i1 > net.level_size(k) - 1:
+                break
+            dx0 = net.x[0][j + 1] - net.x[0][j]
+            t_bar = 0.5 * (net.t[k][i0] + net.t[k][i1])
+            lam0 = net.u[k][i0] + sign * net.a[k][i0]
+            lam1 = net.u[k][i1] + sign * net.a[k][i1]
+            x_at0 = net.x[k][i0] + lam0 * (t_bar - net.t[k][i0])
+            x_at1 = net.x[k][i1] + lam1 * (t_bar - net.t[k][i1])
+            Js.append((x_at1 - x_at0) / dx0)
+            ts.append(t_bar)
+        if Js:
+            chains.append((float(0.5 * (net.x[0][j] + net.x[0][j + 1])),
+                           np.array(ts), np.array(Js)))
+    return chains
+
+
+def random_net(rng, n0, levels, tie_level0):
+    """Random net with the advance_net level sizes n0, n0-1, ...: sorted
+    launch positions, jittered later levels (so gaps of either family turn
+    negative) and, with ``tie_level0``, a level 0 at t = 0 at rest, where
+    both families' launch-normalized gaps are exactly 1 (ties)."""
+    x0 = np.sort(rng.uniform(0.0, 1.0, n0))
+    x0 += np.arange(n0) * 1e-3  # distinct
+    net = CharNet(gamma=1.4)
+    for k in range(levels):
+        n = n0 - k
+        if k == 0:
+            x = x0
+            t = np.zeros(n) if tie_level0 else rng.uniform(0.0, 0.2, n)
+            u = np.zeros(n) if tie_level0 else rng.uniform(-0.5, 0.5, n)
+        else:
+            x = 0.5 * (net.x[-1][:-1] + net.x[-1][1:]) \
+                + rng.normal(0.0, 0.03, n)
+            t = net.t[-1].max() + rng.uniform(0.01, 0.3, n)
+            u = rng.uniform(-0.5, 0.5, n)
+        net.x.append(x)
+        net.t.append(t)
+        net.u.append(u)
+        net.a.append(rng.uniform(0.5, 1.5, n))
+        net.s.append(np.ones(n))
+        net.labels.append(x.copy())
+        net.c0_parent.append(np.full(n, -1, dtype=int))
+    return net
+
+
+@pytest.fixture(scope="module")
+def real_nets():
+    """Compressions ending by a level-pair crossing (101, 301 nodes) and by
+    a degenerate unit process (206), both families; an expansion and a
+    uniform state without an envelope."""
+    def left_moving(n):
+        x = np.linspace(-3.55, 0.55, n)
+        a = 1.0 - 0.5 * (GAMMA - 1.0) * amp * np.sin(2 * np.pi * x)
+        rho = (a * a / GAMMA) ** (1.0 / (GAMMA - 1.0))
+        return nodes_from_primitive(x, rho, amp * np.sin(2 * np.pi * x),
+                                    rho ** GAMMA, M)
+
+    comp = SimpleWave(
+        lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
+        gamma=GAMMA)
+    expa = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
+    amp = 0.1 * 2.0 / (GAMMA + 1.0)
+    return [
+        *(advance_net(comp.initial_nodes(np.linspace(-0.55, 3.55, n), M),
+                      t_end=3.0, m=M) for n in (101, 301, 206)),
+        *(advance_net(left_moving(n), t_end=3.0, m=M) for n in (101, 206)),
+        advance_net(expa.initial_nodes(np.linspace(-1, 1, 101), M),
+                    t_end=0.6, m=M),
+        advance_net(uniform_nodes(21), t_end=0.4, m=M),
+    ]
+
+
+class TestArrayKernels:
+    def test_scan_matches_loop_on_random_nets(self):
+        rng = np.random.default_rng(2024)
+        seen = {"C+": 0, "C-": 0}
+        ties = 0
+        for trial in range(400):
+            tie_level0 = trial % 2 == 0
+            net = random_net(rng, int(rng.integers(3, 40)), 3, tie_level0)
+            for k in range(2):
+                ref = scan_level_pair_loop(net, k)
+                assert moc._scan_level_pair(net, k) == ref
+                if ref is None:
+                    continue
+                seen[ref.family] += 1
+                # on a level 0 at rest both families' normalized gaps are
+                # exactly 1, so a crossing in each family is a tie
+                if tie_level0 and k == 0 and scan_level_pair_loop(
+                        net, k, (("C-", -1.0),)) is not None \
+                        and scan_level_pair_loop(net, k, (("C+", 1.0),)):
+                    assert ref.family == "C+"
+                    ties += 1
+        assert seen["C+"] > 20 and seen["C-"] > 20
+        assert ties > 20
+
+    def test_scan_matches_loop_on_real_nets(self, real_nets):
+        events = []
+        for net in real_nets:
+            for k in range(net.n_levels - 1):
+                ref = scan_level_pair_loop(net, k)
+                assert moc._scan_level_pair(net, k) == ref
+                if ref is not None:
+                    events.append(ref.family)
+        assert events == ["C+", "C+", "C-"]
+
+    def test_jacobian_matches_loop(self, real_nets):
+        rng = np.random.default_rng(7)
+        nets = real_nets + [random_net(rng, 12, 6, False)
+                              for _ in range(20)]
+        for net in nets:
+            for family in ("C+", "C-"):
+                ref = jacobian_trace_loop(net, family)
+                got = jacobian_trace(net, family).chains
+                assert len(got) == len(ref)
+                for ch, (x0, t, J) in zip(got, ref):
+                    assert ch.x0 == x0
+                    assert ch.t.dtype == t.dtype and ch.J.dtype == J.dtype
+                    np.testing.assert_array_equal(ch.t, t)
+                    np.testing.assert_array_equal(ch.J, J)
+
+    def test_degenerate_end_family_matches_loop(self, real_nets):
+        # the 206-node compressions end at a degenerate unit process; redo
+        # its last step and pick the family with the old per-family loop
+        for net, family in ((real_nets[2], "C+"), (real_nets[4], "C-")):
+            k = net.n_levels - 1
+            result, bad = moc._advance_level(
+                net.x[k], net.t[k], net.u[k], net.a[k], net.s[k],
+                net.labels[k], net.gamma, 1e-12, 20)
+            assert result is None
+            x0 = net.x[0]
+            gnorm = {}
+            for fam, sign in (("C+", 1.0), ("C-", -1.0)):
+                g, _ = moc._corrected_gaps(net.x[k], net.t[k], net.u[k],
+                                           net.a[k], sign)
+                chain = bad if fam == "C+" else bad + k
+                chain = min(max(chain, 0), len(x0) - 2)
+                gnorm[fam] = g[bad] / (x0[chain + 1] - x0[chain])
+            assert min(gnorm, key=gnorm.get) == family
+            assert net.envelope == EnvelopeEvent(
+                max(float(net.t[k][bad]), 1e-300),
+                float(0.5 * (net.x[k][bad] + net.x[k][bad + 1])), family)
+
+    def test_detect_envelope_is_the_recorded_event(self, real_nets):
+        net = real_nets[0]
+        ev = net.envelope
+        assert ev is not None
+        assert detect_envelope(net) == ev
+        assert detect_envelope(net, t_end=ev.t_star) == ev
+        assert detect_envelope(net, t_end=0.99 * ev.t_star) is None
+
