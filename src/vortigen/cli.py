@@ -93,7 +93,7 @@ def _read_json(path, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -241,6 +241,17 @@ def _number(name: str, value, default=None) -> Optional[float]:
     return float(value)
 
 
+def _integer(name: str, value, default: int, least: int) -> int:
+    """A config integer (a JSON integer, not a bool) of at least ``least``,
+    or ``default`` when absent or null; else a ParseError naming the field."""
+    if value is None:
+        return default
+    if type(value) is not int or value < least:
+        raise ParseError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
 def _choice(name: str, value, options: dict):
     """``options[value]`` for a config enum field, else a ParseError naming
     the field and its allowed values."""
@@ -272,6 +283,7 @@ class ScenarioConfig:
     t_end: Optional[float]
     jump_checks: Optional[dict]
     output_dir: str
+    config_path: str = "config"
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "ScenarioConfig":
@@ -284,10 +296,12 @@ class ScenarioConfig:
         raw.update({k: os.path.abspath(v) for k, v in (overrides or {}).items()
                     if v is not None})
         try:
-            return cls.from_dict(raw, default_id=Path(path).stem,
-                                 base=Path(path).parent)
+            cfg = cls.from_dict(raw, default_id=Path(path).stem,
+                                base=Path(path).parent)
         except (ParseError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from None
+        cfg.config_path = str(path)
+        return cfg
 
     @classmethod
     def from_dict(cls, raw: dict, default_id: str = "scenario",
@@ -356,7 +370,11 @@ class ScenarioConfig:
         if jump_checks is not None:
             _choice("jump_checks.relation", jump_checks.get("relation"),
                     dict.fromkeys(("contact", "char")))
-            _number("jump_checks.refine", jump_checks.get("refine", 3))
+            jump_checks = {**jump_checks, "refine": _integer(
+                "jump_checks.refine", jump_checks.get("refine"), 3, 1)}
+        time_term = raw.get("include_time_term")
+        if time_term is not None and type(time_term) is not bool:
+            raise ParseError("include_time_term must be true, false or null")
         cfg = cls(
             scenario_id=str(raw.get("scenario_id", default_id)),
             gas=gas,
@@ -371,8 +389,8 @@ class ScenarioConfig:
             seeds=seeds,
             traj_step=_number("trajectories.step", traj.get("step")),
             traj_max_len=_number("trajectories.max_len", traj.get("max_len")),
-            include_time_term=raw.get("include_time_term"),
-            time_index=int(_number("time_index", raw.get("time_index"), 0)),
+            include_time_term=time_term,
+            time_index=_integer("time_index", raw.get("time_index"), 0, 0),
             t_end=_number("t_end", raw.get("t_end")),
             jump_checks=jump_checks,
             output_dir=resolve("output_dir", raw.get("output_dir")) or ".",
@@ -446,14 +464,11 @@ def _write_net_csv(path: Path, net: moc.CharNet):
     with _atomic_write(path) as fh:
         fh.write("level,index,t,x,u,a,s,cplus_parent,cminus_parent,c0_parent\n")
         for k in range(net.n_levels):
-            n = net.level_size(k)
-            parents = ([[-1] * n] * 3 if k == 0 else
-                       [range(n), range(1, n + 1), net.c0_parent[k].tolist()])
             row = f"{k},%d" + ",%.17g" * 5 + ",%d,%d,%d\n"
+            cols = [q[k].tolist() for q in (net.t, net.x, net.u, net.a, net.s)]
             fh.write("".join(map(row.__mod__, zip(
-                range(n), net.t[k].tolist(), net.x[k].tolist(),
-                net.u[k].tolist(), net.a[k].tolist(), net.s[k].tolist(),
-                *parents))))
+                range(net.level_size(k)), *cols,
+                *(p.tolist() for p in net.parents(k))))))
 
 
 def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
@@ -464,14 +479,13 @@ def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
     Without ``t_end`` the net runs to 1.5x the analytic envelope time,
     else for one slowest-sound crossing of the data.
     """
-    x, rho, u, p = load_initial_1d(init_path)
-    nodes = moc.nodes_from_primitive(x, rho, u, p, gas)
-    analytic = moc.detect_envelope(nodes)
+    initial = moc.nodes_from_primitive(*load_initial_1d(init_path), gas)
+    analytic = moc.detect_envelope(initial)
     if t_end is None:
-        a_min = float(np.min(np.sqrt(gas.gamma * p / rho)))
+        x, _, a, _ = initial
         t_end = (1.5 * analytic.t_star if analytic is not None
-                 else float(x[-1] - x[0]) / a_min)
-    net = moc.advance_net(nodes, t_end=t_end, m=gas,
+                 else float(x[-1] - x[0]) / float(np.min(a)))
+    net = moc.advance_net(initial, t_end=t_end, m=gas,
                           corrector_tol=corrector_tol)
     return net, analytic
 
@@ -501,6 +515,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             raise MissingSnapshots(
                 "config requests the nonstationary term but the field set "
                 "has no snapshot series")
+        if fs.snapshots is not None and cfg.time_index >= len(fs.snapshots):
+            raise ParseError(
+                f"{cfg.config_path}: time_index {cfg.time_index} is outside "
+                f"the {len(fs.snapshots)} snapshots")
 
         rep = evoform.lagrange_criterion(fs, forces)
         report.lagrange = {**dataclasses.asdict(rep),
@@ -527,7 +545,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
                 time_index=cfg.time_index,
                 include_time_term=cfg.include_time_term)
             K = evoform.commutator(
-                evoform.FormCoefficients(anu, a1, cfg.crocco_sign),
+                evoform.FormCoefficients(anu, a1),
                 traj, frame, fs)
             a1_samples = a1.sample_along(traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv",
@@ -561,8 +579,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if cfg.jump_checks is not None:
         report.jump_checks = _jump_check_sweep(
             cfg.jump_checks["relation"], cfg.gas.gamma,
-            int(cfg.jump_checks.get("refine", 3)),
-            cfg.tolerances["jump_rel_error"])
+            cfg.jump_checks["refine"], cfg.tolerances["jump_rel_error"])
 
     report.wall_time_s = time.perf_counter() - t_start
     _write_json(out / "run_report.json", dataclasses.asdict(report))
@@ -662,6 +679,8 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
 
 
 def _cmd_verify_jumps(args) -> int:
+    if args.refine < 1:
+        raise ParseError(f"--refine must be >= 1, got {args.refine}")
     out = _out_dir(args.out)
     reports = _jump_check_sweep(args.relation, args.gamma, args.refine,
                                 args.tol)
@@ -673,36 +692,47 @@ def _cmd_verify_jumps(args) -> int:
     return 0 if all(r["passed"] for r in reports) else 3
 
 
-def _cmd_report(args) -> int:
-    rep = _read_json(Path(args.run) / "run_report.json", "run report")
-    print(f"scenario: {rep.get('scenario_id')}")
+def _report_lines(rep: dict) -> List[str]:
+    lines = [f"scenario: {rep.get('scenario_id')}"]
     lag = rep.get("lagrange")
     if lag:
-        print("eddy-free conditions: "
-              + ", ".join(f"{k}={v}" for k, v in sorted(lag.items())))
+        lines.append("eddy-free conditions: "
+                     + ", ".join(f"{k}={v}" for k, v in sorted(lag.items())))
     if rep.get("classification") is not None:
         line = (f"classification: {rep['classification']} "
                 f"(max|K| = {rep['max_K']:.6g}, tol = {rep['tolerance']:.6g})")
         if rep.get("dominant"):
             line += f", dominant source: {rep['dominant']}"
-        print(line)
+        lines.append(line)
     if rep.get("regime"):
-        print(f"regime at peak speed: {rep['regime']}")
+        lines.append(f"regime at peak speed: {rep['regime']}")
     env = rep.get("envelope")
     if env is not None:
         if env.get("detected"):
             ev = env["event"]
-            print(f"envelope: t* = {ev['t_star']:.6g}, x* = {ev['x_star']:.6g}"
-                  f" ({ev['family']})")
+            lines.append(f"envelope: t* = {ev['t_star']:.6g}, "
+                         f"x* = {ev['x_star']:.6g} ({ev['family']})")
         else:
-            print("envelope: none detected")
+            lines.append("envelope: none detected")
     if rep.get("moc_residuals"):
         res = rep["moc_residuals"]
-        print("pseudostructure residuals: "
-              + ", ".join(f"{k}={res[k]:.3e}" for k in ("C0", "C+", "C-")))
-        print(f"identical relation on trajectory pseudostructure: "
-              f"{rep.get('identical_on_pseudostructure')}")
-    print(f"wall time: {rep.get('wall_time_s', 0.0):.3f} s")
+        lines.append("pseudostructure residuals: " + ", ".join(
+            f"{k}={res[k]:.3e}" for k in ("C0", "C+", "C-")))
+        lines.append(f"identical relation on trajectory pseudostructure: "
+                     f"{rep.get('identical_on_pseudostructure')}")
+    lines.append(f"wall time: {rep.get('wall_time_s', 0.0):.3f} s")
+    return lines
+
+
+def _cmd_report(args) -> int:
+    path = Path(args.run) / "run_report.json"
+    rep = _read_json(path, "run report")
+    try:
+        lines = _report_lines(rep)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise ParseError(f"{path}: not a run report: {exc!r}") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -49,20 +49,6 @@ class NonFiniteResult(VortigenError):
     """A computed result meant for a report is NaN or infinite."""
 
 
-class EnvelopeReached(VortigenError):
-    """Characteristic envelope detected during net advancement.
-
-    Not a failure: carries the detection event and the net built so far.
-    Raised only when the caller opts in; by default the net records the
-    event and advancement stops cleanly.
-    """
-
-    def __init__(self, event, net):
-        super().__init__(f"envelope at t={event.t_star:.6g}, x={event.x_star:.6g}")
-        self.event = event
-        self.net = net
-
-
 class TooCloseToBoundary(VortigenError):
     """Jump measurement stencil would leave the grid."""
 

@@ -164,7 +164,6 @@ class NormalCoefficient:
     samples: np.ndarray
     pieces: Dict[str, np.ndarray]
     piece_fields: Optional[Dict[str, np.ndarray]] = None
-    sign: CroccoSign = CroccoSign.CONSISTENT
 
     @classmethod
     def from_samples(cls, samples, name: str = "prescribed"):
@@ -181,7 +180,6 @@ class A1Coefficient:
 
     field: Optional[np.ndarray]
     pieces: Dict[str, np.ndarray]
-    variant: Optional[A1Variant] = None
 
     @property
     def is_zero(self) -> bool:
@@ -199,7 +197,6 @@ class FormCoefficients:
 
     anu: NormalCoefficient
     a1: A1Coefficient
-    crocco_sign: CroccoSign = CroccoSign.CONSISTENT
 
 
 @dataclass(frozen=True)
@@ -330,7 +327,7 @@ def crocco_normal_coefficient(
               for name, g in piece_fields.items()}
     total = np.sum(list(pieces.values()), axis=0)
     return NormalCoefficient(samples=total, pieces=pieces,
-                             piece_fields=piece_fields, sign=sign)
+                             piece_fields=piece_fields)
 
 
 def ideal_a1() -> A1Coefficient:
@@ -391,7 +388,7 @@ def viscous_a1(
         "viscous_production": viscous,
     }
     total = heatflux_divergence + conduction + viscous
-    return A1Coefficient(field=total, pieces=pieces, variant=variant)
+    return A1Coefficient(field=total, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +484,11 @@ def _is_simply_connected(mask: Optional[np.ndarray]) -> bool:
             and _count_components(framed, _EDGE_OR_CORNER) == 1)
 
 
-def lagrange_criterion(
-    fs: FieldSet,
-    forces: ForceModel,
-    has_time_series: Optional[bool] = None,
-) -> LagrangeReport:
+def lagrange_criterion(fs: FieldSet, forces: ForceModel) -> LagrangeReport:
     """Eddy-free stable-flow test: stationary + potential force +
     simply connected domain."""
-    if has_time_series is None:
-        has_time_series = fs.snapshots is not None and len(fs.snapshots) >= 2
-
     stationary = True
-    if has_time_series:
+    if fs.snapshots is not None and len(fs.snapshots) >= 2:
         t0 = fs.snapshots[0].t
         t1 = fs.snapshots[-1].t
         span = max(t1 - t0, 1e-300)

@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .moc import CharNode
 from .thermo import GasModel
 
 __all__ = ["SimpleWave", "CenteredFan"]
@@ -83,14 +82,14 @@ class SimpleWave:
             return None
         return -1.0 / mn
 
-    def initial_nodes(self, x0: Sequence[float], m: GasModel) -> list:
-        """CharNode samples of the t=0 profile (entropy-function units)."""
-        nodes = []
-        for xi in x0:
-            u = self.u0(xi)
-            a = self.a0(xi)
-            nodes.append(CharNode(x=float(xi), t=0.0, u=u, a=a, s=self.s0))
-        return nodes
+    def initial_nodes(self, x0: Sequence[float], m: GasModel):
+        """t=0 initial data ``(x, u, a, s)`` (entropy-function units); the
+        profile is evaluated one point at a time, as in
+        :meth:`primitive_profile`."""
+        x = np.array(x0, float)
+        return (x, np.array([self.u0(xi) for xi in x0], float),
+                np.array([self.a0(xi) for xi in x0], float),
+                np.full(len(x), float(self.s0)))
 
     def primitive_profile(self, x0: Sequence[float], m: GasModel):
         """(x, rho, u, p) arrays of the t=0 profile."""

@@ -32,11 +32,11 @@ on it are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import EnvelopeReached, NonConvergence
+from .errors import NonConvergence
 from .thermo import GasModel
 
 __all__ = [
@@ -92,7 +92,8 @@ class CharNet:
 
     Level k+1 node i has C+ parent (k, i), C- parent (k, i+1) and C0 parent
     (k, c0_parent[k+1][i]) (the parent-level node nearest its trajectory
-    foot).  ``labels`` carries each node's trajectory launch coordinate.
+    foot); :meth:`parents` and :meth:`chain_ids` are the readers of this
+    rule.  ``labels`` carries each node's trajectory launch coordinate.
     """
 
     gamma: float
@@ -118,14 +119,13 @@ class CharNet:
             u=float(self.u[k][i]), a=float(self.a[k][i]), s=float(self.s[k][i]),
         )
 
-    def cplus_parent(self, k: int, i: int):
-        return (k - 1, i) if k >= 1 else None
-
-    def cminus_parent(self, k: int, i: int):
-        return (k - 1, i + 1) if k >= 1 else None
-
-    def c0_parent_index(self, k: int, i: int):
-        return (k - 1, int(self.c0_parent[k][i])) if k >= 1 else None
+    def parents(self, k: int):
+        """C+, C- and C0 parent indices (on level k-1) of level k's nodes;
+        all -1 on the initial level."""
+        if k == 0:
+            return (self.c0_parent[0],) * 3
+        i = np.arange(self.level_size(k))
+        return i, i + 1, self.c0_parent[k]
 
     def chain_ids(self, family: str, k: int) -> np.ndarray:
         """Which chain of the family each node of level k belongs to."""
@@ -198,16 +198,26 @@ def compat_residual(from_node: CharNode, to_node: CharNode, family: str,
     return abs(du - c * da + coef * ds)
 
 
-def nodes_from_primitive(x, rho, u, p, m: GasModel) -> List[CharNode]:
-    """Build t=0 nodes from (x, rho, u, p) samples."""
-    x = np.asarray(x, float)
+def nodes_from_primitive(x, rho, u, p, m: GasModel):
+    """t=0 initial data ``(x, u, a, s)`` from (x, rho, u, p) samples."""
     rho = np.asarray(rho, float)
-    u = np.asarray(u, float)
     p = np.asarray(p, float)
-    a = np.sqrt(m.gamma * p / rho)
-    s = p / rho ** m.gamma
-    return [CharNode(x=float(xi), t=0.0, u=float(ui), a=float(ai), s=float(si))
-            for xi, ui, ai, si in zip(x, u, a, s)]
+    return (np.array(x, float), np.array(u, float),
+            np.sqrt(m.gamma * p / rho), p / rho ** m.gamma)
+
+
+def _initial_arrays(initial):
+    """Validated copies of t=0 initial data ``(x, u, a, s)``."""
+    x, u, a, s = (np.array(q, float) for q in initial)
+    if x.ndim != 1 or any(q.shape != x.shape for q in (u, a, s)):
+        raise ValueError("initial x, u, a, s must be 1-D arrays of one length")
+    if len(x) < 3:
+        raise ValueError("need at least 3 initial nodes")
+    if not np.all(np.diff(x) > 0.0):
+        raise ValueError("initial nodes must be sorted and distinct in x")
+    if not (np.all(a > 0.0) and np.all(s > 0.0)):
+        raise ValueError("need a > 0 and s > 0 at every initial node")
+    return x, u, a, s
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +347,18 @@ def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
     return (xP, tP, uP, aP, sP, labP, c0p), -1
 
 
-_FAMILIES = (("C+", 1.0), ("C-", -1.0))
+_SIGN = {"C+": 1.0, "C-": -1.0}
 
 
-def _level_gaps(net: CharNet, k: int, sign: float):
-    """Corrected gaps of level k, their common times, and each gap over the
-    launch spacing of its chain pair, i.e. the tube-width ratio dx/dx0
-    (C+ pair i is chain i, C- pair i is chain i + k)."""
-    g, t_bar = _corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k], sign)
-    chain = np.arange(len(g)) + (0 if sign > 0.0 else k)
+def _level_gaps(net: CharNet, k: int, family: str):
+    """Corrected gaps of level k, their common times, each gap over the
+    launch spacing of its chain pair (the tube-width ratio dx/dx0), and
+    the chain of each gap (that of its left node)."""
+    chain = net.chain_ids(family, k)[:-1]
+    g, t_bar = _corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
+                               _SIGN[family])
     x0 = net.x[0]
-    return g, t_bar, g / (x0[chain + 1] - x0[chain])
+    return g, t_bar, g / (x0[chain + 1] - x0[chain]), chain
 
 
 def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
@@ -362,11 +373,13 @@ def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
     """
     best = None
     best_gnorm = np.inf
-    for family, sign in _FAMILIES:
-        g_prev, tb_prev, gnorm = _level_gaps(net, k, sign)
-        g_new, tb_new, _ = _level_gaps(net, k + 1, sign)
+    for family in _SIGN:
+        g_prev, tb_prev, gnorm, c_prev = _level_gaps(net, k, family)
+        g_new, tb_new, _, c_new = _level_gaps(net, k + 1, family)
+        if len(g_new) == 0:
+            continue
         # chain pair of level-(k+1) gap i sits at level-k gap i + off
-        off = 0 if sign > 0.0 else 1
+        off = c_new[0] - c_prev[0]
         m = min(len(g_new), len(g_prev) - off)
         inew = np.flatnonzero((g_prev[off:off + m] > 0.0) & (g_new[:m] <= 0.0))
         ip = inew + off
@@ -386,34 +399,27 @@ def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
 
 
 def advance_net(
-    initial: Sequence[CharNode],
+    initial: Sequence[np.ndarray],
     t_end: float,
     m: GasModel,
     corrector_tol: float = 1e-12,
     max_iter: int = 20,
-    raise_on_envelope: bool = False,
 ) -> CharNet:
-    """Advance the characteristic net from t=0 initial nodes.
+    """Advance the characteristic net from t=0 initial data ``(x, u, a, s)``.
 
     Stops at ``t_end``, at the first envelope event (recorded on
-    ``net.envelope``; raised as :class:`EnvelopeReached` when
-    ``raise_on_envelope``), or when the shrinking domain of determinacy
-    is exhausted.
+    ``net.envelope``), or when the shrinking domain of determinacy is
+    exhausted.
 
     Raises
     ------
     NonConvergence
         If the node-placement fixed point fails to converge.
     """
-    if len(initial) < 3:
-        raise ValueError("need at least 3 initial nodes")
-    x0, t0, u0, a0, s0 = (np.array([getattr(n, q) for n in initial], float)
-                          for q in "xtuas")
-    if np.any(np.diff(x0) <= 0.0):
-        raise ValueError("initial nodes must be sorted and distinct in x")
-    net = CharNet(gamma=m.gamma, x=[x0], t=[t0], u=[u0], a=[a0], s=[s0],
-                  labels=[x0.copy()],
-                  c0_parent=[np.full(len(initial), -1, dtype=int)])
+    x0, u0, a0, s0 = _initial_arrays(initial)
+    net = CharNet(gamma=m.gamma, x=[x0], t=[np.zeros_like(x0)], u=[u0],
+                  a=[a0], s=[s0], labels=[x0.copy()],
+                  c0_parent=[np.full(len(x0), -1, dtype=int)])
     levels = (net.x, net.t, net.u, net.a, net.s, net.labels, net.c0_parent)
 
     while net.level_size(net.n_levels - 1) >= 2:
@@ -427,8 +433,7 @@ def advance_net(
             # forward in time.  Report an envelope at the failing pair; the
             # family is the one whose chain tube has collapsed there (the
             # smaller launch-normalized corrected gap, C+ on a tie).
-            gnorm = {fam: _level_gaps(net, k, sign)[2][bad]
-                     for fam, sign in _FAMILIES}
+            gnorm = {fam: _level_gaps(net, k, fam)[2][bad] for fam in _SIGN}
             fam = min(gnorm, key=gnorm.get)
             t_star = max(float(net.t[k][bad]), 1e-300)
             x_star = float(0.5 * (net.x[k][bad] + net.x[k][bad + 1]))
@@ -442,8 +447,6 @@ def advance_net(
             break
         if float(np.min(net.t[-1])) >= t_end:
             break
-    if net.envelope is not None and raise_on_envelope:
-        raise EnvelopeReached(net.envelope, net)
     return net
 
 
@@ -472,17 +475,14 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
             (s_ref,) = _interp_on_level(xs0, pos, _stencil_base(xs0, pos, i), [s0])
             worst = max(worst, float(np.max(np.abs(net.s[k] - s_ref))))
         return worst
-    if family in ("C+", "C-"):
-        c = 2.0 / (g - 1.0)
-        sign = 1.0 if family == "C+" else -1.0
+    if family in _SIGN:
+        sc = _SIGN[family] * (2.0 / (g - 1.0))
         worst = 0.0
         for k in range(1, net.n_levels):
-            J_new = net.u[k] + sign * c * net.a[k]
-            if family == "C+":
-                J_par = net.u[k - 1][:-1] + sign * c * net.a[k - 1][:-1]
-            else:
-                J_par = net.u[k - 1][1:] + sign * c * net.a[k - 1][1:]
-            worst = max(worst, float(np.max(np.abs(J_new - J_par))))
+            par = net.parents(k)[0 if family == "C+" else 1]
+            J_par = (net.u[k - 1] + sc * net.a[k - 1])[par]
+            worst = max(worst, float(np.max(np.abs(
+                net.u[k] + sc * net.a[k] - J_par))))
         return worst
     raise ValueError(f"unknown family {family!r}")
 
@@ -495,20 +495,13 @@ def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
     chain j's J on level k is that level's corrected gap over the launch
     spacing (:func:`_level_gaps`), followed while the pair stays on the net.
     """
-    if family not in ("C+", "C-"):
-        raise ValueError(f"unknown family {family!r}")
-    sign = 1.0 if family == "C+" else -1.0
     x0 = net.x[0]
-    nc = len(x0) - 1
-    J = np.zeros((net.n_levels, nc))
+    J = np.zeros((net.n_levels, len(x0) - 1))
     T = np.zeros_like(J)
     on = np.zeros(J.shape, dtype=bool)
     for k in range(net.n_levels):
-        _, t_bar, ratio = _level_gaps(net, k, sign)
-        off = 0 if sign > 0.0 else k
-        n = max(0, min(len(ratio), nc - off))
-        J[k, off:off + n], T[k, off:off + n] = ratio[:n], t_bar[:n]
-        on[k, off:off + n] = True
+        _, t_bar, ratio, chain = _level_gaps(net, k, family)
+        J[k, chain], T[k, chain], on[k, chain] = ratio, t_bar, True
     # a chain leaves the net at its first level without its pair
     depth = np.where(on.all(axis=0), net.n_levels, np.argmin(on, axis=0))
     mids = 0.5 * (x0[:-1] + x0[1:])
@@ -518,30 +511,21 @@ def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
 
 
 def detect_envelope(
-    source: Union[CharNet, Sequence[CharNode]],
+    initial: Sequence[np.ndarray],
     t_end: Optional[float] = None,
 ) -> Optional[EnvelopeEvent]:
-    """Find the first same-family characteristic crossing.
+    """Straight-characteristic estimate of the first same-family crossing
+    from t=0 initial data ``(x, u, a, s)``.
 
-    On a :class:`CharNet`, returns the event :func:`advance_net` recorded
-    while scanning each level pair as it was built.  On initial-data nodes,
-    uses the straight-characteristic formula: with lam = u +/- a per
-    family, the earliest crossing is t* = -1 / min(dlam/dx) over points
-    where the slope gradient is negative.  Returns None when no crossing
-    occurs (before ``t_end`` if given).
+    With lam = u +/- a per family, the earliest crossing is
+    t* = -1 / min(dlam/dx) over points where the slope gradient is
+    negative.  Returns None when no crossing occurs (before ``t_end`` if
+    given).  The crossing found on a net is ``CharNet.envelope``.
     """
-    if isinstance(source, CharNet):
-        event = source.envelope
-        return None if event is None or (
-            t_end is not None and event.t_star > t_end) else event
-
-    nodes = list(source)
-    if len(nodes) < 3:
-        raise ValueError("need at least 3 nodes for the analytic estimate")
-    x = np.array([n.x for n in nodes])
+    x, u, a, _ = _initial_arrays(initial)
     best = None
-    for family, sign in _FAMILIES:
-        lam = np.array([n.u + sign * n.a for n in nodes])
+    for family, sign in _SIGN.items():
+        lam = u + sign * a
         dlam = np.gradient(lam, x, edge_order=2)
         # ignore slope gradients at the rounding-noise level of the stencil
         noise = 1024.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(lam)))) \

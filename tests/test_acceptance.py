@@ -33,7 +33,6 @@ from vortigen.jumps import (
 )
 from vortigen.moc import (
     advance_net,
-    detect_envelope,
     nodes_from_primitive,
     pseudostructure_residual,
     riemann_invariants,
@@ -181,7 +180,7 @@ def test_c05_envelope_detection():
     w_exp = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
     net_exp = advance_net(w_exp.initial_nodes(np.linspace(-1, 1, 201), MODEL),
                           t_end=0.6, m=MODEL)
-    no_event = net_exp.envelope is None and detect_envelope(net_exp) is None
+    no_event = net_exp.envelope is None
     ok = rel <= 0.02 and no_event
     criterion(5, "envelope detection", ok,
               f"t* rel err {rel:.2e} vs 1/(0.2 pi); pure expansion none: "

@@ -594,3 +594,73 @@ class TestPathsAndModes:
         [path] = out.iterdir()  # the temp file was renamed, none left over
         assert path.name == "jump_reports.json"
         assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def write_two_snapshot_case(dirpath):
+    """9x9 uniform field with a two-snapshot manifest."""
+    write_uniform_csv(dirpath / "f.csv")
+    write_uniform_csv(dirpath / "s0.csv")
+    write_uniform_csv(dirpath / "s1.csv", u=1.5)
+    (dirpath / "m.json").write_text(json.dumps({"snapshots": [
+        {"t": 0.0, "path": "s0.csv"}, {"t": 0.5, "path": "s1.csv"}]}))
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("value", [5, 2, -1, 2.5])
+    def test_bad_time_index_exits_2(self, tmp_path, capsys, value):
+        write_two_snapshot_case(tmp_path)
+        cfgp = write_config(tmp_path, fields="f.csv", manifest="m.json",
+                            time_index=value)
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err and "time_index" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("manifest", [None, "m.json"])
+    @pytest.mark.parametrize("value", ["no", 1, 0, [True]])
+    def test_bad_include_time_term_exits_2(self, tmp_path, capsys, value,
+                                           manifest):
+        write_two_snapshot_case(tmp_path)
+        cfgp = write_config(tmp_path, fields="f.csv", manifest=manifest,
+                            include_time_term=value)
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err
+        assert "include_time_term must be true, false or null" in err
+
+    @pytest.mark.parametrize("value", [0, -2, 1.7])
+    def test_bad_jump_refine_in_config_exits_2(self, tmp_path, capsys, value):
+        cfgp = write_config(
+            tmp_path, jump_checks={"relation": "contact", "refine": value})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgp) in err and "jump_checks.refine" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_jump_refine_is_the_default(self, tmp_path):
+        cfgp = write_config(
+            tmp_path, jump_checks={"relation": "contact", "refine": None})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert len(rep["jump_checks"]) == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_verify_jumps_refine_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert cli.main(["verify-jumps", "--relation", "contact",
+                         "--refine", value, "--out", str(out)]) == 2
+        assert "--refine" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        json.dumps({"scenario_id": "x", "max_K": None, "tolerance": 1.0,
+                    "classification": "locally_equilibrium"}),
+        "[" * 100000 + "]" * 100000,  # too deep for the JSON decoder
+    ], ids=["list", "null_max_K", "deep"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run_report.json"
+        path.write_text(text)
+        assert cli.main(["report", "--run", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and captured.out == ""

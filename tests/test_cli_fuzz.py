@@ -1,6 +1,7 @@
-"""Property test of the command line on small generated configs and 1-D
-CSV rows: every input runs or is refused with exit code 2 or 3, never
-with a traceback, and no written JSON carries a NaN or an infinity."""
+"""Property tests of the command line on small generated configs, 1-D
+CSV rows and run reports: every input runs or is refused with exit code 2
+or 3, never with a traceback, and no written JSON carries a NaN or an
+infinity."""
 
 import contextlib
 import io
@@ -50,15 +51,31 @@ configs = st.fixed_dictionaries({}, optional={
     "crocco_sign": st.sampled_from(["consistent", "paper", "bogus", [1]]),
     "a1_variant": st.sampled_from(["paper", "standard", "bogus", None]),
     "t_end": st.sampled_from([None, 0.0, 0.05, 1.0, -1.0, NAN, INF, "1"]),
-    "time_index": st.sampled_from([0, 1.5, "x", [0]]),
+    "time_index": st.sampled_from([0, 1, 5, -1, 1.5, 2.5, "x", [0], True,
+                                   None]),
+    "include_time_term": st.sampled_from([None, True, False, "no", 1, 0,
+                                          [True]]),
     "tolerances": section({"corrector": st.sampled_from(
         [1e-12, 1e-3, 0.0, -1.0, None, NAN, "x"])}),
     "transport": section({"mu": st.sampled_from([0.1, -1.0, "x"])}),
     "forces": section({"kind": st.sampled_from(["none", "bogus", 1])}),
     "trajectories": section({"step": st.sampled_from([0.1, "x", INF])}),
-    "jump_checks": section({"relation": st.sampled_from(["bogus", 2])}),
+    "jump_checks": st.one_of(
+        st.just({"relation": "contact", "refine": 1}),
+        section({"relation": st.sampled_from(["contact", "bogus", 2]),
+                 "refine": st.sampled_from([1, 0, -1, 1.7, "2", True, None,
+                                            [1]])})),
     "scenario_id": st.sampled_from(["demo", 5, [1]]),
 })
+
+
+def run(argv):
+    """Exit code and stderr of one ``cli.main`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
 
 
 def assert_finite_json(out: Path):
@@ -85,12 +102,43 @@ def test_cli_exits_cleanly_on_generated_input(rows, cfg):
                 ["detect-shock", "--init", str(tmp / "init.csv"),
                  "--out", str(tmp / "shock")]]
         for argv in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(argv)
-            assert rc in (0, 2, 3), (argv, rc, err.getvalue())
-            assert "Traceback" not in err.getvalue()
-            assert (rc == 0) == (err.getvalue() == ""), err.getvalue()
+            rc, err = run(argv)
+            assert rc in (0, 2, 3), (argv, rc, err)
+            assert "Traceback" not in err
+            assert (rc == 0) == (err == ""), err
         for out in (tmp / "run", tmp / "shock"):
             assert_finite_json(out)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def report_like(values):
+    """Objects with the keys ``vortigen report`` reads, holding anything."""
+    event = st.fixed_dictionaries({}, optional={
+        k: values for k in ("t_star", "x_star", "family")})
+    return st.fixed_dictionaries({}, optional={
+        **{k: values for k in ("scenario_id", "lagrange", "max_K",
+                               "tolerance", "classification", "dominant",
+                               "regime", "identical_on_pseudostructure",
+                               "wall_time_s")},
+        "envelope": values | st.fixed_dictionaries({}, optional={
+            "detected": values, "event": values | event}),
+        "moc_residuals": values | st.fixed_dictionaries({}, optional={
+            k: values for k in ("C0", "C+", "C-")}),
+    })
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(content=json_values | report_like(json_values))
+def test_report_exits_cleanly_on_any_json(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run_report.json").write_text(json.dumps(content))
+        rc, err = run(["report", "--run", tmp])
+    assert rc in (0, 2), (rc, err)
+    assert "Traceback" not in err
+    assert (rc == 0) == (err == ""), err

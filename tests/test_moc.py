@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vortigen import moc
-from vortigen.errors import EnvelopeReached, NonConvergence
+from vortigen.errors import NonConvergence
 from vortigen.exact import SimpleWave
 from vortigen.moc import (
     CharNet,
@@ -35,13 +35,11 @@ def advance_net(*args, **kwargs):
             break
     # without a crossing the net may still end at a degenerate unit process
     assert (rescan or net.envelope) == net.envelope
-    assert detect_envelope(net) == net.envelope
     return net
 
 
 def uniform_nodes(n=21, u=0.0, a=1.0, s=1.0, span=(0.0, 1.0)):
-    return [CharNode(x=float(x), t=0.0, u=u, a=a, s=s)
-            for x in np.linspace(*span, n)]
+    return np.linspace(*span, n), np.full(n, u), np.full(n, a), np.full(n, s)
 
 
 def net_linf_error_vs(net, state_fn):
@@ -185,9 +183,8 @@ class TestAdvanceNet:
         x0 = np.linspace(0.0, 1.0, 81)
         base = advance_net(w.initial_nodes(x0, M), t_end=0.2, m=M)
         c = 0.37
-        shifted_nodes = [CharNode(n.x, n.t, n.u + c, n.a, n.s)
-                         for n in w.initial_nodes(x0, M)]
-        shifted = advance_net(shifted_nodes, t_end=0.2, m=M)
+        x, u, a, s = w.initial_nodes(x0, M)
+        shifted = advance_net((x, u + c, a, s), t_end=0.2, m=M)
         assert shifted.n_levels == base.n_levels
         for k in range(base.n_levels):
             np.testing.assert_allclose(shifted.t[k], base.t[k], atol=1e-10)
@@ -247,10 +244,19 @@ class TestAdvanceNet:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             advance_net(uniform_nodes(2), t_end=0.1, m=M)
-        nodes = uniform_nodes(5)
-        nodes[2] = CharNode(x=nodes[1].x, t=0.0, u=0.0, a=1.0, s=1.0)
+        x, u, a, s = uniform_nodes(5)
+        x[2] = x[1]
         with pytest.raises(ValueError):
-            advance_net(nodes, t_end=0.1, m=M)
+            advance_net((x, u, a, s), t_end=0.1, m=M)
+        # a and s must be positive, and NaN is refused as well
+        for q, bad in ((2, 0.0), (2, np.nan), (3, -1.0), (3, np.nan)):
+            nodes = list(uniform_nodes(5))
+            nodes[q] = nodes[q].copy()
+            nodes[q][1] = bad
+            with pytest.raises(ValueError, match="a > 0 and s > 0"):
+                advance_net(nodes, t_end=0.1, m=M)
+            with pytest.raises(ValueError, match="a > 0 and s > 0"):
+                detect_envelope(nodes)
 
     @pytest.mark.parametrize("gamma", [1.2, 1.67])
     def test_simple_wave_other_gammas(self, gamma):
@@ -342,7 +348,6 @@ class TestEnvelope:
     def test_uniform_no_event(self):
         net = advance_net(uniform_nodes(21), t_end=0.5, m=M)
         assert net.envelope is None
-        assert detect_envelope(net) is None
         assert detect_envelope(uniform_nodes(21)) is None
 
     def test_sine_compression_within_2_percent(self):
@@ -353,8 +358,6 @@ class TestEnvelope:
         assert net.envelope is not None
         assert net.envelope.family == "C+"
         assert net.envelope.t_star == pytest.approx(t_true, rel=0.02)
-        ev = detect_envelope(net)
-        assert ev.t_star == pytest.approx(t_true, rel=0.02)
 
     def test_analytic_path_matches_formula(self):
         w = self.compression_wave()
@@ -391,20 +394,12 @@ class TestEnvelope:
         nodes = w.initial_nodes(np.linspace(-1, 1, 201), M)
         assert detect_envelope(nodes) is None
         net = advance_net(nodes, t_end=0.6, m=M)
-        assert net.envelope is None and detect_envelope(net) is None
+        assert net.envelope is None
 
     def test_t_end_filter(self):
         w = self.compression_wave()
         nodes = w.initial_nodes(np.linspace(-0.55, 3.55, 821), M)
         assert detect_envelope(nodes, t_end=0.5) is None
-
-    def test_raise_on_envelope(self):
-        w = self.compression_wave()
-        nodes = w.initial_nodes(np.linspace(-0.55, 3.55, 421), M)
-        with pytest.raises(EnvelopeReached) as exc:
-            advance_net(nodes, t_end=3.0, m=M, raise_on_envelope=True)
-        assert exc.value.event.family == "C+"
-        assert exc.value.net.n_levels > 1
 
     def test_detection_first_order_in_spacing(self):
         # the detection error obeys a first-order bound err <= C dx (the
@@ -421,11 +416,12 @@ class TestEnvelope:
 class TestConnectivity:
     def test_parent_indices(self):
         net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
-        assert net.cplus_parent(1, 2) == (0, 2)
-        assert net.cminus_parent(1, 2) == (0, 3)
-        k, j = net.c0_parent_index(1, 2)
-        assert k == 0 and j in (2, 3)
-        assert net.cplus_parent(0, 0) is None
+        cplus, cminus, c0 = net.parents(1)
+        assert cplus[2] == 2
+        assert cminus[2] == 3
+        assert c0[2] in (2, 3)
+        for parent in net.parents(0):
+            np.testing.assert_array_equal(parent, np.full(7, -1))
 
     def test_chain_ids(self):
         net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
@@ -618,11 +614,12 @@ class TestArrayKernels:
                 max(float(net.t[k][bad]), 1e-300),
                 float(0.5 * (net.x[k][bad] + net.x[k][bad + 1])), family)
 
-    def test_detect_envelope_is_the_recorded_event(self, real_nets):
+    def test_recorded_event_is_the_first_crossing(self, real_nets):
+        # the net stops at the first level pair where the reference loop
+        # finds a crossing, and records that event
         net = real_nets[0]
-        ev = net.envelope
-        assert ev is not None
-        assert detect_envelope(net) == ev
-        assert detect_envelope(net, t_end=ev.t_star) == ev
-        assert detect_envelope(net, t_end=0.99 * ev.t_star) is None
+        events = [scan_level_pair_loop(net, k)
+                  for k in range(net.n_levels - 1)]
+        assert net.envelope is not None
+        assert events[-1] == net.envelope and not any(events[:-1])
 
