@@ -14,7 +14,9 @@ Subcommands
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale) and written atomically
-(temp-file-then-rename).  The environment variable ``VORTIGEN_OUT``
+(temp-file-then-rename); a ``diagnose`` or ``solve-moc`` run renames all
+its files together once every stage has passed, so a failed run writes
+nothing.  The environment variable ``VORTIGEN_OUT``
 overrides every output directory.  Exit codes: 0 success, 2 validation
 error, 3 numerical failure (including a non-finite result).
 """
@@ -61,9 +63,10 @@ __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
 
 
 @contextmanager
-def _atomic_write(path: Path):
-    """Text file handle whose content replaces ``path`` only when complete;
-    the file gets the mode a plain ``open`` would give it under the umask."""
+def _atomic_write(path: Path, staged: list):
+    """Text file handle for ``path``, written to a temp file that joins the
+    ``staged`` list of its run (see ``_staged_run``); the file gets the mode
+    a plain ``open`` would give it under the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -73,19 +76,35 @@ def _atomic_write(path: Path):
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             yield fh
-        os.replace(tmp, path)
+        staged.append((tmp, path))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
-def _write_json(path: Path, obj):
+@contextmanager
+def _staged_run():
+    """The list of a run's staged files: they are renamed into place
+    together when the block completes and unlinked if it raises, so a
+    failed run writes nothing."""
+    staged = []
+    try:
+        yield staged
+    except BaseException:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj, staged: list):
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise NonFiniteResult(f"{path}: result is not finite") from None
-    with _atomic_write(path) as fh:
+    with _atomic_write(path, staged) as fh:
         fh.write(text + "\n")
 
 
@@ -445,23 +464,23 @@ def _event_dict(ev) -> Optional[dict]:
     return None if ev is None else dataclasses.asdict(ev)
 
 
-def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K):
+def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K, staged):
     names = [n for n in ATTRIBUTION_ORDER if n in K.attribution]
     extra = [n for n in K.attribution if n not in names]
     names += sorted(extra)
     header = ["xi1", "A1", "Anu", "K", *names]
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    with _atomic_write(path) as fh:
+    with _atomic_write(path, staged) as fh:
         fh.write(",".join(header) + "\n")
         fh.write("".join([row % tuple(r) for r in np.column_stack(
             [xi, a1_samples, anu_samples, K.K,
              *[K.attribution[n] for n in names]]).tolist()]))
 
 
-def _write_net_csv(path: Path, net: moc.CharNet):
+def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     """Stream the net one level (one write) at a time; parent indices refer
     to the previous level, -1 on the initial level."""
-    with _atomic_write(path) as fh:
+    with _atomic_write(path, staged) as fh:
         fh.write("level,index,t,x,u,a,s,cplus_parent,cminus_parent,c0_parent\n")
         for k in range(net.n_levels):
             row = f"{k},%d" + ",%.17g" * 5 + ",%d,%d,%d\n"
@@ -490,19 +509,25 @@ def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
     return net, analytic
 
 
-def _write_net_outputs(out: Path, net: moc.CharNet, analytic):
-    """Write net.csv and envelope.json; return (residuals, envelope)."""
-    _write_net_csv(out / "net.csv", net)
+def _write_net_outputs(out: Path, net: moc.CharNet, analytic, staged):
+    """Stage net.csv and envelope.json; return (residuals, envelope)."""
+    _write_net_csv(out / "net.csv", net, staged)
     envelope = {"detected": net.envelope is not None,
                 "event": _event_dict(net.envelope),
                 "analytic": _event_dict(analytic)}
-    _write_json(out / "envelope.json", envelope)
+    _write_json(out / "envelope.json", envelope, staged)
     return {fam: moc.pseudostructure_residual(net, fam)
             for fam in ("C0", "C+", "C-")}, envelope
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    """Execute the configured pipeline and write report plus CSVs."""
+    """Execute the configured pipeline and write report plus CSVs; the
+    files appear together once every stage has passed, or not at all."""
+    with _staged_run() as staged:
+        return _run_stages(cfg, staged)
+
+
+def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
     t_start = time.perf_counter()
     out = _out_dir(cfg.output_dir)
     report = RunReport(scenario_id=cfg.scenario_id)
@@ -533,6 +558,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         if report.tolerance is None:
             report.tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
 
+        anu = evoform.crocco_normal_coefficient(
+            fs, forces, cfg.gas, sign=cfg.crocco_sign,
+            time_index=cfg.time_index,
+            include_time_term=cfg.include_time_term)
+        fc = evoform.FormCoefficients(anu, a1)
         seeds = cfg.seeds if cfg.seeds is not None else _default_seeds(fs)
         worst = None
         for ti, traj in enumerate(trace_streamlines(
@@ -540,16 +570,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             if isinstance(traj, VortigenError):
                 continue
             frame = frame_along(traj)
-            anu = evoform.crocco_normal_coefficient(
-                fs, traj, frame, forces, cfg.gas, sign=cfg.crocco_sign,
-                time_index=cfg.time_index,
-                include_time_term=cfg.include_time_term)
-            K = evoform.commutator(
-                evoform.FormCoefficients(anu, a1),
-                traj, frame, fs)
+            K = evoform.commutator(fc, traj, frame, fs)
+            anu_samples, _ = anu.sample_along(traj, frame, fs.grid)
             a1_samples = a1.sample_along(traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv",
-                                  traj.arclength, a1_samples, anu.samples, K)
+                                  traj.arclength, a1_samples, anu_samples, K,
+                                  staged)
             cls = evoform.equilibrium_classifier(K, report.tolerance)
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls
@@ -569,7 +595,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         net, analytic = _solve_1d(cfg.initial_data_path, cfg.gas, cfg.t_end,
                                   cfg.tolerances["corrector"])
         report.moc_residuals, report.envelope = _write_net_outputs(
-            out, net, analytic)
+            out, net, analytic, staged)
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy
         s_scale = max(float(np.max(net.s[0])), 1e-300)
@@ -582,7 +608,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             cfg.jump_checks["refine"], cfg.tolerances["jump_rel_error"])
 
     report.wall_time_s = time.perf_counter() - t_start
-    _write_json(out / "run_report.json", dataclasses.asdict(report))
+    _write_json(out / "run_report.json", dataclasses.asdict(report), staged)
     return report
 
 
@@ -597,17 +623,19 @@ def _cmd_1d(args) -> int:
     net, analytic = _solve_1d(args.init, GasModel(gamma=args.gamma, R=args.R),
                               args.t_end)
     if args.command == "solve-moc":
-        residuals, envelope = _write_net_outputs(out, net, analytic)
-        _write_json(out / "residuals.json", residuals)
+        with _staged_run() as staged:
+            residuals, envelope = _write_net_outputs(out, net, analytic, staged)
+            _write_json(out / "residuals.json", residuals, staged)
         print(f"net: {net.n_levels} levels, envelope: "
               f"{'yes' if envelope['detected'] else 'no'} -> {out}")
         return 0
     event = net.envelope
-    _write_json(out / "envelope_report.json", {
-        "detected": event is not None,
-        "numeric": _event_dict(event),
-        "analytic": _event_dict(analytic),
-    })
+    with _staged_run() as staged:
+        _write_json(out / "envelope_report.json", {
+            "detected": event is not None,
+            "numeric": _event_dict(event),
+            "analytic": _event_dict(analytic),
+        }, staged)
     if event:
         print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
               f"family {event.family}")
@@ -687,8 +715,9 @@ def _cmd_verify_jumps(args) -> int:
     for rec in reports:
         print(f"h = {rec['grid_h']:.6g}: rel_error = {rec['rel_error']:.3e} "
               f"({'pass' if rec['passed'] else 'FAIL'})")
-    _write_json(out / "jump_reports.json",
-                {"relation": args.relation, "reports": reports})
+    with _staged_run() as staged:
+        _write_json(out / "jump_reports.json",
+                    {"relation": args.relation, "reports": reports}, staged)
     return 0 if all(r["passed"] for r in reports) else 3
 
 

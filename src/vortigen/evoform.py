@@ -153,33 +153,36 @@ class TransportModel:
 
 @dataclass(frozen=True)
 class NormalCoefficient:
-    """A_nu sampled along a trajectory, split into its additive terms.
+    """A_nu as node fields, split into its additive terms.
 
-    ``piece_fields`` holds, per term, the vector node field G the samples
-    were projected from and its node Jacobian, stacked (6, ny, nx) as
-    (Gx, Gy, dGx/dx, dGx/dy, dGy/dx, dGy/dy); commutator evaluation
-    contracts the Jacobian directly.
+    ``pieces`` holds, per term, the vector node field G whose frame-normal
+    component is the term (A_nu = G . n) and its node Jacobian, stacked
+    (6, ny, nx) as (Gx, Gy, dGx/dx, dGx/dy, dGy/dx, dGy/dy); commutator
+    evaluation contracts the Jacobian directly.
     """
 
-    samples: np.ndarray
     pieces: Dict[str, np.ndarray]
-    piece_fields: Optional[Dict[str, np.ndarray]] = None
 
-    @classmethod
-    def from_samples(cls, samples, name: str = "prescribed"):
-        samples = np.asarray(samples, float)
-        return cls(samples=samples, pieces={name: samples}, piece_fields=None)
+    def sample_along(self, traj: Trajectory, frame: AccompanyingFrame,
+                     grid: StructuredGrid2D):
+        """(total, per-term) A_nu samples along the trajectory; the total
+        is the sum of the terms in piece order."""
+        pieces = {name: _along_normal(g[:2], grid, traj, frame)
+                  for name, g in self.pieces.items()}
+        return np.sum(list(pieces.values()), axis=0), pieces
 
 
 @dataclass(frozen=True)
 class A1Coefficient:
-    """Along-trajectory coefficient as a node field plus its terms.
+    """Along-trajectory coefficient as a node field plus its terms and
+    their node gradients, stacked (2, ny, nx) per term.
 
     ``field`` is None for the inviscid (identically zero) coefficient.
     """
 
     field: Optional[np.ndarray]
     pieces: Dict[str, np.ndarray]
+    gradients: Dict[str, np.ndarray]
 
     @property
     def is_zero(self) -> bool:
@@ -193,7 +196,7 @@ class A1Coefficient:
 
 @dataclass(frozen=True)
 class FormCoefficients:
-    """The evolutionary 1-form's coefficient pair for one trajectory."""
+    """The evolutionary 1-form's coefficient pair as node fields."""
 
     anu: NormalCoefficient
     a1: A1Coefficient
@@ -248,50 +251,8 @@ def _along_normal(vec, grid, traj, frame):
     return sx * frame.normal[:, 0] + sy * frame.normal[:, 1]
 
 
-def _cached(fs: FieldSet, key: tuple, build):
-    """``build()``, kept in ``fs.memo`` while ``key`` holds the same objects."""
-    hit = fs.memo.get(key[0])
-    if hit is None or any(a is not b for a, b in zip(hit[0], key)):
-        hit = fs.memo[key[0]] = (key, build())
-    return hit[1]
-
-
-def _crocco_pieces(fs: FieldSet, forces: ForceModel, m: GasModel,
-                   sign: CroccoSign, time_index: int,
-                   include_time_term: bool) -> Dict[str, np.ndarray]:
-    """The stacked A_nu piece fields and Jacobians (see NormalCoefficient)."""
-    grid = fs.grid
-    derived = derive_fields(fs.rho, fs.p, m)
-    T = derived["T"]
-    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
-
-    vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
-
-    piece_fields = {}
-    gx, gy = gradient(h0, grid)
-    piece_fields["h0_gradient"] = (gx / T, gy / T)
-
-    omega = curl2d(fs.u, fs.v, grid)
-    piece_fields["vortical"] = (vort_sign * fs.v * omega / T,
-                                vort_sign * (-fs.u) * omega / T)
-
-    fcomp = forces.components(grid)
-    if fcomp is not None:
-        piece_fields["force"] = (-fcomp[0] / T, -fcomp[1] / T)
-
-    if include_time_term:
-        dudt = time_derivative(fs, "u", time_index)
-        dvdt = time_derivative(fs, "v", time_index)
-        piece_fields["nonstationarity"] = (dudt / T, dvdt / T)
-
-    return {name: np.stack([fx, fy, *gradient(fx, grid), *gradient(fy, grid)])
-            for name, (fx, fy) in piece_fields.items()}
-
-
 def crocco_normal_coefficient(
     fs: FieldSet,
-    traj: Trajectory,
-    frame: AccompanyingFrame,
     forces: ForceModel,
     m: GasModel,
     sign: CroccoSign = CroccoSign.CONSISTENT,
@@ -305,34 +266,50 @@ def crocco_normal_coefficient(
     two snapshots; ``include_time_term=None`` enables it automatically when
     a time series is attached.  The field set's primary arrays should hold
     the state at ``time_index`` so the spatial and temporal terms refer to
-    the same instant.  The piece fields are built once per field set and
-    (forces, gas, sign, time term) and kept on the field set.
+    the same instant.
 
     Raises
     ------
     MissingSnapshots
         When the time term is requested explicitly without a time series.
     """
-    forces.validate(fs.grid)
+    grid = fs.grid
+    forces.validate(grid)
     has_series = fs.snapshots is not None and len(fs.snapshots) >= 2
     if include_time_term is None:
         include_time_term = has_series
     elif include_time_term and not has_series:
         raise MissingSnapshots("time term requested but no snapshot series")
 
-    args = (forces, m, sign, time_index, bool(include_time_term))
-    piece_fields = _cached(fs, ("crocco_pieces", *args),
-                           lambda: _crocco_pieces(fs, *args))
-    pieces = {name: _along_normal(g[:2], fs.grid, traj, frame)
-              for name, g in piece_fields.items()}
-    total = np.sum(list(pieces.values()), axis=0)
-    return NormalCoefficient(samples=total, pieces=pieces,
-                             piece_fields=piece_fields)
+    derived = derive_fields(fs.rho, fs.p, m)
+    T = derived["T"]
+    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
+
+    vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
+
+    gx, gy = gradient(h0, grid)
+    omega = curl2d(fs.u, fs.v, grid)
+    vectors = {"h0_gradient": (gx / T, gy / T),
+               "vortical": (vort_sign * fs.v * omega / T,
+                            vort_sign * (-fs.u) * omega / T)}
+
+    fcomp = forces.components(grid)
+    if fcomp is not None:
+        vectors["force"] = (-fcomp[0] / T, -fcomp[1] / T)
+
+    if include_time_term:
+        dudt = time_derivative(fs, "u", time_index)
+        dvdt = time_derivative(fs, "v", time_index)
+        vectors["nonstationarity"] = (dudt / T, dvdt / T)
+
+    return NormalCoefficient({
+        name: np.stack([fx, fy, *gradient(fx, grid), *gradient(fy, grid)])
+        for name, (fx, fy) in vectors.items()})
 
 
 def ideal_a1() -> A1Coefficient:
     """The inviscid along-trajectory coefficient: identically zero."""
-    return A1Coefficient(field=None, pieces={})
+    return A1Coefficient(field=None, pieces={}, gradients={})
 
 
 def viscous_a1(
@@ -388,7 +365,8 @@ def viscous_a1(
         "viscous_production": viscous,
     }
     total = heatflux_divergence + conduction + viscous
-    return A1Coefficient(field=total, pieces=pieces)
+    return A1Coefficient(field=total, pieces=pieces, gradients={
+        name: np.stack(gradient(piece, grid)) for name, piece in pieces.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +390,15 @@ def commutator(
 ) -> Commutator:
     """K = dA_nu/dxi1 - dA1/dxi_nu along the trajectory, with attribution.
 
-    When the normal coefficient carries its per-term vector fields, each
-    term's xi1-derivative is the frame contraction of the term's node-field
-    Jacobian; a prescribed (samples-only) coefficient falls back to
-    arclength differencing of the samples.  A1 terms contribute through
-    minus their frame-normal derivative.
+    Each A_nu term's xi1-derivative is the frame contraction of the term's
+    node-field Jacobian; A1 terms contribute through minus their
+    frame-normal derivative.
     """
     grid = fs.grid
-    attribution: Dict[str, np.ndarray] = {}
-
-    anu = fc.anu
-    if anu.piece_fields is not None:
-        for name, g in anu.piece_fields.items():
-            attribution[name] = _frame_contraction(g[2:], grid, traj, frame)
-    else:
-        xi = traj.arclength
-        edge = 2 if len(xi) >= 3 else 1
-        for name, samples in anu.pieces.items():
-            attribution[name] = np.gradient(samples, xi, edge_order=edge)
-
-    if not fc.a1.is_zero:
-        grads = _cached(fs, ("a1_gradients", fc.a1), lambda: {
-            name: np.stack(gradient(piece, grid))
-            for name, piece in fc.a1.pieces.items()})
-        for name, grad in grads.items():
-            attribution[name] = -_along_normal(grad, grid, traj, frame)
+    attribution = {name: _frame_contraction(g[2:], grid, traj, frame)
+                   for name, g in fc.anu.pieces.items()}
+    for name, grad in fc.a1.gradients.items():
+        attribution[name] = -_along_normal(grad, grid, traj, frame)
 
     K = np.sum(list(attribution.values()), axis=0)
     return Commutator(xi=traj.arclength.copy(), K=K, attribution=attribution)

@@ -82,7 +82,7 @@ class SimpleWave:
             return None
         return -1.0 / mn
 
-    def initial_nodes(self, x0: Sequence[float], m: GasModel):
+    def initial_nodes(self, x0: Sequence[float]):
         """t=0 initial data ``(x, u, a, s)`` (entropy-function units); the
         profile is evaluated one point at a time, as in
         :meth:`primitive_profile`."""

@@ -9,7 +9,7 @@ documented here precisely so reference calculations can replicate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -110,9 +110,7 @@ class FieldSet:
     snapshot when a series is attached).  ``mask`` marks fluid nodes; False
     nodes are excluded from the domain (used by the connectedness test).
     Masked-out nodes still need finite placeholder values: the stencil
-    operators run on the full arrays.  ``memo`` keeps node fields derived
-    from the arrays for reuse across trajectories, so the arrays must not
-    change in place.
+    operators run on the full arrays.
     """
 
     grid: StructuredGrid2D
@@ -122,8 +120,6 @@ class FieldSet:
     p: np.ndarray
     snapshots: Optional[Sequence[Snapshot]] = None
     mask: Optional[np.ndarray] = None
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
 
     def __post_init__(self):
         for name in ("rho", "u", "v", "p"):

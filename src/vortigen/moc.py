@@ -136,15 +136,6 @@ class CharNet:
             return np.arange(n) + k
         raise ValueError(f"unknown family {family!r}")
 
-    def validate(self):
-        for k in range(self.n_levels):
-            if np.any(self.a[k] <= 0.0) or np.any(self.s[k] <= 0.0):
-                raise ValueError(f"invalid state at level {k}")
-            if k >= 1:
-                tp = np.maximum(self.t[k - 1][:-1], self.t[k - 1][1:])
-                if np.any(self.t[k] <= tp):
-                    raise ValueError(f"level {k} times not above parents")
-
 
 @dataclass(frozen=True)
 class ChainJacobian:

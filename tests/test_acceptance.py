@@ -128,7 +128,7 @@ def test_c03_lagrange_criterion():
         fs = source_flow(n)
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
         frame = frame_along(traj)
-        anu = crocco_normal_coefficient(fs, traj, frame, NO_FORCE, MODEL)
+        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
         K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
         below &= float(np.max(np.abs(K.K))) <= equilibrium_tolerance(fs, MODEL)
         vals.append(float(np.max(np.abs(K.K))))
@@ -138,8 +138,7 @@ def test_c03_lagrange_criterion():
     fs = diaphragm_snapshot_pair()
     traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
     frame = frame_along(traj)
-    anu = crocco_normal_coefficient(fs, traj, frame, NO_FORCE, MODEL,
-                                    time_index=1)
+    anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
     K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
     cls = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
     ok = below and order >= 1.5 and cls.kind == "nonequilibrium" \
@@ -156,13 +155,15 @@ def test_c04_crocco_sign_resolution():
     traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
     frame = frame_along(traj)
     est = truncation_estimate(fs, MODEL)
-    anu_c = crocco_normal_coefficient(fs, traj, frame, NO_FORCE, MODEL,
-                                      sign=CroccoSign.CONSISTENT)
-    anu_p = crocco_normal_coefficient(fs, traj, frame, NO_FORCE, MODEL,
-                                      sign=CroccoSign.PAPER_LITERAL)
-    consistent_max = float(np.max(np.abs(anu_c.samples)))
+    anu_c, _ = crocco_normal_coefficient(
+        fs, NO_FORCE, MODEL, sign=CroccoSign.CONSISTENT).sample_along(
+            traj, frame, fs.grid)
+    anu_p, _ = crocco_normal_coefficient(
+        fs, NO_FORCE, MODEL, sign=CroccoSign.PAPER_LITERAL).sample_along(
+            traj, frame, fs.grid)
+    consistent_max = float(np.max(np.abs(anu_c)))
     expected = 2.0 * sigma ** 2 * y_traj / T0
-    literal_err = float(np.max(np.abs(anu_p.samples - expected))) / expected
+    literal_err = float(np.max(np.abs(anu_p - expected))) / expected
     ok = consistent_max <= 10.0 * est.anu and literal_err <= 0.01
     criterion(4, "vortical-term sign resolution", ok,
               f"consistent max {consistent_max:.1e} vs 10*est "
@@ -172,13 +173,13 @@ def test_c04_crocco_sign_resolution():
 def test_c05_envelope_detection():
     w = SimpleWave(lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
                    gamma=GAMMA)
-    net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821), MODEL),
+    net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
                       t_end=3.0, m=MODEL)
     t_true = 1.0 / (0.2 * np.pi)
     rel = abs(net.envelope.t_star - t_true) / t_true if net.envelope else np.inf
 
     w_exp = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
-    net_exp = advance_net(w_exp.initial_nodes(np.linspace(-1, 1, 201), MODEL),
+    net_exp = advance_net(w_exp.initial_nodes(np.linspace(-1, 1, 201)),
                           t_end=0.6, m=MODEL)
     no_event = net_exp.envelope is None
     ok = rel <= 0.02 and no_event
@@ -190,7 +191,7 @@ def test_c05_envelope_detection():
 def test_c06_moc_fidelity():
     # isentropic simple wave vs the exact implicit solution
     w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
-    net = advance_net(w.initial_nodes(np.linspace(0, 1, 201), MODEL),
+    net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                       t_end=0.35, m=MODEL)
     err = scale = 0.0
     jm_worst = 0.0
@@ -251,7 +252,7 @@ def test_c07_pseudostructure_residuals():
     for n in (51, 101, 201):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)),
                        gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, n), MODEL),
+        net = advance_net(w.initial_nodes(np.linspace(0, 1, n)),
                           t_end=0.2, m=MODEL)
         for fam in ("C+", "C-"):
             inv[fam].append(pseudostructure_residual(net, fam))

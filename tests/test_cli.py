@@ -309,6 +309,51 @@ class TestScenarios:
                          "--out", str(tmp_path / "o")]) == 2
 
 
+def written_files(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+class TestFailedRunWritesNothing:
+    def two_stage_config(self, tmp_path, init_rows):
+        write_uniform_csv(tmp_path / "f.csv", nx=33, ny=33)
+        (tmp_path / "init.csv").write_text("x,rho,u,p\n" + init_rows)
+        return write_config(tmp_path, fields="f.csv", initial_data="init.csv",
+                            t_end=0.1)
+
+    def test_bad_initial_data_after_2d_stage(self, tmp_path):
+        cfgp = self.two_stage_config(tmp_path,
+                                     "0.0,1,0,1\n0.2,1,0,1\n0.1,1,0,1\n")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert written_files(tmp_path / "out") == []
+
+    def test_net_failure_after_2d_stage(self, tmp_path, monkeypatch):
+        from vortigen import moc
+        from vortigen.errors import NonConvergence
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("corrector did not converge")
+        monkeypatch.setattr(moc, "advance_net", fail)
+        cfgp = self.two_stage_config(tmp_path, "".join(
+            f"{x},1,0,1\n" for x in np.linspace(0.0, 1.0, 21)))
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 3
+        assert written_files(tmp_path / "out") == []
+
+    def test_solve_moc_failure_after_net_csv(self, tmp_path, monkeypatch):
+        from vortigen import moc
+        from vortigen.errors import NonConvergence
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("residual failed")
+        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        x = np.linspace(0.0, 1.0, 21)
+        init = write_init_csv(tmp_path / "init.csv", x, np.ones(21),
+                              np.zeros(21), np.ones(21))
+        out = tmp_path / "o"
+        assert cli.main(["solve-moc", "--init", str(init), "--t-end", "0.1",
+                         "--out", str(out)]) == 3
+        assert written_files(out) == []
+
+
 class TestSubcommands:
     def test_solve_moc_uniform_straight(self, tmp_path):
         x = np.linspace(0.0, 1.0, 21)
@@ -461,7 +506,8 @@ class TestOnePassPipeline:
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
         assert net.envelope is not None
-        cli._write_net_csv(tmp_path / "net.csv", net)
+        with cli._staged_run() as staged:
+            cli._write_net_csv(tmp_path / "net.csv", net, staged)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
 
@@ -511,7 +557,7 @@ class TestInputValidation:
 
     def test_non_finite_report_value_exits_3(self, tmp_path):
         with pytest.raises(cli.NonFiniteResult, match="r.json"):
-            cli._write_json(tmp_path / "r.json", {"a": float("nan")})
+            cli._write_json(tmp_path / "r.json", {"a": float("nan")}, [])
         assert list(tmp_path.iterdir()) == []
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):

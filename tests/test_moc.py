@@ -168,8 +168,11 @@ class TestCompatibility:
 class TestAdvanceNet:
     def test_uniform_state_straight(self):
         net = advance_net(uniform_nodes(21), t_end=0.4, m=M)
-        net.validate()
         for k in range(net.n_levels):
+            assert np.all(net.a[k] > 0.0) and np.all(net.s[k] > 0.0)
+            if k >= 1:  # each node later than both of its parents
+                assert np.all(net.t[k] > np.maximum(net.t[k - 1][:-1],
+                                                    net.t[k - 1][1:]))
             np.testing.assert_allclose(net.u[k], 0.0, atol=1e-14)
             np.testing.assert_allclose(net.a[k], 1.0, rtol=1e-14)
             np.testing.assert_allclose(net.s[k], 1.0, rtol=1e-14)
@@ -181,9 +184,9 @@ class TestAdvanceNet:
     def test_galilean_consistency(self):
         w = SimpleWave(lambda x: 0.05 * np.sin(2 * np.pi * x), gamma=GAMMA)
         x0 = np.linspace(0.0, 1.0, 81)
-        base = advance_net(w.initial_nodes(x0, M), t_end=0.2, m=M)
+        base = advance_net(w.initial_nodes(x0), t_end=0.2, m=M)
         c = 0.37
-        x, u, a, s = w.initial_nodes(x0, M)
+        x, u, a, s = w.initial_nodes(x0)
         shifted = advance_net((x, u + c, a, s), t_end=0.2, m=M)
         assert shifted.n_levels == base.n_levels
         for k in range(base.n_levels):
@@ -196,7 +199,7 @@ class TestAdvanceNet:
 
     def test_simple_wave_matches_exact(self):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201), M),
+        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
         assert net.envelope is None
 
@@ -207,7 +210,7 @@ class TestAdvanceNet:
 
     def test_simple_wave_minus_invariant_uniform(self):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201), M),
+        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
         jm_ref = riemann_invariants(net.node(0, 0), M)[1]
         for k in range(net.n_levels):
@@ -238,7 +241,7 @@ class TestAdvanceNet:
     def test_nonconvergence_raised(self):
         w = SimpleWave(lambda x: 0.2 * np.sin(2 * np.pi * x), gamma=GAMMA)
         with pytest.raises(NonConvergence):
-            advance_net(w.initial_nodes(np.linspace(0, 1, 41), M),
+            advance_net(w.initial_nodes(np.linspace(0, 1, 41)),
                         t_end=0.2, m=M, max_iter=1)
 
     def test_input_validation(self):
@@ -263,7 +266,7 @@ class TestAdvanceNet:
         m = GasModel(gamma=gamma, R=1.0)
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)),
                        gamma=gamma)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, 101), m),
+        net = advance_net(w.initial_nodes(np.linspace(0, 1, 101)),
                           t_end=0.25, m=m)
         assert net.envelope is None
 
@@ -283,7 +286,7 @@ class TestPseudostructure:
 
     def test_isentropic_simple_wave(self):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201), M),
+        net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
         assert pseudostructure_residual(net, "C0") <= 1e-10
         assert pseudostructure_residual(net, "C+") <= 1e-10
@@ -316,7 +319,7 @@ class TestJacobian:
 
     def test_expansion_wave_growth(self):
         w = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(-1, 1, 201), M),
+        net = advance_net(w.initial_nodes(np.linspace(-1, 1, 201)),
                           t_end=0.6, m=M)
         jt = jacobian_trace(net, "C+")
         ch = min(jt.chains, key=lambda c: abs(c.x0))
@@ -328,7 +331,7 @@ class TestJacobian:
         gamma = GAMMA
         w = SimpleWave(lambda x: -0.1 * np.sin(2 * np.pi * x) * 2 / (gamma + 1),
                        gamma=gamma)
-        net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821), M),
+        net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
                           t_end=3.0, m=M)
         jt = jacobian_trace(net, "C+")
         ch = min(jt.chains, key=lambda c: abs(c.x0))
@@ -352,7 +355,7 @@ class TestEnvelope:
 
     def test_sine_compression_within_2_percent(self):
         w = self.compression_wave()
-        net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821), M),
+        net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
                           t_end=3.0, m=M)
         t_true = 1.0 / (0.2 * np.pi)
         assert net.envelope is not None
@@ -361,7 +364,7 @@ class TestEnvelope:
 
     def test_analytic_path_matches_formula(self):
         w = self.compression_wave()
-        ev = detect_envelope(w.initial_nodes(np.linspace(-0.55, 3.55, 821), M))
+        ev = detect_envelope(w.initial_nodes(np.linspace(-0.55, 3.55, 821)))
         assert ev.family == "C+"
         assert ev.t_star == pytest.approx(1.0 / (0.2 * np.pi), rel=1e-3)
 
@@ -391,14 +394,14 @@ class TestEnvelope:
 
     def test_pure_expansion_none(self):
         w = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
-        nodes = w.initial_nodes(np.linspace(-1, 1, 201), M)
+        nodes = w.initial_nodes(np.linspace(-1, 1, 201))
         assert detect_envelope(nodes) is None
         net = advance_net(nodes, t_end=0.6, m=M)
         assert net.envelope is None
 
     def test_t_end_filter(self):
         w = self.compression_wave()
-        nodes = w.initial_nodes(np.linspace(-0.55, 3.55, 821), M)
+        nodes = w.initial_nodes(np.linspace(-0.55, 3.55, 821))
         assert detect_envelope(nodes, t_end=0.5) is None
 
     def test_detection_first_order_in_spacing(self):
@@ -407,7 +410,7 @@ class TestEnvelope:
         w = self.compression_wave()
         t_true = 1.0 / (0.2 * np.pi)
         for n in (206, 411, 821):
-            net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, n), M),
+            net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, n)),
                               t_end=3.0, m=M)
             dx = 4.1 / (n - 1)
             assert abs(net.envelope.t_star - t_true) <= 1.0 * dx
@@ -534,10 +537,10 @@ def real_nets():
     expa = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
     amp = 0.1 * 2.0 / (GAMMA + 1.0)
     return [
-        *(advance_net(comp.initial_nodes(np.linspace(-0.55, 3.55, n), M),
+        *(advance_net(comp.initial_nodes(np.linspace(-0.55, 3.55, n)),
                       t_end=3.0, m=M) for n in (101, 301, 206)),
         *(advance_net(left_moving(n), t_end=3.0, m=M) for n in (101, 206)),
-        advance_net(expa.initial_nodes(np.linspace(-1, 1, 101), M),
+        advance_net(expa.initial_nodes(np.linspace(-1, 1, 101)),
                     t_end=0.6, m=M),
         advance_net(uniform_nodes(21), t_end=0.4, m=M),
     ]
