@@ -31,6 +31,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,7 +128,14 @@ def _out_dir(default) -> Path:
 
 def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
     """Finite float rows of a CSV whose header is exactly ``expected``;
-    ``rho`` and ``p`` columns must be positive."""
+    ``rho`` and ``p`` columns must be positive.
+
+    The body is kept from ``np.loadtxt`` when that gives a nonempty,
+    finite table of ``len(expected)`` columns.  Any other body is parsed
+    again by the ``csv`` loop, which accepts what ``float()`` accepts
+    (quoted fields, ``1_0``, non-ASCII digits) and names the first bad
+    line; on the bodies both accept, the arrays are bitwise equal.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -135,21 +143,48 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
             if header is None or [h.strip() for h in header] != list(expected):
                 raise ParseError(
                     f"{path}: header must be exactly {','.join(expected)}")
-            data = []
-            blank = []  # number of data rows read before each blank line
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    blank.append(len(data))
-                    continue
-                if len(row) != len(expected):
-                    raise ParseError(f"{path}:{ln}: expected "
-                                     f"{len(expected)} fields, got {len(row)}")
-                try:
-                    data.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{ln}: {exc}") from None
+            arr = _loadtxt_rows(path, len(expected))
+            if arr is None:
+                arr = _csv_rows(path, reader, expected)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
+           if name in ("rho", "p")):
+        raise NonPhysicalState(f"{path}: rho and p must be positive")
+    return arr
+
+
+def _loadtxt_rows(path, ncols: int) -> Optional[np.ndarray]:
+    """The body of ``path`` below its header line as parsed by
+    ``np.loadtxt``, or None unless it is a nonempty, finite
+    ``(rows, ncols)`` table."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                             ndmin=2, dtype=float)
+    except ValueError:  # the csv reader repeats the parse and reports
+        return None
+    if len(arr) and arr.shape[1] == ncols and np.isfinite(arr).all():
+        return arr
+    return None
+
+
+def _csv_rows(path, reader, expected: Sequence[str]) -> np.ndarray:
+    """Finite float rows from ``reader``, positioned after the header."""
+    data = []
+    blank = []  # number of data rows read before each blank line
+    for ln, row in enumerate(reader, start=2):
+        if not row:
+            blank.append(len(data))
+            continue
+        if len(row) != len(expected):
+            raise ParseError(f"{path}:{ln}: expected "
+                             f"{len(expected)} fields, got {len(row)}")
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}") from None
     arr = np.array(data, dtype=float).reshape(len(data), len(expected))
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
@@ -157,9 +192,6 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
         ln = i + 2 + sum(b <= i for b in blank)
         raise ParseError(f"{path}:{ln}: column {expected[j]} is not finite "
                          f"({arr[i, j]})")
-    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
-           if name in ("rho", "p")):
-        raise NonPhysicalState(f"{path}: rho and p must be positive")
     return arr
 
 
@@ -195,7 +227,9 @@ def _read_grid_csv(path, columns: Sequence[str],
     ix = np.rint((arr[:, 0] - grid.x0) / grid.hx).astype(int)
     iy = np.rint((arr[:, 1] - grid.y0) / grid.hy).astype(int)
     flat = iy * grid.nx + ix
-    if len(np.unique(flat)) != len(arr):
+    seen = np.zeros(grid.nx * grid.ny, dtype=bool)
+    seen[flat[(ix < grid.nx) & (iy < grid.ny)]] = True
+    if not seen.all():  # len(arr) rows fill every node only if distinct
         raise GridInferenceError(f"{path}: duplicate or missing grid nodes")
     fields = {}
     for k, name in enumerate(columns):

@@ -275,17 +275,23 @@ def interp_bilinear(f: np.ndarray, grid: StructuredGrid2D, points):
     if not np.all(inside):
         bx, by = pts.reshape(-1, 2)[np.argmin(np.ravel(inside))]
         raise PointOutsideDomain(f"point ({bx}, {by}) outside grid")
+    out = _gather(f, grid, x, y)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _gather(f: np.ndarray, grid: StructuredGrid2D, x, y):
+    """``interp_bilinear`` without the domain check: the caller guarantees
+    that every (x, y) lies inside the grid."""
     fx = (x - grid.x0) / grid.hx
     fy = (y - grid.y0) / grid.hy
     i = np.minimum(fx.astype(int), grid.nx - 2)
     j = np.minimum(fy.astype(int), grid.ny - 2)
     tx = fx - i
     ty = fy - j
-    out = ((1 - tx) * (1 - ty) * f[..., j, i]
-           + tx * (1 - ty) * f[..., j, i + 1]
-           + (1 - tx) * ty * f[..., j + 1, i]
-           + tx * ty * f[..., j + 1, i + 1])
-    return float(out) if np.ndim(out) == 0 else out
+    return ((1 - tx) * (1 - ty) * f[..., j, i]
+            + tx * (1 - ty) * f[..., j, i + 1]
+            + (1 - tx) * ty * f[..., j + 1, i]
+            + tx * ty * f[..., j + 1, i + 1])
 
 
 def directional_derivative(
@@ -315,6 +321,8 @@ def trace_streamlines(
     live seeds share the arclength and hence the step.  Returns one entry
     per seed: its Trajectory, or the error tracing it alone would raise
     (``SeedOutsideDomain``, ``StagnationAtSeed``, ``DegenerateTrajectory``).
+    Raises ``ValueError`` unless ``step`` and ``max_len`` (given or
+    default) are finite and positive.
     """
     grid = fs.grid
     seeds = np.array(seeds, dtype=float).reshape(-1, 2)
@@ -322,20 +330,29 @@ def trace_streamlines(
         step = 0.25 * min(grid.hx, grid.hy)
     if max_len is None:
         max_len = 4.0 * np.hypot(grid.xmax - grid.x0, grid.ymax - grid.y0)
+    for name, value in (("step", step), ("max_len", max_len)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
     uv = np.stack([fs.u, fs.v])
+    x0, y0, xmax, ymax = grid.x0, grid.y0, grid.xmax, grid.ymax
+
+    def contains(p):
+        """``grid.contains`` for an (n, 2) array of points."""
+        x, y = p[:, 0], p[:, 1]
+        return (x0 <= x) & (x <= xmax) & (y0 <= y) & (y <= ymax)
 
     def rhs(p):
         """Unit velocity at ``p`` and the mask of inside, moving points."""
-        ok = grid.contains(p[:, 0], p[:, 1])
+        ok = contains(p)
         if not ok.all():
-            p = np.where(ok[:, None], p, (grid.x0, grid.y0))
-        vel = interp_bilinear(uv, grid, p)
+            p = np.where(ok[:, None], p, (x0, y0))
+        vel = _gather(uv, grid, p[:, 0], p[:, 1])
         speed = np.hypot(vel[0], vel[1])
         ok &= speed >= vtol
         return (vel / np.where(ok, speed, 1.0)).T, ok
 
-    inside = grid.contains(seeds[:, 0], seeds[:, 1])
+    inside = contains(seeds)
     moving = rhs(seeds)[1]
     live = np.flatnonzero(moving)
     p = seeds[live]
@@ -350,7 +367,7 @@ def trace_streamlines(
         k3, ok3 = rhs(p + 0.5 * h * k2)
         k4, ok4 = rhs(p + h * k3)
         new = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ok &= ok2 & ok3 & ok4 & grid.contains(new[:, 0], new[:, 1])
+        ok &= ok2 & ok3 & ok4 & contains(new)
         live, p = live[ok], new[ok]
         n_steps[live] += 1
         arc += h

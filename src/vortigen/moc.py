@@ -193,8 +193,9 @@ def nodes_from_primitive(x, rho, u, p, m: GasModel):
     """t=0 initial data ``(x, u, a, s)`` from (x, rho, u, p) samples."""
     rho = np.asarray(rho, float)
     p = np.asarray(p, float)
-    return (np.array(x, float), np.array(u, float),
-            np.sqrt(m.gamma * p / rho), p / rho ** m.gamma)
+    with np.errstate(all="ignore"):  # _initial_arrays rejects non-finite a, s
+        a, s = np.sqrt(m.gamma * p / rho), p / rho ** m.gamma
+    return np.array(x, float), np.array(u, float), a, s
 
 
 def _initial_arrays(initial):
@@ -206,8 +207,8 @@ def _initial_arrays(initial):
         raise ValueError("need at least 3 initial nodes")
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("initial nodes must be sorted and distinct in x")
-    if not (np.all(a > 0.0) and np.all(s > 0.0)):
-        raise ValueError("need a > 0 and s > 0 at every initial node")
+    if not all(np.all((q > 0.0) & (q < np.inf)) for q in (a, s)):
+        raise ValueError("need finite a > 0 and s > 0 at every initial node")
     return x, u, a, s
 
 
@@ -404,9 +405,14 @@ def advance_net(
 
     Raises
     ------
+    ValueError
+        If ``t_end`` is not finite and positive, or the initial data is
+        invalid (see ``_initial_arrays``).
     NonConvergence
         If the node-placement fixed point fails to converge.
     """
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     x0, u0, a0, s0 = _initial_arrays(initial)
     net = CharNet(gamma=m.gamma, x=[x0], t=[np.zeros_like(x0)], u=[u0],
                   a=[a0], s=[s0], labels=[x0.copy()],

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +75,24 @@ class TestLoadFields:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(GridInferenceError):
+            cli.load_fields(path)
+
+    def test_duplicate_node(self, tmp_path):
+        path = write_uniform_csv(tmp_path / "f.csv", nx=3, ny=3)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [lines[1]]) + "\n")
+        with pytest.raises(GridInferenceError, match="duplicate or missing"):
+            cli.load_fields(path)
+
+    def test_node_index_past_the_axis_end(self, tmp_path):
+        # far from the origin the spacing check lets the x axis
+        # 1e6 + (0, 1, 6) * 1e-4 pass; its last node rounds to index 6 of 3
+        path = tmp_path / "f.csv"
+        lines = ["x,y,rho,u,v,p"] + [
+            f"{1e6 + k * 1e-4!r},{y},1,1,0,1"
+            for y in (0.0, 0.5, 1.0) for k in (0, 1, 6)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridInferenceError, match="duplicate or missing"):
             cli.load_fields(path)
 
     def test_bad_header(self, tmp_path):
@@ -710,3 +733,62 @@ class TestConfigValues:
         assert cli.main(["report", "--run", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert str(path) in captured.err and captured.out == ""
+
+
+class TestRunBounds:
+    """Values that made a run hang, or exit 0 with nonsense, exit 2."""
+
+    def test_infinite_initial_entropy_exits_2(self, tmp_path, capsys):
+        # s = p / rho**gamma is inf for rho = p = 1e-300
+        n = 21
+        init = write_init_csv(tmp_path / "tiny.csv", np.linspace(0, 1, n),
+                              np.full(n, 1e-300), np.zeros(n),
+                              np.full(n, 1e-300))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["solve-moc", "--init", str(init), "--t-end", "0.1",
+                           "--out", str(out)])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: need finite a > 0 and s > 0 at every initial node\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_t_end_flag_exits_2(self, tmp_path, capsys, value):
+        init = compression_init(tmp_path / "init.csv", n=21)
+        out = tmp_path / "out"
+        rc = cli.main(["solve-moc", "--init", str(init), "--t-end", value,
+                       "--out", str(out)])
+        assert rc == 2
+        assert "t_end must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_bad_t_end_in_config_exits_2(self, tmp_path, capsys, value):
+        write_uniform_csv(tmp_path / "f.csv")
+        compression_init(tmp_path / "init.csv", n=21)
+        cfgp = write_config(tmp_path, fields="f.csv", initial_data="init.csv",
+                            t_end=value)
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert "t_end must be finite and > 0" in capsys.readouterr().err
+        assert written_files(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", 0), ("step", -0.1), ("max_len", 0)])
+    def test_bad_trajectory_length_exits_2(self, tmp_path, key, value):
+        # a zero step never advanced the arclength: run it in a child
+        # process, so that a hang fails the test instead of the suite
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            trajectories={key: value})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "vortigen.cli", "diagnose", "--config",
+             str(cfgp)], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {key} must be finite and > 0, got {float(value)}\n")
+        assert written_files(tmp_path / "out") == []
