@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import difflib
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .evoform import (
     ATTRIBUTION_ORDER,
     A1Variant,
     CroccoSign,
+    ForceKind,
     ForceModel,
     TransportModel,
 )
@@ -209,7 +211,9 @@ def _read_grid_csv(path, columns: Sequence[str],
             raise GridInferenceError(f"{path}: need >= 3 distinct coordinates")
         steps = np.diff(uniq)
         h = steps[0]
-        if np.any(np.abs(steps - h) > 1e-9 * max(abs(uniq[0]), abs(uniq[-1]), h)):
+        # relative to the coordinates, but never a sizeable part of a step
+        tol = min(1e-9 * max(abs(uniq[0]), abs(uniq[-1]), h), 1e-3 * h)
+        if np.any(np.abs(steps - h) > tol):
             raise GridInferenceError(f"{path}: irregular spacing")
         return uniq, h
 
@@ -284,187 +288,181 @@ def load_initial_1d(path):
 # scenario configuration
 
 
-def _number(name: str, value, default=None) -> Optional[float]:
-    """A finite config number (a JSON number, not a bool) as float, or
-    ``default`` when absent or null; else a ParseError naming the field."""
-    if value is None:
-        return default
-    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-        raise ParseError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number (not a bool)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _integer(name: str, value, default: int, least: int) -> int:
-    """A config integer (a JSON integer, not a bool) of at least ``least``,
-    or ``default`` when absent or null; else a ParseError naming the field."""
-    if value is None:
-        return default
-    if type(value) is not int or value < least:
-        raise ParseError(f"{name} must be an integer >= {least}, "
-                         f"got {value!r}")
-    return value
+def _seed_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(seed, list) and len(seed) == 2 and all(map(_finite, seed))
+        for seed in value)
 
 
-def _choice(name: str, value, options: dict):
-    """``options[value]`` for a config enum field, else a ParseError naming
-    the field and its allowed values."""
-    if isinstance(value, str) and value in options:
-        return options[value]
-    raise ParseError(f"{name} must be one of {', '.join(options)}, "
-                     f"got {value!r}")
+class Kind(NamedTuple):
+    """What a config value must be: ``what`` as the error message says it,
+    ``test`` on the JSON value, ``convert`` to the value a run uses (as
+    given by default), and ``text`` from a flag's text (argparse's type)."""
+
+    what: str
+    test: Callable[[object], bool]
+    convert: Callable = lambda value: value
+    text: Callable = str
+
+
+def _one_of(options) -> Kind:
+    """One of the strings ``options``, or of the values of the enum class
+    ``options``, each of which converts to its member."""
+    members = {getattr(o, "value", o): o for o in options}
+    return Kind("one of " + ", ".join(members),
+                lambda value: isinstance(value, str) and value in members,
+                members.get)
+
+
+_FINITE = Kind("a finite number", _finite, float, float)
+_POSITIVE = Kind("finite and > 0", lambda v: _finite(v) and v > 0, text=float)
+_INDEX = Kind("an integer >= 0", lambda v: type(v) is int and v >= 0, text=int)
+_COUNT = Kind("an integer >= 1", lambda v: type(v) is int and v >= 1, text=int)
+_PATH = Kind("a path string", lambda value: isinstance(value, str))
+_REQUIRED = object()  # the default of a key that must be given
+
+
+class Key(NamedTuple):
+    """An entry of ``CONFIG_KEYS``: what the value must be, its default
+    when absent or null, and the command-line flag that sets it, if any."""
+
+    kind: Kind
+    default: object = None
+    flag: Optional[str] = None
+
+    def read(self, name: str, value):
+        if value is None and self.default is not _REQUIRED:
+            return self.default
+        if not self.kind.test(value):
+            raise ParseError(f"{name} must be {self.kind.what}, got {value!r}")
+        return self.kind.convert(value)
+
+
+# Every key a scenario config may hold, by dotted name (section.key).
+# Paths resolve against the config's directory; all but output_dir must
+# exist.
+CONFIG_KEYS = {
+    "scenario_id": Key(Kind("a string", lambda v: isinstance(v, str))),
+    "gas.gamma": Key(_FINITE, 1.4, "--gamma"),
+    "gas.R": Key(_FINITE, 287.05, "--R"),
+    "gas.entropy_convention": Key(_one_of(EntropyConvention),
+                                  EntropyConvention.ENTROPY_FUNCTION),
+    "gas.s_ref": Key(_FINITE, 0.0),
+    "forces.kind": Key(_one_of(ForceKind), ForceKind.NONE),
+    "forces.path": Key(_PATH),
+    "transport.mu": Key(_FINITE, 0.0),
+    "transport.k": Key(_FINITE, 0.0),
+    "crocco_sign": Key(_one_of(CroccoSign), CroccoSign.CONSISTENT),
+    "a1_variant": Key(_one_of(A1Variant), A1Variant.PAPER_LITERAL),
+    # null: ten times the truncation estimate of the field
+    "tolerances.equilibrium": Key(_POSITIVE),
+    "tolerances.jump_rel_error": Key(_POSITIVE, 1e-2, "--tol"),
+    "tolerances.corrector": Key(_POSITIVE, 1e-12),
+    "fields": Key(_PATH, None, "--fields"),
+    "manifest": Key(_PATH, None, "--manifest"),
+    "initial_data": Key(_PATH, None, "--init"),
+    "trajectories.seeds": Key(Kind("a list of finite [x, y] pairs",
+                                   _seed_list)),
+    "trajectories.step": Key(_POSITIVE),
+    "trajectories.max_len": Key(_POSITIVE),
+    "include_time_term": Key(Kind("true, false or null",
+                                  lambda v: type(v) is bool)),
+    "time_index": Key(_INDEX, 0),
+    "t_end": Key(_POSITIVE, None, "--t-end"),
+    "jump_checks.relation": Key(_one_of(("contact", "char")), _REQUIRED,
+                                "--relation"),
+    "jump_checks.refine": Key(_COUNT, 3, "--refine"),
+    "output_dir": Key(_PATH, None, "--out"),
+}
+# absent or null: ideal (no viscous A1) and no jump checks; any other
+# section absent or null takes the defaults of its keys
+_OPTIONAL_SECTIONS = ("transport", "jump_checks")
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated run configuration (see README for the JSON schema)."""
+    """A checked run configuration (see README for the JSON schema):
+    ``values`` nests the keys of ``CONFIG_KEYS`` as the JSON does, and
+    ``gas`` and ``transport`` are built from their sections."""
 
-    scenario_id: str
+    values: dict
     gas: GasModel
-    forces_spec: dict
     transport: Optional[TransportModel]
-    crocco_sign: CroccoSign
-    a1_variant: A1Variant
-    tolerances: dict
-    fields_path: Optional[str]
-    manifest_path: Optional[str]
-    initial_data_path: Optional[str]
-    seeds: Optional[List[List[float]]]
-    traj_step: Optional[float]
-    traj_max_len: Optional[float]
-    include_time_term: Optional[bool]
-    time_index: int
-    t_end: Optional[float]
-    jump_checks: Optional[dict]
-    output_dir: str
     config_path: str = "config"
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "ScenarioConfig":
-        """Read a JSON config; its relative paths resolve against its own
-        directory, relative path ``overrides`` (command-line flags) against
-        the working directory."""
+        """Read a JSON config; relative path ``overrides`` (command-line
+        flags) resolve against the working directory."""
         raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: config must be a JSON object")
         raw.update({k: os.path.abspath(v) for k, v in (overrides or {}).items()
                     if v is not None})
         try:
-            cfg = cls.from_dict(raw, default_id=Path(path).stem,
-                                base=Path(path).parent)
+            return cls.from_dict(raw, str(path))
         except (ParseError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from None
-        cfg.config_path = str(path)
-        return cfg
 
     @classmethod
-    def from_dict(cls, raw: dict, default_id: str = "scenario",
-                  base: Optional[Path] = None) -> "ScenarioConfig":
-        base = base or Path(".")
-
-        def section(name, default=None):
-            val = raw.get(name)
-            if val is not None and not isinstance(val, dict):
-                raise ParseError(f"{name} must be a JSON object")
-            return default if val is None else val
-
-        def resolve(name, p):
-            if p is None:
-                return None
-            if not isinstance(p, str):
-                raise ParseError(f"{name} must be a path string")
-            p = Path(p)
-            return str(p if p.is_absolute() else base / p)
-
-        gas_raw = section("gas", {})
-        gas = GasModel(
-            gamma=_number("gas.gamma", gas_raw.get("gamma"), 1.4),
-            R=_number("gas.R", gas_raw.get("R"), 287.05),
-            entropy_convention=_choice(
-                "gas.entropy_convention",
-                gas_raw.get("entropy_convention", "entropy_function"),
-                {"entropy_function": EntropyConvention.ENTROPY_FUNCTION,
-                 "specific": EntropyConvention.SPECIFIC}),
-            s_ref=_number("gas.s_ref", gas_raw.get("s_ref"), 0.0))
-
-        forces_spec = dict(section("forces", {"kind": "none"}))
-        _choice("forces.kind", forces_spec.get("kind"),
-                dict.fromkeys(("none", "potential", "tabulated")))
-        if "path" in forces_spec:
-            forces_spec["path"] = resolve("forces.path", forces_spec["path"])
-
-        tr = section("transport")
-        transport = None if tr is None else TransportModel(
-            mu=_number("transport.mu", tr.get("mu"), 0.0),
-            k=_number("transport.k", tr.get("k"), 0.0))
-
-        sign = _choice("crocco_sign", raw.get("crocco_sign", "consistent"),
-                       {"consistent": CroccoSign.CONSISTENT,
-                        "paper": CroccoSign.PAPER_LITERAL})
-        variant = _choice("a1_variant", raw.get("a1_variant", "paper"),
-                          {"paper": A1Variant.PAPER_LITERAL,
-                           "standard": A1Variant.STANDARD_PRODUCTION})
-
-        tol = {"equilibrium": None, "jump_rel_error": 1e-2, "corrector": 1e-12}
-        tol.update(section("tolerances", {}))
-        for name, val in tol.items():
-            if not (val is None and name == "equilibrium"
-                    or _number(f"tolerances.{name}", val, 0.0) > 0.0):
-                raise ParseError(f"tolerance {name} must be positive")
-
-        traj = section("trajectories", {})
-        seeds = traj.get("seeds")
-        if seeds is not None and not (isinstance(seeds, list) and all(
-                isinstance(seed, list) and len(seed) == 2 for seed in seeds)):
-            raise ParseError("trajectories.seeds must be a list of finite "
-                             "[x, y] pairs")
-        seeds = seeds and [[_number("trajectories.seeds", c) for c in seed]
-                           for seed in seeds]
-        jump_checks = section("jump_checks")
-        if jump_checks is not None:
-            _choice("jump_checks.relation", jump_checks.get("relation"),
-                    dict.fromkeys(("contact", "char")))
-            jump_checks = {**jump_checks, "refine": _integer(
-                "jump_checks.refine", jump_checks.get("refine"), 3, 1)}
-        time_term = raw.get("include_time_term")
-        if time_term is not None and type(time_term) is not bool:
-            raise ParseError("include_time_term must be true, false or null")
-        cfg = cls(
-            scenario_id=str(raw.get("scenario_id", default_id)),
-            gas=gas,
-            forces_spec=forces_spec,
-            transport=transport,
-            crocco_sign=sign,
-            a1_variant=variant,
-            tolerances=tol,
-            fields_path=resolve("fields", raw.get("fields")),
-            manifest_path=resolve("manifest", raw.get("manifest")),
-            initial_data_path=resolve("initial_data", raw.get("initial_data")),
-            seeds=seeds,
-            traj_step=_number("trajectories.step", traj.get("step")),
-            traj_max_len=_number("trajectories.max_len", traj.get("max_len")),
-            include_time_term=time_term,
-            time_index=_integer("time_index", raw.get("time_index"), 0, 0),
-            t_end=_number("t_end", raw.get("t_end")),
-            jump_checks=jump_checks,
-            output_dir=resolve("output_dir", raw.get("output_dir")) or ".",
-        )
-        for p in (cfg.fields_path, cfg.manifest_path, cfg.initial_data_path,
-                  cfg.forces_spec.get("path")):
-            if p is not None and not Path(p).exists():
-                raise ParseError(f"referenced path does not exist: {p}")
-        return cfg
+    def from_dict(cls, raw: dict, path: str = "config") -> "ScenarioConfig":
+        """Read the config object ``raw`` of file ``path`` by ``CONFIG_KEYS``:
+        each value converted or defaulted (``scenario_id`` to the file's
+        stem), relative paths resolved against the file's directory, and
+        None for an optional section that is absent.  A section that is
+        not an object, a key not in the table and a value its entry refuses
+        each raise a ParseError that names them."""
+        tree = {"": {}}  # section ("" for the top level) -> {key: Key}
+        for name, key in CONFIG_KEYS.items():
+            head, _, leaf = name.rpartition(".")
+            tree.setdefault(head, {})[leaf] = key
+        objects = {head: raw.get(head) if head else raw for head in tree}
+        for head, obj in objects.items():
+            if obj is not None and not isinstance(obj, dict):
+                raise ParseError(f"{head} must be a JSON object")
+            known = [*tree[head], *(() if head else list(tree)[1:])]
+            prefix = head and head + "."
+            for leaf in obj or ():
+                if leaf not in known:
+                    near = difflib.get_close_matches(leaf, known, n=1)
+                    hint = f" (did you mean {prefix}{near[0]}?)" if near else ""
+                    raise ParseError(f"unknown key {prefix}{leaf}{hint}")
+        values = {}
+        for head, keys in tree.items():
+            if objects[head] is None and head in _OPTIONAL_SECTIONS:
+                values[head] = None
+                continue
+            into = values.setdefault(head, {}) if head else values
+            for leaf, key in keys.items():
+                name = (head and head + ".") + leaf
+                into[leaf] = key.read(name, (objects[head] or {}).get(leaf))
+                if key.kind is _PATH and into[leaf] is not None:
+                    into[leaf] = str(Path(path).parent / into[leaf])
+                    if name != "output_dir" and not Path(into[leaf]).exists():
+                        raise ParseError(
+                            f"referenced path does not exist: {into[leaf]}")
+        if values["scenario_id"] is None:
+            values["scenario_id"] = Path(path).stem
+        transport = values["transport"]
+        return cls(values, GasModel(**values["gas"]),
+                   None if transport is None else TransportModel(**transport),
+                   path)
 
     def build_forces(self, grid: StructuredGrid2D) -> ForceModel:
-        kind = self.forces_spec["kind"]
-        if kind == "none":
+        kind, path = self.values["forces"]["kind"], self.values["forces"]["path"]
+        if kind is ForceKind.NONE:
             return ForceModel.none()
-        path = self.forces_spec.get("path")
         if path is None:
-            raise ParseError(f"force kind {kind!r} needs a 'path' CSV")
-        _, f = _read_grid_csv(
-            path, ("phi",) if kind == "potential" else ("fx", "fy"), grid)
-        if kind == "potential":
+            raise ParseError(f"force kind {kind.value!r} needs a 'path' CSV")
+        if kind is ForceKind.POTENTIAL:
+            _, f = _read_grid_csv(path, ("phi",), grid)
             return ForceModel.potential(f["phi"])
+        _, f = _read_grid_csv(path, ("fx", "fy"), grid)
         return ForceModel.tabulated(f["fx"], f["fy"])
 
 
@@ -525,7 +523,7 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
 
 
 def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
-              corrector_tol: float = 1e-12):
+              corrector_tol=CONFIG_KEYS["tolerances.corrector"].default):
     """Load 1-D initial data and advance its characteristic net; returns
     the net and the analytic straight-characteristic envelope estimate.
 
@@ -563,20 +561,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
     t_start = time.perf_counter()
-    out = _out_dir(cfg.output_dir)
-    report = RunReport(scenario_id=cfg.scenario_id)
+    v = cfg.values
+    out = _out_dir(v["output_dir"] or ".")
+    report = RunReport(scenario_id=v["scenario_id"])
 
-    if cfg.fields_path is not None:
-        fs = load_fields(cfg.fields_path, cfg.manifest_path)
+    if v["fields"] is not None:
+        fs = load_fields(v["fields"], v["manifest"])
         forces = cfg.build_forces(fs.grid)
-        if cfg.include_time_term and (fs.snapshots is None
+        if v["include_time_term"] and (fs.snapshots is None
                                       or len(fs.snapshots) < 2):
             raise MissingSnapshots(
                 "config requests the nonstationary term but the field set "
                 "has no snapshot series")
-        if fs.snapshots is not None and cfg.time_index >= len(fs.snapshots):
+        if fs.snapshots is not None and v["time_index"] >= len(fs.snapshots):
             raise ParseError(
-                f"{cfg.config_path}: time_index {cfg.time_index} is outside "
+                f"{cfg.config_path}: time_index {v['time_index']} is outside "
                 f"the {len(fs.snapshots)} snapshots")
 
         rep = evoform.lagrange_criterion(fs, forces)
@@ -584,23 +583,24 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
                            "predicts_equilibrium": rep.predicts_equilibrium}
 
         if cfg.transport is not None:
-            a1 = evoform.viscous_a1(fs, cfg.transport, cfg.gas, cfg.a1_variant)
+            a1 = evoform.viscous_a1(fs, cfg.transport, cfg.gas, v["a1_variant"])
         else:
             a1 = evoform.ideal_a1()
 
-        report.tolerance = cfg.tolerances["equilibrium"]
+        report.tolerance = v["tolerances"]["equilibrium"]
         if report.tolerance is None:
             report.tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
 
         anu = evoform.crocco_normal_coefficient(
-            fs, forces, cfg.gas, sign=cfg.crocco_sign,
-            time_index=cfg.time_index,
-            include_time_term=cfg.include_time_term)
+            fs, forces, cfg.gas, sign=v["crocco_sign"],
+            time_index=v["time_index"],
+            include_time_term=v["include_time_term"])
         fc = evoform.FormCoefficients(anu, a1)
-        seeds = cfg.seeds if cfg.seeds is not None else _default_seeds(fs)
+        tr = v["trajectories"]
+        seeds = tr["seeds"] if tr["seeds"] is not None else _default_seeds(fs)
         worst = None
         for ti, traj in enumerate(trace_streamlines(
-                fs, seeds, step=cfg.traj_step, max_len=cfg.traj_max_len)):
+                fs, seeds, step=tr["step"], max_len=tr["max_len"])):
             if isinstance(traj, VortigenError):
                 continue
             frame = frame_along(traj)
@@ -625,9 +625,9 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
                            p=float(fs.p.flat[j]))
         report.regime = evoform.classify_regime(derive_state(q, cfg.gas)).value
 
-    if cfg.initial_data_path is not None:
-        net, analytic = _solve_1d(cfg.initial_data_path, cfg.gas, cfg.t_end,
-                                  cfg.tolerances["corrector"])
+    if v["initial_data"] is not None:
+        net, analytic = _solve_1d(v["initial_data"], cfg.gas, v["t_end"],
+                                  v["tolerances"]["corrector"])
         report.moc_residuals, report.envelope = _write_net_outputs(
             out, net, analytic, staged)
         # the identical relation holds on the trajectory pseudostructure when
@@ -636,10 +636,10 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         report.identical_on_pseudostructure = (
             report.moc_residuals["C0"] <= 1e-3 * s_scale)
 
-    if cfg.jump_checks is not None:
+    if v["jump_checks"] is not None:
         report.jump_checks = _jump_check_sweep(
-            cfg.jump_checks["relation"], cfg.gas.gamma,
-            cfg.jump_checks["refine"], cfg.tolerances["jump_rel_error"])
+            v["jump_checks"]["relation"], cfg.gas.gamma,
+            v["jump_checks"]["refine"], v["tolerances"]["jump_rel_error"])
 
     report.wall_time_s = time.perf_counter() - t_start
     _write_json(out / "run_report.json", dataclasses.asdict(report), staged)
@@ -741,8 +741,6 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
 
 
 def _cmd_verify_jumps(args) -> int:
-    if args.refine < 1:
-        raise ParseError(f"--refine must be >= 1, got {args.refine}")
     out = _out_dir(args.out)
     reports = _jump_check_sweep(args.relation, args.gamma, args.refine,
                                 args.tol)
@@ -799,6 +797,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _flags(p, *names: str, **kwargs):
+    """Add the flags of the ``CONFIG_KEYS`` entries ``names`` to ``p``;
+    ``main`` checks and defaults each as its config key.  Paths given as
+    flags resolve against the working directory."""
+    for name in names:
+        p.add_argument(CONFIG_KEYS[name].flag, type=CONFIG_KEYS[name].kind.text,
+                       help=f"as config key {name}", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortigen",
@@ -806,32 +813,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, t_end, help_ in (
-            ("solve-moc", {"required": True}, "advance a characteristic net"),
-            ("detect-shock", {"default": None},
-             "envelope detection on 1-D data")):
+    for name, help_ in (("solve-moc", "advance a characteristic net"),
+                        ("detect-shock", "envelope detection on 1-D data")):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--init", required=True,
-                       help="initial data CSV (x,rho,u,p)")
-        p.add_argument("--gamma", type=float, default=1.4)
-        p.add_argument("--R", type=float, default=287.05)
-        p.add_argument("--t-end", type=float, **t_end)
-        p.add_argument("--out", required=True)
+        _flags(p, "initial_data", "output_dir", required=True)
+        _flags(p, "gas.gamma", "gas.R")
+        _flags(p, "t_end", required=name == "solve-moc")
         p.set_defaults(func=_cmd_1d)
 
     p = sub.add_parser("diagnose", help="run the 2-D diagnostic pipeline")
-    p.add_argument("--fields", help="field CSV (x,y,rho,u,v,p)")
-    p.add_argument("--manifest", help="snapshot manifest JSON")
     p.add_argument("--config", required=True, help="scenario config JSON")
-    p.add_argument("--out", help="output directory override")
+    _flags(p, "fields", "manifest", "output_dir")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("verify-jumps", help="jump-relation refinement sweep")
-    p.add_argument("--relation", choices=("contact", "char"), required=True)
-    p.add_argument("--gamma", type=float, default=1.4)
-    p.add_argument("--refine", type=int, default=3)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", required=True)
+    _flags(p, "jump_checks.relation", "output_dir", required=True)
+    _flags(p, "gas.gamma", "jump_checks.refine", "tolerances.jump_rel_error")
     p.set_defaults(func=_cmd_verify_jumps)
 
     p = sub.add_parser("report", help="pretty-print a run report")
@@ -841,11 +838,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify-jumps" and args.tol is None:
-        args.tol = 1e-2 if args.relation == "contact" else 0.02
+    args = build_parser().parse_args(argv)
     try:
+        for name, key in CONFIG_KEYS.items():
+            dest = key.flag and key.flag.lstrip("-").replace("-", "_")
+            if dest in vars(args):
+                setattr(args, dest, key.read(f"{key.flag}: {name}",
+                                             getattr(args, dest)))
         return args.func(args)
     except (NonConvergence, NonFiniteResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -85,13 +86,37 @@ class TestLoadFields:
             cli.load_fields(path)
 
     def test_node_index_past_the_axis_end(self, tmp_path):
-        # far from the origin the spacing check lets the x axis
-        # 1e6 + (0, 1, 6) * 1e-4 pass; its last node rounds to index 6 of 3
+        # a spacing tolerance relative to |x| would let the x axis
+        # 1e6 + (0, 1, 6) * 1e-4 pass, and its last node round to index 6
+        # of 3
         path = tmp_path / "f.csv"
         lines = ["x,y,rho,u,v,p"] + [
             f"{1e6 + k * 1e-4!r},{y},1,1,0,1"
             for y in (0.0, 0.5, 1.0) for k in (0, 1, 6)]
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridInferenceError, match="irregular spacing"):
+            cli.load_fields(path)
+
+    def test_irregular_axis_far_from_the_origin(self, tmp_path):
+        # a spacing tolerance relative to |x| ~ 1e6 would exceed the step
+        # 1e-4 itself and move the third column by 0.4 steps
+        path = tmp_path / "f.csv"
+        path.write_text("x,y,rho,u,v,p\n" + "".join(
+            f"{1e6 + k * 1e-4!r},{y},1,1,0,1\n"
+            for y in (0.0, 0.5, 1.0) for k in (0, 1, 2.4)))
+        with pytest.raises(GridInferenceError, match="irregular spacing"):
+            cli.load_fields(path)
+
+    def test_node_drift_past_the_axis_end(self, tmp_path):
+        # every step is within 1e-3 of the first, but over 600 nodes they
+        # add up to more than half a step: the last node rounds to index
+        # 600 of 600, which must be reported, not used as an index
+        h = 1e-4
+        xs = [1e6, 1e6 + h] + [1e6 + h + k * h * (1 + 9e-4)
+                               for k in range(1, 599)]
+        path = tmp_path / "f.csv"
+        path.write_text("x,y,rho,u,v,p\n" + "".join(
+            f"{x!r},{y},1,1,0,1\n" for y in (0.0, 0.5, 1.0) for x in xs))
         with pytest.raises(GridInferenceError, match="duplicate or missing"):
             cli.load_fields(path)
 
@@ -789,6 +814,94 @@ class TestRunBounds:
              str(cfgp)], capture_output=True, text=True, timeout=10,
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 2
-        assert proc.stderr == (
-            f"error: {key} must be finite and > 0, got {float(value)}\n")
+        assert proc.stderr == (f"error: {cfgp}: trajectories.{key} must be "
+                               f"finite and > 0, got {value!r}\n")
         assert written_files(tmp_path / "out") == []
+
+
+class TestConfigTable:
+    """Every config key and flag is read through ``cli.CONFIG_KEYS``."""
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"trajectores": {"step": -5}, "tolerances": {"equilibrum": 1e-3},
+          "gas": {"gama": 3.0}},
+         "unknown key trajectores (did you mean trajectories?)"),
+        ({"forces": {"kind": "potential", "pth": "phi.csv"}},
+         "unknown key forces.pth (did you mean forces.path?)"),
+        ({"jump_checks": {"relation": "contact", "refin": 1}},
+         "unknown key jump_checks.refin (did you mean jump_checks.refine?)"),
+        ({"tolerances": {"equilibrum": 1e-3}},
+         "unknown key tolerances.equilibrum (did you mean "
+         "tolerances.equilibrium?)"),
+        ({"gas": {"gamma": GAMMA, "R": 1.0, "zz": 1}}, "unknown key gas.zz"),
+        ({"scenario_id": {"a": 1}},
+         "scenario_id must be a string, got {'a': 1}"),
+    ], ids=["misspellings", "forces.pth", "jump_checks.refin",
+            "tolerances.equilibrum", "no_hint", "scenario_id"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, cfg, message):
+        write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
+        cfgp = write_config(tmp_path, fields="f.csv", **cfg)
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == f"error: {cfgp}: {message}\n"
+        assert written_files(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-jumps", "--relation", "char", "--tol", "inf"],
+         "--tol: tolerances.jump_rel_error must be finite and > 0, got inf"),
+        (["verify-jumps", "--relation", "char", "--tol", "-1"],
+         "--tol: tolerances.jump_rel_error must be finite and > 0, got -1.0"),
+        (["verify-jumps", "--relation", "contact", "--tol", "nan"],
+         "--tol: tolerances.jump_rel_error must be finite and > 0, got nan"),
+        (["verify-jumps", "--relation", "char", "--gamma", "inf"],
+         "--gamma: gas.gamma must be a finite number, got inf"),
+        (["verify-jumps", "--relation", "bogus"],
+         "--relation: jump_checks.relation must be one of contact, char, "
+         "got 'bogus'"),
+        (["solve-moc", "--init", "INIT", "--t-end", "0.1", "--R", "inf"],
+         "--R: gas.R must be a finite number, got inf"),
+        (["detect-shock", "--init", "INIT", "--R", "inf"],
+         "--R: gas.R must be a finite number, got inf"),
+    ], ids=["tol_inf", "tol_negative", "tol_nan", "gamma_inf", "relation",
+            "solve_moc_R_inf", "detect_shock_R_inf"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, argv, message):
+        init = compression_init(tmp_path / "init.csv", n=21)
+        out = tmp_path / "out"
+        argv = [str(init) if a == "INIT" else a for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([*argv, "--out", str(out)])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flags_take_the_config_defaults(self, tmp_path):
+        # verify-jumps without --gamma, --refine and --tol, and a config
+        # naming only the relation, run the same sweep
+        rc = cli.main(["verify-jumps", "--relation", "char",
+                       "--out", str(tmp_path / "flags")])
+        assert rc == 0
+        flags = json.loads((tmp_path / "flags" / "jump_reports.json")
+                           .read_text())
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps({"jump_checks": {"relation": "char"},
+                                    "output_dir": "cfg"}))
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        rep = json.loads((tmp_path / "cfg" / "run_report.json").read_text())
+        assert len(flags["reports"]) == 3
+        assert flags["reports"] == rep["jump_checks"]
+
+    def test_readme_config_block_lists_the_table_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Scenario config (JSON)")[1]
+        block = block.split("```jsonc\n")[1].split("```")[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+
+        def dotted(obj, prefix=""):
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    yield from dotted(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(dotted(doc)) == sorted(cli.CONFIG_KEYS)

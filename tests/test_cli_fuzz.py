@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vortigen import cli
 
@@ -36,37 +36,65 @@ def init_rows(draw):
     return cells
 
 
-def section(values, junk=([], "text", 7)):
-    """A config section: an object built from ``values`` or a non-object."""
-    return st.one_of(st.fixed_dictionaries({}, optional=values),
-                     st.sampled_from(junk))
+# values no entry of the table accepts, or accepts only for some keys
+JUNK = [NAN, INF, -INF, 0, -1, 1.7, "x", [1], True, None]
+
+# what each kind of entry accepts, by the wording of its error message
+VALID = {
+    "a finite number": st.floats(0.0, 3.0),  # JUNK holds -1
+    "finite and > 0": st.floats(1e-3, 10.0),
+    "an integer >= 0": st.integers(0, 2),
+    "an integer >= 1": st.integers(1, 2),
+    "a string": st.text(max_size=8),
+    "a path string": st.just("init.csv"),
+    "true, false or null": st.booleans(),
+    "a list of finite [x, y] pairs": st.lists(
+        st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2), max_size=3),
+}
 
 
-configs = st.fixed_dictionaries({}, optional={
-    "gas": section({
-        "gamma": st.sampled_from([1.4, 5 / 3, 1.0, NAN, INF, "1.4", None]),
-        "R": st.sampled_from([1.0, 0.0, -1.0, NAN]),
-        "entropy_convention": st.sampled_from(
-            ["entropy_function", "specific", "bogus", 3])}),
-    "crocco_sign": st.sampled_from(["consistent", "paper", "bogus", [1]]),
-    "a1_variant": st.sampled_from(["paper", "standard", "bogus", None]),
-    "t_end": st.sampled_from([None, 0.0, 0.05, 1.0, -1.0, NAN, INF, "1"]),
-    "time_index": st.sampled_from([0, 1, 5, -1, 1.5, 2.5, "x", [0], True,
-                                   None]),
-    "include_time_term": st.sampled_from([None, True, False, "no", 1, 0,
-                                          [True]]),
-    "tolerances": section({"corrector": st.sampled_from(
-        [1e-12, 1e-3, 0.0, -1.0, None, NAN, "x"])}),
-    "transport": section({"mu": st.sampled_from([0.1, -1.0, "x"])}),
-    "forces": section({"kind": st.sampled_from(["none", "bogus", 1])}),
-    "trajectories": section({"step": st.sampled_from([0.1, "x", INF])}),
-    "jump_checks": st.one_of(
-        st.just({"relation": "contact", "refine": 1}),
-        section({"relation": st.sampled_from(["contact", "bogus", 2]),
-                 "refine": st.sampled_from([1, 0, -1, 1.7, "2", True, None,
-                                            [1]])})),
-    "scenario_id": st.sampled_from(["demo", 5, [1]]),
-})
+def mostly(good, bad):
+    """Draws of ``good`` three times as often as of ``bad``."""
+    return st.one_of(good, good, good, bad)
+
+
+def value(key):
+    """A value the table entry ``key`` accepts, or one from JUNK."""
+    what = key.kind.what
+    if what.startswith("one of "):
+        good = st.sampled_from(what[len("one of "):].split(", "))
+    else:
+        good = VALID[what]
+    return mostly(good, st.sampled_from(JUNK))
+
+
+def table_configs():
+    """Configs over every key of the table: each key absent, a value its
+    entry accepts or a JUNK value; each section an object of such keys or
+    a JUNK value."""
+    tree = {}  # section ("" for the top level) -> {key: strategy}
+    for name, key in cli.CONFIG_KEYS.items():
+        head, _, leaf = name.rpartition(".")
+        tree.setdefault(head, {})[leaf] = value(key)
+    return st.fixed_dictionaries({}, optional={**tree.pop(""), **{
+        head: mostly(st.fixed_dictionaries({}, optional=leaves),
+                     st.sampled_from(JUNK)) for head, leaves in tree.items()}})
+
+
+configs = table_configs()
+NAMES = [*cli.CONFIG_KEYS,
+         *dict.fromkeys(n.split(".")[0] for n in cli.CONFIG_KEYS if "." in n)]
+
+
+@st.composite
+def misspellings(draw):
+    """A known key or section with one letter dropped (a one-letter key
+    doubled), as (section, key)."""
+    head, _, leaf = draw(st.sampled_from(NAMES)).rpartition(".")
+    i = draw(st.integers(0, len(leaf) - 1))
+    typo = leaf[:i] + leaf[i + 1:] if len(leaf) > 1 else leaf * 2
+    assume((head and head + ".") + typo not in NAMES)
+    return head, typo
 
 
 def run(argv):
@@ -89,23 +117,38 @@ def assert_finite_json(out: Path):
 # with exit code 0, 2 or 3
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
-@given(rows=init_rows(), cfg=configs)
-def test_cli_exits_cleanly_on_generated_input(rows, cfg):
+@given(rows=init_rows(), cfg=configs,
+       typo=mostly(st.none(), misspellings()))
+def test_cli_exits_cleanly_on_generated_input(rows, cfg, typo):
+    cfg = {**cfg, "initial_data": "init.csv", "output_dir": "run"}
+    if typo:
+        head, key = typo
+        if head:
+            inner = cfg.get(head)
+            cfg[head] = {**(inner if isinstance(inner, dict) else {}), key: 1}
+        else:
+            cfg[key] = 1
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "init.csv").write_text(
             "x,rho,u,p\n" + "".join(",".join(r) + "\n" for r in rows))
         cfg_path = tmp / "scenario.json"
-        cfg_path.write_text(json.dumps(
-            {**cfg, "initial_data": "init.csv", "output_dir": "run"}))
+        cfg_path.write_text(json.dumps(cfg))
         runs = [["diagnose", "--config", str(cfg_path)],
                 ["detect-shock", "--init", str(tmp / "init.csv"),
                  "--out", str(tmp / "shock")]]
-        for argv in runs:
-            rc, err = run(argv)
+        results = [run(argv) for argv in runs]
+        for argv, (rc, err) in zip(runs, results):
             assert rc in (0, 2, 3), (argv, rc, err)
             assert "Traceback" not in err
             assert (rc == 0) == (err == ""), err
+        if typo:
+            # an unknown key is refused, unless a section checked before it
+            # is not an object, which is refused first
+            rc, err = results[0]
+            assert rc == 2
+            assert (f"unknown key {(head and head + '.') + key}" in err
+                    or "must be a JSON object" in err), err
         for out in (tmp / "run", tmp / "shock"):
             assert_finite_json(out)
 
