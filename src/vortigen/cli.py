@@ -319,8 +319,14 @@ def _one_of(options) -> Kind:
                 members.get)
 
 
+def _above(bound, convert=lambda value: value) -> Kind:
+    """A finite number greater than ``bound``."""
+    return Kind(f"finite and > {bound}", lambda v: _finite(v) and v > bound,
+                convert, float)
+
+
 _FINITE = Kind("a finite number", _finite, float, float)
-_POSITIVE = Kind("finite and > 0", lambda v: _finite(v) and v > 0, text=float)
+_POSITIVE = _above(0)
 _INDEX = Kind("an integer >= 0", lambda v: type(v) is int and v >= 0, text=int)
 _COUNT = Kind("an integer >= 1", lambda v: type(v) is int and v >= 1, text=int)
 _PATH = Kind("a path string", lambda value: isinstance(value, str))
@@ -348,8 +354,8 @@ class Key(NamedTuple):
 # exist.
 CONFIG_KEYS = {
     "scenario_id": Key(Kind("a string", lambda v: isinstance(v, str))),
-    "gas.gamma": Key(_FINITE, 1.4, "--gamma"),
-    "gas.R": Key(_FINITE, 287.05, "--R"),
+    "gas.gamma": Key(_above(1, float), 1.4, "--gamma"),
+    "gas.R": Key(_above(0, float), 287.05, "--R"),
     "gas.entropy_convention": Key(_one_of(EntropyConvention),
                                   EntropyConvention.ENTROPY_FUNCTION),
     "gas.s_ref": Key(_FINITE, 0.0),
@@ -599,8 +605,12 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         tr = v["trajectories"]
         seeds = tr["seeds"] if tr["seeds"] is not None else _default_seeds(fs)
         worst = None
-        for ti, traj in enumerate(trace_streamlines(
-                fs, seeds, step=tr["step"], max_len=tr["max_len"])):
+        try:
+            trajs = trace_streamlines(fs, seeds, step=tr["step"],
+                                      max_len=tr["max_len"])
+        except ValueError as exc:  # the max_len / step budget
+            raise ParseError(f"{cfg.config_path}: trajectories.{exc}") from None
+        for ti, traj in enumerate(trajs):
             if isinstance(traj, VortigenError):
                 continue
             frame = frame_along(traj)

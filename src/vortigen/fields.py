@@ -38,6 +38,7 @@ __all__ = [
     "trace_streamline",
     "trace_streamlines",
     "frame_along",
+    "MAX_STEPS_PER_SEED",
 ]
 
 
@@ -309,6 +310,11 @@ def directional_derivative(
 # streamlines and frames
 
 
+# The most RK4 steps one seed may take, max_len / step.  The defaults take
+# about 11,600 on a 513^2 grid and 93,000 on a 4097^2 one.
+MAX_STEPS_PER_SEED = 1_000_000
+
+
 def trace_streamlines(
     fs: FieldSet,
     seeds,
@@ -322,7 +328,8 @@ def trace_streamlines(
     per seed: its Trajectory, or the error tracing it alone would raise
     (``SeedOutsideDomain``, ``StagnationAtSeed``, ``DegenerateTrajectory``).
     Raises ``ValueError`` unless ``step`` and ``max_len`` (given or
-    default) are finite and positive.
+    default) are finite and positive and ``max_len / step`` is at most
+    ``MAX_STEPS_PER_SEED``.
     """
     grid = fs.grid
     seeds = np.array(seeds, dtype=float).reshape(-1, 2)
@@ -333,6 +340,10 @@ def trace_streamlines(
     for name, value in (("step", step), ("max_len", max_len)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if max_len / step > MAX_STEPS_PER_SEED:
+        raise ValueError(
+            f"max_len / step must be at most {MAX_STEPS_PER_SEED:,} RK4 steps "
+            f"per seed, got {max_len:g} / {step:g} = {max_len / step:.3g}")
     vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
     uv = np.stack([fs.u, fs.v])
     x0, y0, xmax, ymax = grid.x0, grid.y0, grid.xmax, grid.ymax

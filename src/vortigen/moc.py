@@ -15,14 +15,17 @@ random states and small increments).
 The net is advanced level-synchronously: each new node is placed at the
 intersection of the C+ characteristic from its left parent and the C-
 characteristic from its right parent, with midpoint-averaged slopes and
-coefficients iterated to a fixed point.  Entropy is carried along the C0
-trajectory through the new node; its foot on the parent level is found on
-the segment between the two parents and s is interpolated there with a
-three-point (quadratic) stencil.  A passive Lagrangian label (the launch
-coordinate of the trajectory) is advected through exactly the same
-interpolation, which is what the C0 pseudostructure residual is measured
-against.  Only interior nodes are advanced, so the net covers the domain
-of determinacy of the initial data; no boundary conditions are invented.
+coefficients iterated until no node quantity changes by more than the
+corrector tolerance relative to max(|value|, 1).  A change that is not
+finite never converges, so NaN nodes raise NonConvergence instead of
+entering the net.  Entropy is carried along the C0 trajectory through the
+new node; its foot on the parent level is found on the segment between the
+two parents and s is interpolated there with a three-point (quadratic)
+stencil.  A passive Lagrangian label (the launch coordinate of the
+trajectory) is advected through exactly the same interpolation, which is
+what the C0 pseudostructure residual is measured against.  Only interior
+nodes are advanced, so the net covers the domain of determinacy of the
+initial data; no boundary conditions are invented.
 
 Levels are built sequentially but each level's nodes are computed in one
 vectorized pass; a finished net is treated as immutable and all analyses
@@ -127,14 +130,15 @@ class CharNet:
         i = np.arange(self.level_size(k))
         return i, i + 1, self.c0_parent[k]
 
+    def first_chain(self, family: str, k: int) -> int:
+        """Which chain of the family level k's first node belongs to."""
+        if family not in _SIGN:
+            raise ValueError(f"unknown family {family!r}")
+        return k if family == "C-" else 0
+
     def chain_ids(self, family: str, k: int) -> np.ndarray:
         """Which chain of the family each node of level k belongs to."""
-        n = self.level_size(k)
-        if family == "C+":
-            return np.arange(n)
-        if family == "C-":
-            return np.arange(n) + k
-        raise ValueError(f"unknown family {family!r}")
+        return np.arange(self.level_size(k)) + self.first_chain(family, k)
 
 
 @dataclass(frozen=True)
@@ -216,30 +220,35 @@ def _initial_arrays(initial):
 # level advancement
 
 
-def _stencil_base(xs: np.ndarray, xf: np.ndarray, i: np.ndarray):
-    """Start index of the 3-node stencil nearest each foot (None if linear)."""
+def _stencil(xs: np.ndarray, xf: np.ndarray, i: np.ndarray):
+    """Interpolation stencil on level ``xs`` at feet ``xf`` (``i``: the left
+    node of each foot's segment), quadratic on the 3 nodes nearest each
+    foot, linear on a 2-node level: node indices, node positions and the
+    denominators of :func:`_weights`.  Frozen per unit process, so stencil
+    switching cannot perturb the corrector's fixed point."""
     n = len(xs)
     if n < 3:
-        return None
-    go_left = (xf - xs[i]) < (xs[i + 1] - xf)
-    return np.clip(np.where(go_left, i - 1, i), 0, n - 3)
+        return (0, 1), (xs[0],), (xs[1] - xs[0],)
+    base = np.where((xf - xs[i]) < (xs[i + 1] - xf), i - 1, i).clip(0, n - 3)
+    idx = (base, base + 1, base + 2)
+    x0, x1, x2 = (xs[j] for j in idx)
+    return idx, (x0, x1, x2), ((x0 - x1) * (x0 - x2), (x1 - x0) * (x1 - x2),
+                               (x2 - x0) * (x2 - x1))
 
 
-def _interp_on_level(xs: np.ndarray, xf: np.ndarray, base, values):
-    """Quadratic (3-point) interpolation of level quantities at foot x.
+def _weights(stencil, xf: np.ndarray):
+    """Lagrange weights of the stencil's nodes at feet ``xf``."""
+    _, xn, den = stencil
+    if len(xn) == 1:
+        th = (xf - xn[0]) / den[0]
+        return 1.0 - th, th
+    d0, d1, d2 = xf - xn[0], xf - xn[1], xf - xn[2]
+    return d1 * d2 / den[0], d0 * d2 / den[1], d0 * d1 / den[2]
 
-    ``base`` is the stencil start from :func:`_stencil_base`; it is chosen
-    once per unit process and frozen so the corrector's fixed point is not
-    perturbed by stencil switching.  Linear when the level has 2 nodes.
-    """
-    if base is not None:
-        x0, x1, x2 = xs[base], xs[base + 1], xs[base + 2]
-        w0 = (xf - x1) * (xf - x2) / ((x0 - x1) * (x0 - x2))
-        w1 = (xf - x0) * (xf - x2) / ((x1 - x0) * (x1 - x2))
-        w2 = (xf - x0) * (xf - x1) / ((x2 - x0) * (x2 - x1))
-        return [w0 * v[base] + w1 * v[base + 1] + w2 * v[base + 2] for v in values]
-    th = (xf - xs[0]) / (xs[1] - xs[0])
-    return [(1.0 - th) * v[0] + th * v[1] for v in values]
+
+def _dot(w, v):
+    """``w[0] v[0] + w[1] v[1] + ...``, summed left to right."""
+    return sum((wj * vj for wj, vj in zip(w[1:], v[1:])), w[0] * v[0])
 
 
 def _corrected_gaps(x, t, u, a, sign):
@@ -253,107 +262,105 @@ def _corrected_gaps(x, t, u, a, sign):
 
 def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
     """One interior-advancement step; returns new-level arrays or None on
-    a degenerate unit process (index of the first bad pair is returned)."""
+    a degenerate unit process (index of the first bad pair is returned).
+    The corrector loop computes only what changes per iteration."""
     xL, xR = x[:-1], x[1:]
     tL, tR = t[:-1], t[1:]
     uL, uR = u[:-1], u[1:]
     aL, aR = a[:-1], a[1:]
     sL, sR = s[:-1], s[1:]
+    i = np.arange(len(xL))
 
     c = 2.0 / (gamma - 1.0)
-    uP = 0.5 * (uL + uR)
-    aP = 0.5 * (aL + aR)
-    sP = 0.5 * (sL + sR)
-    xP = 0.5 * (xL + xR)
-    tP = np.maximum(tL, tR) + (xR - xL) / (2.0 * np.maximum(aL, aR))
-    labP = np.empty_like(xP)
+    g2 = gamma * (gamma - 1.0) * 0.5
+    dx, dt, du = xR - xL, tR - tL, uR - uL
+    t_max = np.maximum(tL, tR)
+    lam_L, lam_R = uL + aL, uR - aR  # the parents' C+ and C- slopes
+    J_L, J_R = uL + c * aL, uR - c * aR  # and Riemann invariants
+    # leading coefficient of the C0 foot quadratic below, and its guards
+    c2 = 0.5 * du * dt
+    c2_abs, c2_4, c2_div = np.abs(c2), 4.0 * c2, np.where(c2 == 0.0, 1.0, c2)
+    # iterates (x, t, u, a, s) of the new nodes, one row each
+    P = np.array((0.5 * (xL + xR), t_max + dx / (2.0 * np.maximum(aL, aR)),
+                  0.5 * (uL + uR), 0.5 * (aL + aR), 0.5 * (sL + sR)))
 
     for it in range(max_iter):
-        lam_p = 0.5 * ((uL + aL) + (uP + aP))
-        lam_m = 0.5 * ((uR - aR) + (uP - aP))
+        uP, aP = P[2], P[3]
+        lam_p = 0.5 * (lam_L + (uP + aP))
+        lam_m = 0.5 * (lam_R + (uP - aP))
         denom = lam_p - lam_m
-        if np.any(denom <= 0.0):
-            return None, int(np.argmax(denom <= 0.0))
-        tP_new = (xR - xL + lam_p * tL - lam_m * tR) / denom
-        xP_new = xL + lam_p * (tP_new - tL)
-        if np.any(tP_new <= np.maximum(tL, tR)):
-            return None, int(np.argmax(tP_new <= np.maximum(tL, tR)))
+        bad = denom <= 0.0
+        if bad.any():
+            return None, int(bad.argmax())
+        tP = (dx + lam_p * tL - lam_m * tR) / denom
+        xP = xL + lam_p * (tP - tL)
+        bad = tP <= t_max
+        if bad.any():
+            return None, int(bad.argmax())
 
         # C0 foot on the parent segment: solve the quadratic in the segment
         # parameter theta from x_P - x_f = u_mid (t_P - t_f)
-        dx = xR - xL
-        dt = tR - tL
-        du = uR - uL
-        A = xP_new - xL
-        B = tP_new - tL
+        B = tP - tL
         U0 = uP + uL
-        c2 = 0.5 * du * dt
-        c1 = -dx + 0.5 * (U0 * dt - du * B)
-        c0 = A - 0.5 * U0 * B
+        c1 = 0.5 * (U0 * dt - du * B) - dx
+        c0 = xP - xL - 0.5 * U0 * B
         # stable quadratic roots: q = -(c1 + sign(c1) sqrt(disc))/2, roots
         # c0/q (small, the one we want) and q/c2; avoids the cancellation
         # the textbook formula suffers when c2 is tiny
-        scale = np.abs(c1) + np.abs(c2) + 1e-300
-        lin = np.abs(c2) <= 1e-14 * scale
+        lin = c2_abs <= 1e-14 * (np.abs(c1) + c2_abs + 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
             theta_lin = -c0 / c1
-            disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
+            disc = np.maximum(c1 * c1 - c2_4 * c0, 0.0)
             q = -0.5 * (c1 + np.where(c1 >= 0.0, 1.0, -1.0) * np.sqrt(disc))
             r_small = np.where(np.abs(q) > 0.0, c0 / np.where(q == 0.0, 1.0, q), 0.0)
-            r_big = q / np.where(c2 == 0.0, 1.0, c2)
+            r_big = q / c2_div
         pick_small = np.abs(r_small - 0.5) <= np.abs(r_big - 0.5)
-        theta_quad = np.where(pick_small, r_small, r_big)
-        theta = np.where(lin, theta_lin, theta_quad)
-        theta = np.clip(theta, -0.5, 1.5)
+        theta = np.where(lin, theta_lin, np.where(pick_small, r_small, r_big))
+        theta = theta.clip(-0.5, 1.5)
         xf = xL + theta * dx
         if it == 0:
-            base = _stencil_base(x, xf, np.arange(len(xL)))
-        sP_new, labP = _interp_on_level(x, xf, base, [s, lab])
-        sP_new = np.maximum(sP_new, 1e-300)
+            stencil = _stencil(x, xf, i)
+            s_st = [s[j] for j in stencil[0]]
+        w = _weights(stencil, xf)
+        sP = np.maximum(_dot(w, s_st), 1e-300)
 
-        g_mid_L = 0.5 * (aL + aP) / (gamma * (gamma - 1.0) * 0.5 * (sL + sP_new))
-        g_mid_R = 0.5 * (aR + aP) / (gamma * (gamma - 1.0) * 0.5 * (sR + sP_new))
-        rhs1 = uL + c * aL + g_mid_L * (sP_new - sL)
-        rhs2 = uR - c * aR - g_mid_R * (sP_new - sR)
-        uP_new = 0.5 * (rhs1 + rhs2)
-        aP_new = (rhs1 - rhs2) / (2.0 * c)
-        if np.any(aP_new <= 0.0):
-            return None, int(np.argmax(aP_new <= 0.0))
-
-        change = 0.0
-        for old, new in ((xP, xP_new), (tP, tP_new), (uP, uP_new),
-                         (aP, aP_new), (sP, sP_new)):
-            sc = np.maximum(np.abs(new), 1.0)
-            change = max(change, float(np.max(np.abs(new - old) / sc)))
-        xP, tP, uP, aP, sP = xP_new, tP_new, uP_new, aP_new, sP_new
-        if change < tol:
+        # compatibility along C+ and C- with midpoint coefficients
+        rhs1 = J_L + 0.5 * (aL + aP) / (g2 * (sL + sP)) * (sP - sL)
+        rhs2 = J_R - 0.5 * (aR + aP) / (g2 * (sR + sP)) * (sP - sR)
+        new = np.array((xP, tP, 0.5 * (rhs1 + rhs2), (rhs1 - rhs2) / (2.0 * c),
+                        sP))
+        bad = new[3] <= 0.0
+        if bad.any():
+            return None, int(bad.argmax())
+        change = (np.abs(new - P) / np.maximum(np.abs(new), 1.0)).max()
+        P = new
+        if change < tol:  # False for a NaN or infinite change
             break
     else:
         raise NonConvergence(
             f"corrector did not reach {tol:g} in {max_iter} iterations"
         )
 
-    # nearest parent node to the foot, for C0 connectivity
-    idx = np.arange(len(xL))
-    c0p = np.where(theta < 0.5, idx, idx + 1)
-    return (xP, tP, uP, aP, sP, labP, c0p), -1
+    # labels at the final foot; C0 parent: the parent node nearest it
+    labP = _dot(w, [lab[j] for j in stencil[0]])
+    return (*P, labP, np.where(theta < 0.5, i, i + 1)), -1
 
 
 _SIGN = {"C+": 1.0, "C-": -1.0}
 
 
-def _level_gaps(net: CharNet, k: int, family: str):
+def _level_gaps(net: CharNet, k: int, family: str, dx0: np.ndarray):
     """Corrected gaps of level k, their common times, each gap over the
-    launch spacing of its chain pair (the tube-width ratio dx/dx0), and
-    the chain of each gap (that of its left node)."""
-    chain = net.chain_ids(family, k)[:-1]
+    launch spacing of its chain pair (the tube-width ratio dx/dx0, with
+    ``dx0 = np.diff(net.x[0])``), and the chain of the first gap (that of
+    its left node)."""
+    lo = net.first_chain(family, k)
     g, t_bar = _corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
                                _SIGN[family])
-    x0 = net.x[0]
-    return g, t_bar, g / (x0[chain + 1] - x0[chain]), chain
+    return g, t_bar, g / dx0[lo:lo + len(g)], lo
 
 
-def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
+def _scan_level_pair(net, k, dx0=None, gaps=None) -> Optional[EnvelopeEvent]:
     """Detect a same-family crossing between levels k and k+1.
 
     When both families show a sign change in the same level window (the
@@ -362,25 +369,33 @@ def _scan_level_pair(net: CharNet, k: int) -> Optional[EnvelopeEvent]:
     whose chain tube had genuinely collapsed before the fold: the one
     with the smaller launch-normalized gap on the still-healthy level k
     (the first such pair; C+ on a tie).
+
+    ``dx0`` is ``np.diff(net.x[0])``; ``gaps`` carries the level gaps by
+    family from scan to scan, level k's in (where present), k+1's out.
     """
+    dx0 = np.diff(net.x[0]) if dx0 is None else dx0
+    gaps = {} if gaps is None else gaps
     best = None
     best_gnorm = np.inf
     for family in _SIGN:
-        g_prev, tb_prev, gnorm, c_prev = _level_gaps(net, k, family)
-        g_new, tb_new, _, c_new = _level_gaps(net, k + 1, family)
-        if len(g_new) == 0:
-            continue
+        g_prev, tb_prev, gnorm, lo_prev = (gaps.get(family)
+                                           or _level_gaps(net, k, family, dx0))
+        gaps[family] = _level_gaps(net, k + 1, family, dx0)
+        g_new, tb_new, _, lo_new = gaps[family]
         # chain pair of level-(k+1) gap i sits at level-k gap i + off
-        off = c_new[0] - c_prev[0]
+        off = lo_new - lo_prev
         m = min(len(g_new), len(g_prev) - off)
-        inew = np.flatnonzero((g_prev[off:off + m] > 0.0) & (g_new[:m] <= 0.0))
+        cross = (g_prev[off:off + m] > 0.0) & (g_new[:m] <= 0.0)
+        if not cross.any():
+            continue
+        inew = cross.nonzero()[0]
         ip = inew + off
         th = g_prev[ip] / (g_prev[ip] - g_new[inew])
         t_star = (1 - th) * tb_prev[ip] + th * tb_new[inew]
-        live = np.flatnonzero((t_star > 0.0) & (gnorm[ip] < best_gnorm))
+        live = ((t_star > 0.0) & (gnorm[ip] < best_gnorm)).nonzero()[0]
         if len(live) == 0:
             continue
-        j = live[np.argmin(gnorm[ip[live]])]
+        j = live[gnorm[ip[live]].argmin()]
         i, n = ip[j], inew[j]
         x_prev = 0.5 * (net.x[k][i] + net.x[k][i + 1])
         x_new = 0.5 * (net.x[k + 1][n] + net.x[k + 1][n + 1])
@@ -418,6 +433,7 @@ def advance_net(
                   a=[a0], s=[s0], labels=[x0.copy()],
                   c0_parent=[np.full(len(x0), -1, dtype=int)])
     levels = (net.x, net.t, net.u, net.a, net.s, net.labels, net.c0_parent)
+    dx0, gaps = np.diff(x0), {}  # gaps: the last level's, by family
 
     while net.level_size(net.n_levels - 1) >= 2:
         k = net.n_levels - 1
@@ -430,7 +446,8 @@ def advance_net(
             # forward in time.  Report an envelope at the failing pair; the
             # family is the one whose chain tube has collapsed there (the
             # smaller launch-normalized corrected gap, C+ on a tie).
-            gnorm = {fam: _level_gaps(net, k, fam)[2][bad] for fam in _SIGN}
+            gnorm = {fam: (gaps.get(fam) or _level_gaps(net, k, fam, dx0))[2][bad]
+                     for fam in _SIGN}
             fam = min(gnorm, key=gnorm.get)
             t_star = max(float(net.t[k][bad]), 1e-300)
             x_star = float(0.5 * (net.x[k][bad] + net.x[k][bad + 1]))
@@ -438,11 +455,11 @@ def advance_net(
             break
         for lst, arr in zip(levels, result):
             lst.append(arr)
-        event = _scan_level_pair(net, k)
+        event = _scan_level_pair(net, k, dx0, gaps)
         if event is not None:
             net.envelope = event
             break
-        if float(np.min(net.t[-1])) >= t_end:
+        if net.t[-1].min() >= t_end:
             break
     return net
 
@@ -469,7 +486,8 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
             lab = net.labels[k]
             pos = np.clip(lab, xs0[0], xs0[-1])
             i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
-            (s_ref,) = _interp_on_level(xs0, pos, _stencil_base(xs0, pos, i), [s0])
+            stencil = _stencil(xs0, pos, i)
+            s_ref = _dot(_weights(stencil, pos), [s0[j] for j in stencil[0]])
             worst = max(worst, float(np.max(np.abs(net.s[k] - s_ref))))
         return worst
     if family in _SIGN:
@@ -493,11 +511,13 @@ def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
     spacing (:func:`_level_gaps`), followed while the pair stays on the net.
     """
     x0 = net.x[0]
+    dx0 = np.diff(x0)
     J = np.zeros((net.n_levels, len(x0) - 1))
     T = np.zeros_like(J)
     on = np.zeros(J.shape, dtype=bool)
     for k in range(net.n_levels):
-        _, t_bar, ratio, chain = _level_gaps(net, k, family)
+        _, t_bar, ratio, lo = _level_gaps(net, k, family, dx0)
+        chain = slice(lo, lo + len(ratio))
         J[k, chain], T[k, chain], on[k, chain] = ratio, t_bar, True
     # a chain leaves the net at its first level without its pair
     depth = np.where(on.all(axis=0), net.n_levels, np.argmin(on, axis=0))

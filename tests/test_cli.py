@@ -565,8 +565,8 @@ class TestOnePassPipeline:
         from vortigen import moc
         scanned, nets = [], []
         scan, advance = moc._scan_level_pair, moc.advance_net
-        monkeypatch.setattr(moc, "_scan_level_pair",
-                            lambda net, k: scanned.append(k) or scan(net, k))
+        monkeypatch.setattr(moc, "_scan_level_pair", lambda net, k, *carry:
+                            scanned.append(k) or scan(net, k, *carry))
         monkeypatch.setattr(moc, "advance_net", lambda *a, **kw: nets.append(
             advance(*a, **kw)) or nets[-1])
         if n:
@@ -818,6 +818,40 @@ class TestRunBounds:
                                f"finite and > 0, got {value!r}\n")
         assert written_files(tmp_path / "out") == []
 
+    def test_trajectory_step_budget_exits_2(self, tmp_path):
+        # a tiny positive step takes 5.66e9 RK4 steps per seed over the
+        # default max_len of the unit square: refused before any tracing
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            trajectories={"step": 1e-9})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "vortigen.cli", "diagnose", "--config",
+             str(cfgp)], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {cfgp}: trajectories.max_len / step must be at most "
+            f"1,000,000 RK4 steps per seed, got 5.65685 / 1e-09 = 5.66e+09\n")
+        assert written_files(tmp_path / "out") == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_corrector_change_exits_3(self, tmp_path, capsys):
+        # nodes 1e-300 apart: the stencil weights are 0/0, and the NaN
+        # change of the iterates must not pass as converged
+        n = 821
+        i = np.arange(n)
+        init = write_init_csv(tmp_path / "tiny.csv", i * 1e-300, np.ones(n),
+                              0.01 * np.sin(i / 50), np.ones(n))
+        out = tmp_path / "out"
+        rc = cli.main(["solve-moc", "--init", str(init), "--t-end", "1e-299",
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: corrector did not reach 1e-12 in 20 "
+            "iterations\n")
+        assert not out.exists()
+
 
 class TestConfigTable:
     """Every config key and flag is read through ``cli.CONFIG_KEYS``."""
@@ -836,8 +870,12 @@ class TestConfigTable:
         ({"gas": {"gamma": GAMMA, "R": 1.0, "zz": 1}}, "unknown key gas.zz"),
         ({"scenario_id": {"a": 1}},
          "scenario_id must be a string, got {'a': 1}"),
+        ({"gas": {"gamma": 0.9, "R": 1.0}},
+         "gas.gamma must be finite and > 1, got 0.9"),
+        ({"gas": {"gamma": GAMMA, "R": 0}}, "gas.R must be finite and > 0, got 0"),
     ], ids=["misspellings", "forces.pth", "jump_checks.refin",
-            "tolerances.equilibrum", "no_hint", "scenario_id"])
+            "tolerances.equilibrum", "no_hint", "scenario_id", "gamma_0.9",
+            "R_0"])
     def test_bad_config_exits_2(self, tmp_path, capsys, cfg, message):
         write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
         cfgp = write_config(tmp_path, fields="f.csv", **cfg)
@@ -853,16 +891,21 @@ class TestConfigTable:
         (["verify-jumps", "--relation", "contact", "--tol", "nan"],
          "--tol: tolerances.jump_rel_error must be finite and > 0, got nan"),
         (["verify-jumps", "--relation", "char", "--gamma", "inf"],
-         "--gamma: gas.gamma must be a finite number, got inf"),
+         "--gamma: gas.gamma must be finite and > 1, got inf"),
+        (["verify-jumps", "--relation", "contact", "--gamma", "0.5"],
+         "--gamma: gas.gamma must be finite and > 1, got 0.5"),
         (["verify-jumps", "--relation", "bogus"],
          "--relation: jump_checks.relation must be one of contact, char, "
          "got 'bogus'"),
         (["solve-moc", "--init", "INIT", "--t-end", "0.1", "--R", "inf"],
-         "--R: gas.R must be a finite number, got inf"),
+         "--R: gas.R must be finite and > 0, got inf"),
         (["detect-shock", "--init", "INIT", "--R", "inf"],
-         "--R: gas.R must be a finite number, got inf"),
-    ], ids=["tol_inf", "tol_negative", "tol_nan", "gamma_inf", "relation",
-            "solve_moc_R_inf", "detect_shock_R_inf"])
+         "--R: gas.R must be finite and > 0, got inf"),
+        (["detect-shock", "--init", "INIT", "--R", "-1"],
+         "--R: gas.R must be finite and > 0, got -1.0"),
+    ], ids=["tol_inf", "tol_negative", "tol_nan", "gamma_inf", "gamma_0.5",
+            "relation", "solve_moc_R_inf", "detect_shock_R_inf",
+            "detect_shock_R_negative"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, argv, message):
         init = compression_init(tmp_path / "init.csv", n=21)
         out = tmp_path / "out"

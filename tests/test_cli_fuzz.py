@@ -43,6 +43,7 @@ JUNK = [NAN, INF, -INF, 0, -1, 1.7, "x", [1], True, None]
 VALID = {
     "a finite number": st.floats(0.0, 3.0),  # JUNK holds -1
     "finite and > 0": st.floats(1e-3, 10.0),
+    "finite and > 1": st.floats(1.05, 3.0),
     "an integer >= 0": st.integers(0, 2),
     "an integer >= 1": st.integers(1, 2),
     "a string": st.text(max_size=8),

@@ -26,7 +26,8 @@ M = GasModel(gamma=GAMMA, R=1.0)
 
 def advance_net(*args, **kwargs):
     """moc.advance_net, checking on every net that a rescan of all its level
-    pairs finds nothing the pair-by-pair scan during advancement missed."""
+    pairs finds nothing the pair-by-pair scan during advancement missed,
+    and that the net matches the reference level step and scan."""
     net = moc.advance_net(*args, **kwargs)
     rescan = None
     for k in range(net.n_levels - 1):
@@ -35,6 +36,8 @@ def advance_net(*args, **kwargs):
             break
     # without a crossing the net may still end at a degenerate unit process
     assert (rescan or net.envelope) == net.envelope
+    assert_net_matches_reference(net, kwargs.get("corrector_tol", 1e-12),
+                                 kwargs.get("max_iter", 20))
     return net
 
 
@@ -626,3 +629,259 @@ class TestArrayKernels:
         assert net.envelope is not None
         assert events[-1] == net.envelope and not any(events[:-1])
 
+
+# ---------------------------------------------------------------------------
+# the level step and the level-pair scan against their reference copies
+
+
+def stencil_base_reference(xs, xf, i):
+    n = len(xs)
+    if n < 3:
+        return None
+    go_left = (xf - xs[i]) < (xs[i + 1] - xf)
+    return np.clip(np.where(go_left, i - 1, i), 0, n - 3)
+
+
+def interp_on_level_reference(xs, xf, base, values):
+    if base is not None:
+        x0, x1, x2 = xs[base], xs[base + 1], xs[base + 2]
+        w0 = (xf - x1) * (xf - x2) / ((x0 - x1) * (x0 - x2))
+        w1 = (xf - x0) * (xf - x2) / ((x1 - x0) * (x1 - x2))
+        w2 = (xf - x0) * (xf - x1) / ((x2 - x0) * (x2 - x1))
+        return [w0 * v[base] + w1 * v[base + 1] + w2 * v[base + 2] for v in values]
+    th = (xf - xs[0]) / (xs[1] - xs[0])
+    return [(1.0 - th) * v[0] + th * v[1] for v in values]
+
+
+def advance_level_reference(x, t, u, a, s, lab, gamma, tol, max_iter):
+    """Reference: the level step that recomputes every quantity on every
+    corrector iteration (a NaN change component counts as 0 here)."""
+    xL, xR = x[:-1], x[1:]
+    tL, tR = t[:-1], t[1:]
+    uL, uR = u[:-1], u[1:]
+    aL, aR = a[:-1], a[1:]
+    sL, sR = s[:-1], s[1:]
+
+    c = 2.0 / (gamma - 1.0)
+    uP = 0.5 * (uL + uR)
+    aP = 0.5 * (aL + aR)
+    sP = 0.5 * (sL + sR)
+    xP = 0.5 * (xL + xR)
+    tP = np.maximum(tL, tR) + (xR - xL) / (2.0 * np.maximum(aL, aR))
+    labP = np.empty_like(xP)
+
+    for it in range(max_iter):
+        lam_p = 0.5 * ((uL + aL) + (uP + aP))
+        lam_m = 0.5 * ((uR - aR) + (uP - aP))
+        denom = lam_p - lam_m
+        if np.any(denom <= 0.0):
+            return None, int(np.argmax(denom <= 0.0))
+        tP_new = (xR - xL + lam_p * tL - lam_m * tR) / denom
+        xP_new = xL + lam_p * (tP_new - tL)
+        if np.any(tP_new <= np.maximum(tL, tR)):
+            return None, int(np.argmax(tP_new <= np.maximum(tL, tR)))
+
+        dx = xR - xL
+        dt = tR - tL
+        du = uR - uL
+        A = xP_new - xL
+        B = tP_new - tL
+        U0 = uP + uL
+        c2 = 0.5 * du * dt
+        c1 = -dx + 0.5 * (U0 * dt - du * B)
+        c0 = A - 0.5 * U0 * B
+        scale = np.abs(c1) + np.abs(c2) + 1e-300
+        lin = np.abs(c2) <= 1e-14 * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta_lin = -c0 / c1
+            disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
+            q = -0.5 * (c1 + np.where(c1 >= 0.0, 1.0, -1.0) * np.sqrt(disc))
+            r_small = np.where(np.abs(q) > 0.0, c0 / np.where(q == 0.0, 1.0, q), 0.0)
+            r_big = q / np.where(c2 == 0.0, 1.0, c2)
+        pick_small = np.abs(r_small - 0.5) <= np.abs(r_big - 0.5)
+        theta_quad = np.where(pick_small, r_small, r_big)
+        theta = np.where(lin, theta_lin, theta_quad)
+        theta = np.clip(theta, -0.5, 1.5)
+        xf = xL + theta * dx
+        if it == 0:
+            base = stencil_base_reference(x, xf, np.arange(len(xL)))
+        sP_new, labP = interp_on_level_reference(x, xf, base, [s, lab])
+        sP_new = np.maximum(sP_new, 1e-300)
+
+        g_mid_L = 0.5 * (aL + aP) / (gamma * (gamma - 1.0) * 0.5 * (sL + sP_new))
+        g_mid_R = 0.5 * (aR + aP) / (gamma * (gamma - 1.0) * 0.5 * (sR + sP_new))
+        rhs1 = uL + c * aL + g_mid_L * (sP_new - sL)
+        rhs2 = uR - c * aR - g_mid_R * (sP_new - sR)
+        uP_new = 0.5 * (rhs1 + rhs2)
+        aP_new = (rhs1 - rhs2) / (2.0 * c)
+        if np.any(aP_new <= 0.0):
+            return None, int(np.argmax(aP_new <= 0.0))
+
+        change = 0.0
+        for old, new in ((xP, xP_new), (tP, tP_new), (uP, uP_new),
+                         (aP, aP_new), (sP, sP_new)):
+            sc = np.maximum(np.abs(new), 1.0)
+            change = max(change, float(np.max(np.abs(new - old) / sc)))
+        xP, tP, uP, aP, sP = xP_new, tP_new, uP_new, aP_new, sP_new
+        if change < tol:
+            break
+    else:
+        raise NonConvergence(
+            f"corrector did not reach {tol:g} in {max_iter} iterations")
+
+    idx = np.arange(len(xL))
+    c0p = np.where(theta < 0.5, idx, idx + 1)
+    return (xP, tP, uP, aP, sP, labP, c0p), -1
+
+
+def level_gaps_reference(net, k, family):
+    chain = net.chain_ids(family, k)[:-1]
+    g, t_bar = moc._corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
+                                   moc._SIGN[family])
+    x0 = net.x[0]
+    return g, t_bar, g / (x0[chain + 1] - x0[chain]), chain
+
+
+def scan_level_pair_reference(net, k):
+    """Reference: the scan that computes both levels' gaps on every call."""
+    best = None
+    best_gnorm = np.inf
+    for family in moc._SIGN:
+        g_prev, tb_prev, gnorm, c_prev = level_gaps_reference(net, k, family)
+        g_new, tb_new, _, c_new = level_gaps_reference(net, k + 1, family)
+        if len(g_new) == 0:
+            continue
+        off = c_new[0] - c_prev[0]
+        m = min(len(g_new), len(g_prev) - off)
+        inew = np.flatnonzero((g_prev[off:off + m] > 0.0) & (g_new[:m] <= 0.0))
+        ip = inew + off
+        th = g_prev[ip] / (g_prev[ip] - g_new[inew])
+        t_star = (1 - th) * tb_prev[ip] + th * tb_new[inew]
+        live = np.flatnonzero((t_star > 0.0) & (gnorm[ip] < best_gnorm))
+        if len(live) == 0:
+            continue
+        j = live[np.argmin(gnorm[ip[live]])]
+        i, n = ip[j], inew[j]
+        x_prev = 0.5 * (net.x[k][i] + net.x[k][i + 1])
+        x_new = 0.5 * (net.x[k + 1][n] + net.x[k + 1][n + 1])
+        x_star = (1 - th[j]) * x_prev + th[j] * x_new
+        best = EnvelopeEvent(float(t_star[j]), float(x_star), family)
+        best_gnorm = gnorm[i]
+    return best
+
+
+LEVEL_ARRAYS = ("x", "t", "u", "a", "s", "labels", "c0_parent")
+
+
+def assert_bitwise(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def step_outcome(step, level, gamma, tol, max_iter):
+    """What the level step ``step`` does on ``level`` (its arrays x, t, u,
+    a, s, labels): the new level and -1, None and the first bad pair, or
+    the NonConvergence message and None."""
+    try:
+        return step(*level, gamma, tol, max_iter)
+    except NonConvergence as exc:
+        return str(exc), None
+
+
+def assert_same_outcome(level, gamma, tol=1e-12, max_iter=20):
+    """The level step and its reference copy return bitwise-equal levels,
+    the same degenerate pair or the same NonConvergence; returns that."""
+    got, bad = step_outcome(moc._advance_level, level, gamma, tol, max_iter)
+    ref, ref_bad = step_outcome(advance_level_reference, level, gamma, tol,
+                                max_iter)
+    assert bad == ref_bad and type(got) is type(ref)
+    if isinstance(ref, tuple):
+        for g, r in zip(got, ref, strict=True):
+            assert_bitwise(g, r)
+    else:
+        assert got == ref
+    return ref, ref_bad
+
+
+def assert_net_matches_reference(net, tol, max_iter):
+    """Each level is bitwise what the reference step makes of the level
+    before, and the step after the last level does what the reference
+    does (a net ending at a degenerate unit process ends at the same
+    pair).  Each level pair scans to the reference's event, also with the
+    level gaps carried from scan to scan."""
+    dx0, gaps = np.diff(net.x[0]), {}
+    for k in range(net.n_levels):
+        if net.level_size(k) < 2:
+            break
+        level = [getattr(net, q)[k] for q in LEVEL_ARRAYS[:6]]
+        ref, _ = assert_same_outcome(level, net.gamma, tol, max_iter)
+        if k == net.n_levels - 1:
+            break
+        for q, arr in zip(LEVEL_ARRAYS, ref, strict=True):
+            assert_bitwise(getattr(net, q)[k + 1], arr)
+        assert moc._scan_level_pair(net, k, dx0, gaps) \
+            == scan_level_pair_reference(net, k)
+
+
+def random_level(rng, n):
+    """A level of ``n`` nodes at uneven times with random states; some
+    levels have crossing characteristics (a degenerate unit process)."""
+    x = np.sort(rng.uniform(0.0, 1.0, n)) + np.arange(n) * 1e-3
+    return (x, rng.uniform(0.0, 0.05, n), rng.uniform(-0.5, 0.5, n),
+            rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n), x.copy())
+
+
+class TestReferenceCopies:
+    def test_level_step_matches_reference_on_random_levels(self):
+        rng = np.random.default_rng(11)
+        outcomes = {tuple: 0, type(None): 0, str: 0}
+        for trial in range(300):
+            ref, _ = assert_same_outcome(
+                random_level(rng, int(rng.integers(2, 40))),
+                float(rng.uniform(1.1, 1.8)),
+                max_iter=int(rng.integers(1, 6)) if trial % 4 == 0 else 20)
+            outcomes[type(ref)] += 1
+        # new levels, degenerate unit processes and NonConvergence
+        assert min(outcomes.values()) > 10
+
+    def test_carried_scan_matches_reference_on_random_nets(self):
+        rng = np.random.default_rng(5)
+        events = 0
+        for trial in range(200):
+            net = random_net(rng, int(rng.integers(7, 30)), 6, trial % 2 == 0)
+            dx0, gaps = np.diff(net.x[0]), {}
+            for k in range(net.n_levels - 1):
+                ref = scan_level_pair_reference(net, k)
+                assert moc._scan_level_pair(net, k, dx0, gaps) == ref
+                assert moc._scan_level_pair(net, k) == ref
+                events += ref is not None
+        assert events > 100
+
+    def test_nan_change_is_not_converged(self):
+        # nodes 1e-300 apart: the stencil weights are 0/0, so s is NaN; the
+        # reference drops the NaN change and makes a level of NaN nodes
+        n = 41
+        i = np.arange(n)
+        level = (i * 1e-300, np.zeros(n), 0.01 * np.sin(i / 50.0),
+                 np.ones(n), np.ones(n), i * 1e-300)
+        with np.errstate(all="ignore"):
+            ref, _ = advance_level_reference(*level, GAMMA, 1e-12, 20)
+            assert np.isnan(ref[4]).all()
+            with pytest.raises(NonConvergence):
+                moc._advance_level(*level, GAMMA, 1e-12, 20)
+
+    @pytest.mark.parametrize("n", [101, 206])  # crossing / degenerate end
+    def test_level_gaps_computed_once_per_level(self, monkeypatch, n):
+        calls = []
+        gaps = moc._level_gaps
+        monkeypatch.setattr(moc, "_level_gaps", lambda *a: calls.append(a[1])
+                            or gaps(*a))
+        w = SimpleWave(
+            lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
+            gamma=GAMMA)
+        net = moc.advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, n)),
+                              t_end=3.0, m=M)
+        assert net.envelope is not None
+        assert len(calls) <= 2 * net.n_levels + 2
+        # each level's gaps once per family
+        assert sorted(calls) == sorted(2 * list(range(net.n_levels)))
