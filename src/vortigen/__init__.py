@@ -49,10 +49,8 @@ from .evoform import (
 )
 from .moc import (
     CharNet,
-    CharNode,
     EnvelopeEvent,
     advance_net,
-    char_slopes,
     compat_residual,
     detect_envelope,
     jacobian_trace,

@@ -18,7 +18,8 @@ with 17 significant digits, no locale) and written atomically
 its files together once every stage has passed, so a failed run writes
 nothing.  The environment variable ``VORTIGEN_OUT``
 overrides every output directory.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure (including a non-finite result).
+error, 3 numerical failure (including a non-finite result and an
+arithmetic fault such as a float overflow or a division by zero).
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
 @contextmanager
 def _atomic_write(path: Path, staged: list):
     """Text file handle for ``path``, written to a temp file that joins the
-    ``staged`` list of its run (see ``_staged_run``); the file gets the mode
-    a plain ``open`` would give it under the umask."""
+    ``staged`` list of its run (see ``_staged_run``), as do the directories
+    made for it; the file gets the mode a plain ``open`` would give it under
+    the umask."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
+    staged.extend((d, None) for d in reversed(made))
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -88,18 +92,20 @@ def _atomic_write(path: Path, staged: list):
 
 @contextmanager
 def _staged_run():
-    """The list of a run's staged files: they are renamed into place
-    together when the block completes and unlinked if it raises, so a
-    failed run writes nothing."""
+    """The list of a run's staged files, ``(temp, path)``, and of the
+    directories made for them, ``(dir, None)``: the files are renamed into
+    place together when the block completes; if it raises, they are
+    unlinked and the directories removed, so a failed run writes nothing."""
     staged = []
     try:
         yield staged
     except BaseException:
-        for tmp, _ in staged:
-            os.unlink(tmp)
+        for tmp, path in reversed(staged):
+            (os.rmdir if path is None else os.unlink)(tmp)
         raise
     for tmp, path in staged:
-        os.replace(tmp, path)
+        if path is not None:
+            os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj, staged: list):
@@ -856,7 +862,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 setattr(args, dest, key.read(f"{key.flag}: {name}",
                                              getattr(args, dest)))
         return args.func(args)
-    except (NonConvergence, NonFiniteResult) as exc:
+    except (NonConvergence, NonFiniteResult, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (VortigenError, ValueError, KeyError, OSError) as exc:

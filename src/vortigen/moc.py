@@ -10,7 +10,10 @@ The compatibility relation along a C+/C- characteristic is
 
 which is the form du +/- dp/(rho a) = 0 rewritten with p = s rho**gamma
 (the two are verified equivalent in the test suite by evaluating both on
-random states and small increments).
+random states and small increments).  :func:`riemann_invariants` (J+/- =
+u +/- 2a/(gamma-1)) and the private midpoint entropy term are the one
+implementation of these relations: the corrector, :func:`compat_residual`
+and :func:`pseudostructure_residual` all call them, on floats or arrays.
 
 The net is advanced level-synchronously: each new node is placed at the
 intersection of the C+ characteristic from its left parent and the C-
@@ -43,12 +46,10 @@ from .errors import NonConvergence
 from .thermo import GasModel
 
 __all__ = [
-    "CharNode",
     "CharNet",
     "EnvelopeEvent",
     "ChainJacobian",
     "JacobianTrace",
-    "char_slopes",
     "riemann_invariants",
     "compat_residual",
     "nodes_from_primitive",
@@ -57,21 +58,6 @@ __all__ = [
     "jacobian_trace",
     "detect_envelope",
 ]
-
-
-@dataclass(frozen=True)
-class CharNode:
-    """One characteristic-net node: position, time and (u, a, s) state."""
-
-    x: float
-    t: float
-    u: float
-    a: float
-    s: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and self.s > 0.0):
-            raise ValueError(f"need a > 0 and s > 0, got a={self.a}, s={self.s}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +102,6 @@ class CharNet:
     def level_size(self, k: int) -> int:
         return len(self.x[k])
 
-    def node(self, k: int, i: int) -> CharNode:
-        return CharNode(
-            x=float(self.x[k][i]), t=float(self.t[k][i]),
-            u=float(self.u[k][i]), a=float(self.a[k][i]), s=float(self.s[k][i]),
-        )
-
     def parents(self, k: int):
         """C+, C- and C0 parent indices (on level k-1) of level k's nodes;
         all -1 on the initial level."""
@@ -157,40 +137,37 @@ class JacobianTrace:
 
 
 # ---------------------------------------------------------------------------
-# pointwise relations
+# the characteristic relations, on floats or arrays
 
 
-def char_slopes(n: CharNode):
-    """Characteristic slopes (u+a, u-a, u) of a node."""
-    return (n.u + n.a, n.u - n.a, n.u)
+_SIGN = {"C+": 1.0, "C-": -1.0}
 
 
-def riemann_invariants(n: CharNode, m: GasModel):
+def riemann_invariants(u, a, gamma: float):
     """J+/- = u +/- 2a/(gamma-1)."""
-    c = 2.0 / (m.gamma - 1.0)
-    return (n.u + c * n.a, n.u - c * n.a)
+    c = 2.0 / (gamma - 1.0)
+    return u + c * a, u - c * a
 
 
-def compat_residual(from_node: CharNode, to_node: CharNode, family: str,
-                    m: GasModel) -> float:
-    """Discrete compatibility residual along a C+ or C- connection.
+def _entropy_term(a0, s0, a1, s1, gamma: float):
+    """Midpoint entropy term of the C+/- relation from state 0 to state 1:
+    J+ gains it along C+, J- loses it along C-."""
+    return 0.5 * (a0 + a1) / (gamma * (gamma - 1.0) * 0.5 * (s0 + s1)) * (s1 - s0)
+
+
+def compat_residual(start, end, family: str, m: GasModel):
+    """Discrete compatibility residual |dJ+/- -/+ entropy term| along a C+ or
+    C- connection between ``(u, a, s)`` states (floats or arrays).
 
     Midpoint-averaged coefficients; the residual of the exact relation is
     O(dt^2) on nodes sampled from a smooth solution.
     """
-    if family not in ("C+", "C-"):
+    if family not in _SIGN:
         raise ValueError(f"unknown family {family!r}")
-    g = m.gamma
-    c = 2.0 / (g - 1.0)
-    a_mid = 0.5 * (from_node.a + to_node.a)
-    s_mid = 0.5 * (from_node.s + to_node.s)
-    coef = a_mid / (g * (g - 1.0) * s_mid)
-    du = to_node.u - from_node.u
-    da = to_node.a - from_node.a
-    ds = to_node.s - from_node.s
-    if family == "C+":
-        return abs(du + c * da - coef * ds)
-    return abs(du - c * da + coef * ds)
+    j = 0 if family == "C+" else 1
+    (u0, a0, s0), (u1, a1, s1) = start, end
+    dJ = riemann_invariants(u1, a1, m.gamma)[j] - riemann_invariants(u0, a0, m.gamma)[j]
+    return abs(dJ - _SIGN[family] * _entropy_term(a0, s0, a1, s1, m.gamma))
 
 
 def nodes_from_primitive(x, rho, u, p, m: GasModel):
@@ -272,11 +249,11 @@ def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
     i = np.arange(len(xL))
 
     c = 2.0 / (gamma - 1.0)
-    g2 = gamma * (gamma - 1.0) * 0.5
     dx, dt, du = xR - xL, tR - tL, uR - uL
     t_max = np.maximum(tL, tR)
     lam_L, lam_R = uL + aL, uR - aR  # the parents' C+ and C- slopes
-    J_L, J_R = uL + c * aL, uR - c * aR  # and Riemann invariants
+    J_plus, J_minus = riemann_invariants(u, a, gamma)
+    J_L, J_R = J_plus[:-1], J_minus[1:]  # and Riemann invariants
     # leading coefficient of the C0 foot quadratic below, and its guards
     c2 = 0.5 * du * dt
     c2_abs, c2_4, c2_div = np.abs(c2), 4.0 * c2, np.where(c2 == 0.0, 1.0, c2)
@@ -325,8 +302,8 @@ def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
         sP = np.maximum(_dot(w, s_st), 1e-300)
 
         # compatibility along C+ and C- with midpoint coefficients
-        rhs1 = J_L + 0.5 * (aL + aP) / (g2 * (sL + sP)) * (sP - sL)
-        rhs2 = J_R - 0.5 * (aR + aP) / (g2 * (sR + sP)) * (sP - sR)
+        rhs1 = J_L + _entropy_term(aL, sL, aP, sP, gamma)
+        rhs2 = J_R - _entropy_term(aR, sR, aP, sP, gamma)
         new = np.array((xP, tP, 0.5 * (rhs1 + rhs2), (rhs1 - rhs2) / (2.0 * c),
                         sP))
         bad = new[3] <= 0.0
@@ -344,9 +321,6 @@ def _advance_level(x, t, u, a, s, lab, gamma, tol, max_iter):
     # labels at the final foot; C0 parent: the parent node nearest it
     labP = _dot(w, [lab[j] for j in stencil[0]])
     return (*P, labP, np.where(theta < 0.5, i, i + 1)), -1
-
-
-_SIGN = {"C+": 1.0, "C-": -1.0}
 
 
 def _level_gaps(net: CharNet, k: int, family: str, dx0: np.ndarray):
@@ -491,13 +465,12 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
             worst = max(worst, float(np.max(np.abs(net.s[k] - s_ref))))
         return worst
     if family in _SIGN:
-        sc = _SIGN[family] * (2.0 / (g - 1.0))
+        j = 0 if family == "C+" else 1
         worst = 0.0
         for k in range(1, net.n_levels):
-            par = net.parents(k)[0 if family == "C+" else 1]
-            J_par = (net.u[k - 1] + sc * net.a[k - 1])[par]
-            worst = max(worst, float(np.max(np.abs(
-                net.u[k] + sc * net.a[k] - J_par))))
+            J_par = riemann_invariants(net.u[k - 1], net.a[k - 1], g)[j]
+            J = riemann_invariants(net.u[k], net.a[k], g)[j]
+            worst = max(worst, float(np.max(np.abs(J - J_par[net.parents(k)[j]]))))
         return worst
     raise ValueError(f"unknown family {family!r}")
 

@@ -31,7 +31,6 @@ __all__ = [
     "DerivedState",
     "derive_state",
     "derive_fields",
-    "entropy_function",
     "gibbs_residual",
 ]
 
@@ -115,11 +114,6 @@ class DerivedState:
     e: float
     h: float
     h0: float
-
-
-def entropy_function(rho, p, gamma):
-    """Entropy function s = p / rho**gamma (array-friendly)."""
-    return p / rho ** gamma
 
 
 def derive_state(q: PrimitiveState, m: GasModel) -> DerivedState:

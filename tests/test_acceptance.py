@@ -195,7 +195,7 @@ def test_c06_moc_fidelity():
                       t_end=0.35, m=MODEL)
     err = scale = 0.0
     jm_worst = 0.0
-    jm_ref = riemann_invariants(net.node(0, 0), MODEL)[1]
+    jm_ref = riemann_invariants(net.u[0][0], net.a[0][0], GAMMA)[1]
     for k in range(net.n_levels):
         for i in range(net.level_size(k)):
             x, t = float(net.x[k][i]), float(net.t[k][i])

@@ -31,12 +31,14 @@ def write_fields_csv(path, fs: FieldSet):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_uniform_csv(path, nx=9, ny=9, rho=1.0, u=1.0, v=0.0, p=1.0):
+def write_uniform_csv(path, nx=9, ny=9, rho=1.0, u=1.0, v=0.0, p=1.0,
+                      h=None):
+    hx, hy = (1.0 / (nx - 1), 1.0 / (ny - 1)) if h is None else (h, h)
     lines = ["x,y,rho,u,v,p"]
     for j in range(ny):
         for i in range(nx):
             lines.append(",".join(format(val, ".17g") for val in
-                                  (i / (nx - 1), j / (ny - 1), rho, u, v, p)))
+                                  (i * hx, j * hy, rho, u, v, p)))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -400,6 +402,25 @@ class TestFailedRunWritesNothing:
         assert cli.main(["solve-moc", "--init", str(init), "--t-end", "0.1",
                          "--out", str(out)]) == 3
         assert written_files(out) == []
+
+    def test_failure_removes_only_directories_it_made(self, tmp_path,
+                                                      monkeypatch):
+        from vortigen import moc
+        from vortigen.errors import NonConvergence
+
+        def fail(*args, **kwargs):
+            raise NonConvergence("residual failed")
+        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        x = np.linspace(0.0, 1.0, 21)
+        init = write_init_csv(tmp_path / "init.csv", x, np.ones(21),
+                              np.zeros(21), np.ones(21))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "earlier.txt").write_text("x\n")
+        for out in (kept / "new" / "deeper", kept):
+            assert cli.main(["solve-moc", "--init", str(init), "--t-end",
+                             "0.1", "--out", str(out)]) == 3
+        assert written_files(kept) == ["earlier.txt"]
 
 
 class TestSubcommands:
@@ -851,6 +872,27 @@ class TestRunBounds:
             "numerical failure: corrector did not reach 1e-12 in 20 "
             "iterations\n")
         assert not out.exists()
+
+
+class TestArithmeticFaults:
+    """Scalar arithmetic that overflows or divides by zero exits 3."""
+
+    @pytest.mark.parametrize("field", [
+        {"rho": 1e-300, "p": 1e-300},  # rho ** gamma underflows to 0
+        {"u": 1e200, "v": 1e200},  # v_max ** 2 overflows
+        {"h": 1e-300},  # grid spacing ** 3 underflows to 0
+    ], ids=["tiny_state", "huge_velocity", "tiny_spacing"])
+    def test_diagnose_exits_3(self, tmp_path, capsys, field):
+        write_uniform_csv(tmp_path / "f.csv", **field)
+        cfgp = write_config(tmp_path, fields="f.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.main(["diagnose", "--config", str(cfgp)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigTable:

@@ -6,9 +6,7 @@ from vortigen.errors import NonConvergence
 from vortigen.exact import SimpleWave
 from vortigen.moc import (
     CharNet,
-    CharNode,
     EnvelopeEvent,
-    char_slopes,
     compat_residual,
     detect_envelope,
     jacobian_trace,
@@ -57,55 +55,71 @@ def net_linf_error_vs(net, state_fn):
     return err / scale
 
 
+# (u, a, s) states of the pointwise relation tests below
+POINTWISE_STATES = [(0.0, 1.0, 1.0), (1.0, 1e-14, 1.0), (0.8, 1.1, 1.0),
+                    (-0.8, 1.1, 1.0), (0.3, 1.2, 0.9), (0.1, 1.0, 1.0),
+                    (0.25, 1.06, 1.0)]
+
+
 class TestPointwise:
-    def test_char_slopes_rest(self):
-        assert char_slopes(CharNode(0, 0, 0.0, 1.0, 1.0)) == (1.0, -1.0, 0.0)
-
-    def test_char_slopes_supersonic(self):
-        lp, lm, l0 = char_slopes(CharNode(0, 0, 2.0, 1.0, 1.0))
-        assert (lp, lm, l0) == (3.0, 1.0, 2.0)
-        assert lm > 0.0  # both acoustic slopes positive when supersonic
-
-    def test_char_slopes_galilean_shift(self):
-        base = char_slopes(CharNode(0, 0, 0.7, 1.3, 1.0))
-        for c in (-2.0, 0.5, 10.0):
-            shifted = char_slopes(CharNode(0, 0, 0.7 + c, 1.3, 1.0))
-            assert shifted == pytest.approx(tuple(b + c for b in base), rel=1e-15)
-
     def test_riemann_invariants_frozen(self):
         # 2/(gamma-1) = 5 at gamma = 1.4
-        jp, jm = riemann_invariants(CharNode(0, 0, 0.0, 1.0, 1.0), M)
+        jp, jm = riemann_invariants(0.0, 1.0, GAMMA)
         assert jp == pytest.approx(5.0, rel=1e-15)
         assert jm == pytest.approx(-5.0, rel=1e-15)
 
     def test_riemann_invariants_sound_speed_limit(self):
-        jp, jm = riemann_invariants(CharNode(0, 0, 1.0, 1e-14, 1.0), M)
+        jp, jm = riemann_invariants(1.0, 1e-14, GAMMA)
         assert jp == pytest.approx(1.0, abs=1e-12)
         assert jm == pytest.approx(1.0, abs=1e-12)
 
     def test_riemann_invariants_reflection(self):
-        n1 = CharNode(0, 0, 0.8, 1.1, 1.0)
-        n2 = CharNode(0, 0, -0.8, 1.1, 1.0)
-        jp1, jm1 = riemann_invariants(n1, M)
-        jp2, jm2 = riemann_invariants(n2, M)
+        jp1, jm1 = riemann_invariants(0.8, 1.1, GAMMA)
+        jp2, jm2 = riemann_invariants(-0.8, 1.1, GAMMA)
         assert jp2 == pytest.approx(-jm1, rel=1e-15)
         assert jm2 == pytest.approx(-jp1, rel=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1.2, GAMMA, 1.67])
+    def test_array_calls_equal_float_calls(self, gamma):
+        # random states plus those of the pointwise tests; each array
+        # element must be bitwise the float call on that element's state
+        m = GasModel(gamma=gamma, R=1.0)
+        rng = np.random.default_rng(11)
+        n = 200
+        start = np.vstack([rng.uniform(-2, 2, n), rng.uniform(0.1, 3, n),
+                           rng.uniform(0.1, 3, n)])
+        end = start + rng.uniform(-0.2, 0.2, (3, n))
+        pts = np.array(POINTWISE_STATES).T
+        start = np.hstack([start, pts, pts])
+        end = np.hstack([end, pts, np.roll(pts, 1, axis=1)])
+        jp, jm = riemann_invariants(start[0], start[1], gamma)
+        res = {fam: compat_residual(start, end, fam, m) for fam in ("C+", "C-")}
+        for i in range(start.shape[1]):
+            s0, s1 = tuple(map(float, start[:, i])), tuple(map(float, end[:, i]))
+            assert riemann_invariants(s0[0], s0[1], gamma) == (jp[i], jm[i])
+            for fam in ("C+", "C-"):
+                r = compat_residual(s0, s1, fam, m)
+                assert type(r) is float and r == res[fam][i]
 
 
 class TestCompatibility:
     def test_identical_nodes_zero(self):
-        n = CharNode(0, 0, 0.3, 1.2, 0.9)
+        n = (0.3, 1.2, 0.9)
         assert compat_residual(n, n, "C+", M) == 0.0
         assert compat_residual(n, n, "C-", M) == 0.0
 
+    @pytest.mark.parametrize("family", ["C0", "C*", "c+"])
+    def test_rejects_other_families(self, family):
+        with pytest.raises(ValueError, match="unknown family"):
+            compat_residual((0.3, 1.2, 0.9), (0.3, 1.2, 0.9), family, M)
+
     def test_isentropic_reduces_to_riemann_increment(self):
-        a = CharNode(0.0, 0.0, 0.1, 1.0, 1.0)
-        b = CharNode(0.1, 0.05, 0.25, 1.06, 1.0)
+        (ua, aa, sa), (ub, ab, sb) = (0.1, 1.0, 1.0), (0.25, 1.06, 1.0)
         c = 2.0 / (GAMMA - 1.0)
-        assert compat_residual(a, b, "C+", M) == pytest.approx(
-            abs((b.u - a.u) + c * (b.a - a.a)), rel=1e-15)
-        assert compat_residual(a, b, "C-", M) == pytest.approx(
-            abs((b.u - a.u) - c * (b.a - a.a)), rel=1e-15)
+        assert compat_residual((ua, aa, sa), (ub, ab, sb), "C+", M) == \
+            pytest.approx(abs((ub - ua) + c * (ab - aa)), rel=1e-15)
+        assert compat_residual((ua, aa, sa), (ub, ab, sb), "C-", M) == \
+            pytest.approx(abs((ub - ua) - c * (ab - aa)), rel=1e-15)
 
     def test_manufactured_solution_order(self):
         # States integrated along an exact C+ compatibility path; the
@@ -132,8 +146,8 @@ class TestCompatibility:
             worst = 0.0
             ts = np.arange(0.0, 1.0 + 1e-12, dt)
             for t0, t1 in zip(ts, ts[1:]):
-                n0 = CharNode(0, t0, float(sol.sol(t0)[0]), a_of(t0), s_of(t0))
-                n1 = CharNode(0, t1, float(sol.sol(t1)[0]), a_of(t1), s_of(t1))
+                n0 = (float(sol.sol(t0)[0]), a_of(t0), s_of(t0))
+                n1 = (float(sol.sol(t1)[0]), a_of(t1), s_of(t1))
                 worst = max(worst, compat_residual(n0, n1, "C+", M))
             res.append(worst)
         orders = [np.log2(res[k] / res[k + 1]) for k in range(len(res) - 1)]
@@ -148,17 +162,17 @@ class TestCompatibility:
             du, da, ds = rng.uniform(-1, 1, 3)
             diffs = []
             for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-                n0 = CharNode(0, 0, u0, a0, s0)
-                n1 = CharNode(0, 1, u0 + eps * du, a0 + eps * da, s0 + eps * ds)
+                n0 = (u0, a0, s0)
+                n1 = (u0 + eps * du, a0 + eps * da, s0 + eps * ds)
                 r_uas = compat_residual(n0, n1, "C+", M)
                 # pressure form via rho = (a^2/(gamma s))^(1/(gamma-1))
                 def prim(n):
-                    rho = (n.a ** 2 / (GAMMA * n.s)) ** (1.0 / (GAMMA - 1.0))
-                    return rho, n.s * rho ** GAMMA
+                    rho = (n[1] ** 2 / (GAMMA * n[2])) ** (1.0 / (GAMMA - 1.0))
+                    return rho, n[2] * rho ** GAMMA
                 r0, p0 = prim(n0)
                 r1, p1 = prim(n1)
-                rho_m, a_m = 0.5 * (r0 + r1), 0.5 * (n0.a + n1.a)
-                r_p = abs((n1.u - n0.u) + (p1 - p0) / (rho_m * a_m))
+                rho_m, a_m = 0.5 * (r0 + r1), 0.5 * (n0[1] + n1[1])
+                r_p = abs((n1[0] - n0[0]) + (p1 - p0) / (rho_m * a_m))
                 diffs.append(abs(r_uas - r_p))
             if diffs[0] < 1e-14:
                 continue  # degenerate draw, nothing to measure
@@ -166,6 +180,24 @@ class TestCompatibility:
                       if diffs[k + 1] > 1e-14]
             assert diffs[-1] <= 1e-12
             assert not orders or min(orders) >= 1.9
+
+    @pytest.mark.parametrize("gamma", [1.2, GAMMA, 1.67])
+    def test_solver_nodes_satisfy_relation(self, gamma):
+        # every node of a nonisentropic net against its C+ and C- parents:
+        # the corrector and compat_residual must state one relation
+        m = GasModel(gamma=gamma, R=1.0)
+        x = np.linspace(0.0, 1.0, 201)
+        rho = 1.0 + 0.05 * np.sin(2 * np.pi * x)
+        s = 1.0 + 0.10 * np.sin(2 * np.pi * x + 0.7)
+        net = advance_net(nodes_from_primitive(
+            x, rho, 0.05 * np.cos(2 * np.pi * x), s * rho ** gamma, m),
+            t_end=0.2, m=m)
+        assert net.envelope is None and net.n_levels > 20
+        for k in range(1, net.n_levels):
+            node = (net.u[k], net.a[k], net.s[k])
+            for fam, par in zip(("C+", "C-"), net.parents(k)):
+                parent = (net.u[k - 1][par], net.a[k - 1][par], net.s[k - 1][par])
+                assert compat_residual(parent, node, fam, m).max() <= 1e-12
 
 
 class TestAdvanceNet:
@@ -215,7 +247,7 @@ class TestAdvanceNet:
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
         net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
-        jm_ref = riemann_invariants(net.node(0, 0), M)[1]
+        jm_ref = riemann_invariants(net.u[0][0], net.a[0][0], GAMMA)[1]
         for k in range(net.n_levels):
             jm = net.u[k] - 5.0 * net.a[k]
             assert np.max(np.abs(jm - jm_ref)) <= 1e-6
