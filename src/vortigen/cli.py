@@ -508,29 +508,45 @@ def _event_dict(ev) -> Optional[dict]:
     return None if ev is None else dataclasses.asdict(ev)
 
 
+def _float_column(levels):
+    """``(spec, rows)`` for one float column split into levels (the net's,
+    or one trajectory's): ``rows(k)`` gives level k's values for ``spec``.
+    Floats are written ``%.17g``; when at most half are distinct, each
+    distinct bit pattern (``-0.0`` apart from ``0.0``) is formatted once.
+    ``np.sort``, not ``np.unique``, whose hash path is far slower here."""
+    bits = [np.asarray(v, dtype=np.float64).view(np.int64) for v in levels]
+    flat = np.sort(np.concatenate(bits))
+    distinct = np.delete(flat, np.flatnonzero(flat[1:] == flat[:-1]) + 1)
+    if 2 * distinct.size > flat.size:  # formatting in the row is faster
+        return "%.17g", lambda k: bits[k].view(np.float64).tolist()
+    text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
+                    dtype=object)
+    return "%s", lambda k: text[np.searchsorted(distinct, bits[k])].tolist()
+
+
 def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K, staged):
     names = [n for n in ATTRIBUTION_ORDER if n in K.attribution]
-    extra = [n for n in K.attribution if n not in names]
-    names += sorted(extra)
+    names += sorted(n for n in K.attribution if n not in names)
     header = ["xi1", "A1", "Anu", "K", *names]
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    cols = [_float_column([v]) for v in (
+        xi, a1_samples, anu_samples, K.K, *[K.attribution[n] for n in names])]
+    row = ",".join(spec for spec, _ in cols) + "\n"
     with _atomic_write(path, staged) as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([row % tuple(r) for r in np.column_stack(
-            [xi, a1_samples, anu_samples, K.K,
-             *[K.attribution[n] for n in names]]).tolist()]))
+        fh.write("".join(map(row.__mod__, zip(*[r(0) for _, r in cols]))))
 
 
 def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     """Stream the net one level (one write) at a time; parent indices refer
     to the previous level, -1 on the initial level."""
+    cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
+    specs = ",".join(spec for spec, _ in cols)
     with _atomic_write(path, staged) as fh:
         fh.write("level,index,t,x,u,a,s,cplus_parent,cminus_parent,c0_parent\n")
         for k in range(net.n_levels):
-            row = f"{k},%d" + ",%.17g" * 5 + ",%d,%d,%d\n"
-            cols = [q[k].tolist() for q in (net.t, net.x, net.u, net.a, net.s)]
+            row = f"{k},%d,{specs},%d,%d,%d\n"
             fh.write("".join(map(row.__mod__, zip(
-                range(net.level_size(k)), *cols,
+                range(net.level_size(k)), *[r(k) for _, r in cols],
                 *(p.tolist() for p in net.parents(k))))))
 
 

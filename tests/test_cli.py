@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortigen import cli
 from vortigen.errors import GridInferenceError, ParseError
@@ -566,6 +568,19 @@ def net_csv_reference(net):
                      + [template % tuple(r) for r in rows]) + "\n"
 
 
+def trajectory_csv_reference(xi, a1_samples, anu_samples, K):
+    """Reference: the trajectory CSV writer that formatted every float in
+    its row."""
+    names = [n for n in cli.ATTRIBUTION_ORDER if n in K.attribution]
+    extra = [n for n in K.attribution if n not in names]
+    names += sorted(extra)
+    header = ["xi1", "A1", "Anu", "K", *names]
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    body = np.column_stack([xi, a1_samples, anu_samples, K.K,
+                            *[K.attribution[n] for n in names]]).tolist()
+    return ",".join(header) + "\n" + "".join([row % tuple(r) for r in body])
+
+
 class TestOnePassPipeline:
     @pytest.mark.parametrize("n", [101, 206])  # crossing / degenerate end
     def test_net_csv_bytes_match_row_builder(self, tmp_path, n):
@@ -602,6 +617,111 @@ class TestOnePassPipeline:
         assert len(nets) == 1
         assert (nets[0].envelope is None) == (n == 0)
         assert scanned == list(range(nets[0].n_levels - 1))
+
+
+# values whose text is easy to get wrong: signed zeros, subnormals, the
+# ends of the range and integral floats (1.0 is written 1)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0, 2.0, 1e16,
+                  -123456789.0, 0.1, float("inf"), float("nan")]
+
+
+def float_bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def float_column(draw, n):
+    """n floats with a drawn number of distinct bit patterns: heavily
+    repeated, all distinct, or at and one either side of the half-distinct
+    threshold where the writers switch from formatting each distinct value
+    once to formatting in the row."""
+    form = draw(st.sampled_from(["repeated", "distinct", "half-1", "half",
+                                 "half+1"]))
+    d = {"repeated": draw(st.integers(1, max(1, n // 8))), "distinct": n,
+         "half-1": n // 2 - 1, "half": n // 2, "half+1": n // 2 + 1}[form]
+    d = min(max(d, 1), n)
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+        min_size=d, max_size=d, unique_by=lambda v: int(float_bits(v))))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    column = values + [rnd.choice(values) for _ in range(n - d)]
+    rnd.shuffle(column)
+    return np.array(column, dtype=np.float64)
+
+
+class TestFloatColumns:
+    """Both CSV writers against their references: the same bytes, whichever
+    way each column is formatted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_net_csv_bytes_match_reference(self, tmp_path_factory, data):
+        from vortigen import moc
+        n0 = data.draw(st.integers(1, 12))
+        sizes = list(range(n0, n0 - data.draw(st.integers(1, n0)), -1))
+        split = np.cumsum(sizes)[:-1]
+        cols = {q: np.split(data.draw(float_column(sum(sizes))), split)
+                for q in "txuas"}
+        c0 = [np.full(n0, -1)] + [np.arange(m) for m in sizes[1:]]
+        net = moc.CharNet(gamma=GAMMA, c0_parent=c0, **cols)
+        for q in "txuas":
+            n_distinct = np.unique(float_bits(np.concatenate(cols[q]))).size
+            spec, _ = cli._float_column(cols[q])
+            assert spec == ("%s" if 2 * n_distinct <= sum(sizes) else "%.17g")
+        path = tmp_path_factory.mktemp("net") / "net.csv"
+        with cli._staged_run() as staged:
+            cli._write_net_csv(path, net, staged)
+        assert path.read_bytes() == net_csv_reference(net).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trajectory_csv_bytes_match_reference(self, tmp_path_factory,
+                                                  data):
+        from types import SimpleNamespace
+        n = data.draw(st.integers(1, 40))
+        xi, a1, anu, k_total, *terms = [data.draw(float_column(n))
+                                        for _ in range(7)]
+        names = ["zz_extra", "viscous_production", "pressure_baroclinic"]
+        K = SimpleNamespace(K=k_total, attribution=dict(zip(names, terms)))
+        path = tmp_path_factory.mktemp("traj") / "trajectory_000.csv"
+        with cli._staged_run() as staged:
+            cli._write_trajectory_csv(path, xi, a1, anu, K, staged)
+        assert path.read_bytes() \
+            == trajectory_csv_reference(xi, a1, anu, K).encode()
+
+    def test_net_csv_reads_back_bitwise(self, tmp_path):
+        from vortigen import moc
+        x, rho, u, p = cli.load_initial_1d(
+            compression_init(tmp_path / "init.csv"))
+        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                              t_end=3.0, m=M)
+        with cli._staged_run() as staged:
+            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        back = np.loadtxt(tmp_path / "net.csv", delimiter=",", skiprows=1)
+        for j, q in enumerate((net.t, net.x, net.u, net.a, net.s), start=2):
+            assert np.array_equal(float_bits(back[:, j]),
+                                  float_bits(np.concatenate(q)))
+
+    def test_couette_trajectory_reads_back_bitwise(self, tmp_path,
+                                                   monkeypatch):
+        fs, _ = couette_flow(mu=0.1, k=0.05)
+        write_fields_csv(tmp_path / "f.csv", fs)
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            transport={"mu": 0.1, "k": 0.05},
+                            trajectories={"seeds": [[0.1, 0.3]]})
+        written, write = [], cli._write_trajectory_csv
+        monkeypatch.setattr(cli, "_write_trajectory_csv", lambda *a:
+                            written.append(a[1:5]) or write(*a))
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        xi, a1, anu, K = written[0]
+        path = tmp_path / "out" / "trajectory_000.csv"
+        assert path.read_text() == trajectory_csv_reference(xi, a1, anu, K)
+        names = path.read_text().splitlines()[0].split(",")[4:]
+        expect = np.column_stack([xi, a1, anu, K.K,
+                                  *[K.attribution[n] for n in names]])
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(float_bits(back), float_bits(expect))
 
 
 class TestInputValidation:
