@@ -285,9 +285,18 @@ def load_initial_1d(path):
     arr = _read_rows(path, ["x", "rho", "u", "p"])
     if len(arr) < 3:
         raise ParseError(f"{path}: need at least 3 samples")
-    if np.any(np.diff(arr[:, 0]) <= 0.0):
+    x = arr[:, 0]
+    dx = np.diff(x)
+    if np.any(dx <= 0.0):
         raise ParseError(f"{path}: x samples must be strictly increasing")
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    # the interpolation stencils divide by products of node distances,
+    # which lie between these two
+    with np.errstate(over="ignore"):
+        products = np.append(dx[:-1] * dx[1:], (x[-1] - x[0]) ** 2)
+    if not np.all((products > 0.0) & (products < np.inf)):
+        raise ParseError(f"{path}: x spacings too small or too far apart "
+                         "(a product of two is 0 or not finite)")
+    return x, arr[:, 1], arr[:, 2], arr[:, 3]
 
 
 # ---------------------------------------------------------------------------

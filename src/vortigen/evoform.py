@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import MissingSnapshots, ShapeMismatch
+from .errors import MissingSnapshots, NonPhysicalState, ShapeMismatch
 from .fields import (
     AccompanyingFrame,
     FieldSet,
@@ -268,6 +268,10 @@ def crocco_normal_coefficient(
     the state at ``time_index`` so the spatial and temporal terms refer to
     the same instant.
 
+    Memory: the result keeps 6 node fields per term, two to four terms.
+    Each stack is written in place, so the call needs only a few node
+    fields beyond them while it runs (T, h0 and stencil temporaries).
+
     Raises
     ------
     MissingSnapshots
@@ -281,30 +285,52 @@ def crocco_normal_coefficient(
     elif include_time_term and not has_series:
         raise MissingSnapshots("time term requested but no snapshot series")
 
-    derived = derive_fields(fs.rho, fs.p, m)
-    T = derived["T"]
-    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
-
+    T, h0 = _temperature_and_h0(fs, m)
     vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
+    shape = (6,) + grid.shape
+    pieces = {}
 
-    gx, gy = gradient(h0, grid)
-    omega = curl2d(fs.u, fs.v, grid)
-    vectors = {"h0_gradient": (gx / T, gy / T),
-               "vortical": (vort_sign * fs.v * omega / T,
-                            vort_sign * (-fs.u) * omega / T)}
+    # rows 0-1 take each term's T (Gx, Gy); the loop at the end divides
+    # them by T and fills rows 2-5 with their node gradients
+    g = pieces["h0_gradient"] = np.empty(shape)
+    g[0], g[1] = gradient(h0, grid)
+    del h0
+
+    g = pieces["vortical"] = np.empty(shape)
+    g[0], g[1] = fs.v, -fs.u
+    g[:2] *= vort_sign
+    g[:2] *= curl2d(fs.u, fs.v, grid)
 
     fcomp = forces.components(grid)
     if fcomp is not None:
-        vectors["force"] = (-fcomp[0] / T, -fcomp[1] / T)
+        g = pieces["force"] = np.empty(shape)
+        g[0], g[1] = fcomp
+        del fcomp
+        np.negative(g[:2], out=g[:2])
 
     if include_time_term:
-        dudt = time_derivative(fs, "u", time_index)
-        dvdt = time_derivative(fs, "v", time_index)
-        vectors["nonstationarity"] = (dudt / T, dvdt / T)
+        g = pieces["nonstationarity"] = np.empty(shape)
+        g[0] = time_derivative(fs, "u", time_index)
+        g[1] = time_derivative(fs, "v", time_index)
 
-    return NormalCoefficient({
-        name: np.stack([fx, fy, *gradient(fx, grid), *gradient(fy, grid)])
-        for name, (fx, fy) in vectors.items()})
+    for g in pieces.values():
+        g[:2] /= T
+        g[2], g[3] = gradient(g[0], grid)
+        g[4], g[5] = gradient(g[1], grid)
+    return NormalCoefficient(pieces)
+
+
+def _temperature_and_h0(fs: FieldSet, m: GasModel):
+    """Node fields T and h0 = h + |U|^2 / 2 by the arithmetic of
+    :func:`derive_fields`, without the a, s and e it also builds."""
+    rho, p = fs.rho, fs.p
+    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+        raise NonPhysicalState("field arrays must have rho > 0 and p > 0")
+    T = p / (rho * m.R)
+    h0 = m.c_v * T
+    h0 += p / rho
+    h0 += 0.5 * (fs.u ** 2 + fs.v ** 2)
+    return T, h0
 
 
 def ideal_a1() -> A1Coefficient:
@@ -533,9 +559,7 @@ def truncation_estimate(fs: FieldSet, m: GasModel) -> TruncationEstimate:
     (polynomial) fields whose truncation term vanishes.
     """
     grid = fs.grid
-    derived = derive_fields(fs.rho, fs.p, m)
-    T = derived["T"]
-    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
+    T, h0 = _temperature_and_h0(fs, m)
     t_min = float(np.min(T))
     v_max = float(np.max(fs.speed))
     h = max(grid.hx, grid.hy)
@@ -545,7 +569,7 @@ def truncation_estimate(fs: FieldSet, m: GasModel) -> TruncationEstimate:
           + v_max * (_third_derivative_scale(fs.u, grid)
                      + _third_derivative_scale(fs.v, grid)))
     eps = np.finfo(float).eps
-    mag = float(np.max(np.abs(h0))) + v_max ** 2 + v_max * float(np.max(fs.speed))
+    mag = float(np.max(np.abs(h0))) + v_max ** 2 + v_max * v_max
     floor_anu = 4096.0 * eps * mag / (t_min * h_min)
     anu = (h * h / 6.0) * m3 / t_min + floor_anu
 

@@ -976,21 +976,27 @@ class TestRunBounds:
             f"1,000,000 RK4 steps per seed, got 5.65685 / 1e-09 = 5.66e+09\n")
         assert written_files(tmp_path / "out") == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_corrector_change_exits_3(self, tmp_path, capsys):
-        # nodes 1e-300 apart: the stencil weights are 0/0, and the NaN
-        # change of the iterates must not pass as converged
-        n = 821
+    @pytest.mark.parametrize("n, spacing", [
+        (9, 1e-300),  # adjacent spacings multiply to 0: 0/0 weights
+        # the span squared overflows, and so do the outer stencil
+        # denominators: the weights lose a node and s decays by 1/4 a level
+        (100, 1e154),
+    ], ids=["tiny", "huge"])
+    def test_unusable_spacing_exits_2(self, tmp_path, capsys, n, spacing):
+        # the interpolation stencils divide by products of node distances:
+        # spacings that make one 0 or infinite are refused at ingestion
         i = np.arange(n)
-        init = write_init_csv(tmp_path / "tiny.csv", i * 1e-300, np.ones(n),
+        init = write_init_csv(tmp_path / "spaced.csv", i * spacing, np.ones(n),
                               0.01 * np.sin(i / 50), np.ones(n))
         out = tmp_path / "out"
-        rc = cli.main(["solve-moc", "--init", str(init), "--t-end", "1e-299",
-                       "--out", str(out)])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: corrector did not reach 1e-12 in 20 "
-            "iterations\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["solve-moc", "--init", str(init), "--t-end",
+                           repr(10 * spacing), "--out", str(out)])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}: x spacings ") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,15 @@ from vortigen.evoform import (
 from vortigen.fields import (
     FieldSet,
     StructuredGrid2D,
+    Snapshot,
     Trajectory,
+    curl2d,
     frame_along,
     gradient,
+    time_derivative,
     trace_streamline,
 )
-from vortigen.thermo import PrimitiveState, derive_state
+from vortigen.thermo import PrimitiveState, derive_fields, derive_state
 
 from scenarios import (
     GAMMA,
@@ -101,6 +106,94 @@ class TestCroccoCoefficient:
         _, pieces = anu.sample_along(traj, frame, fs.grid)
         T = 1.0
         assert np.allclose(pieces["force"], g / T, atol=1e-12)
+
+
+def wavy_series(n, times=(0.0, 0.1, 0.25)):
+    """Smooth nonuniform fields on an n x n grid with a snapshot at each of
+    ``times`` (nonuniformly spaced); the primary arrays are the second."""
+    grid = StructuredGrid2D(n, n, hx=1.0 / (n - 1), hy=1.0 / (n - 1))
+    X, Y = np.meshgrid(grid.x, grid.y)
+
+    def state(t):
+        return (1.0 + 0.1 * np.sin(3.0 * X + t) * np.cos(2.0 * Y),
+                1.0 + Y * Y + 0.3 * t * X, 0.3 * X - 0.2 * t * Y * Y,
+                1.0 + 0.2 * X * Y + 0.1 * t)
+
+    snaps = [Snapshot(t, *state(t)) for t in times]
+    return FieldSet(grid, *state(times[1]), snapshots=snaps)
+
+
+def reference_pieces(fs, forces, m, sign, time_index, include_time_term):
+    """The (6, ny, nx) term stacks built by the plain expressions, each term
+    stacked from its (Gx, Gy) and their node gradients."""
+    grid = fs.grid
+    derived = derive_fields(fs.rho, fs.p, m)
+    T = derived["T"]
+    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
+    vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
+    gx, gy = gradient(h0, grid)
+    omega = curl2d(fs.u, fs.v, grid)
+    vectors = {"h0_gradient": (gx / T, gy / T),
+               "vortical": (vort_sign * fs.v * omega / T,
+                            vort_sign * (-fs.u) * omega / T)}
+    fcomp = forces.components(grid)
+    if fcomp is not None:
+        vectors["force"] = (-fcomp[0] / T, -fcomp[1] / T)
+    if include_time_term:
+        dudt = time_derivative(fs, "u", time_index)
+        dvdt = time_derivative(fs, "v", time_index)
+        vectors["nonstationarity"] = (dudt / T, dvdt / T)
+    return {name: np.stack([fx, fy, *gradient(fx, grid), *gradient(fy, grid)])
+            for name, (fx, fy) in vectors.items()}
+
+
+class TestNormalCoefficientStacks:
+    """The stacks are built in place, term by term: every value equals the
+    plain construction's, and the transient memory is a few node fields."""
+
+    @pytest.mark.parametrize("sign", list(CroccoSign))
+    @pytest.mark.parametrize("force", ["none", "potential", "tabulated"])
+    @pytest.mark.parametrize("time_index", [None, 0, 1, 2])
+    def test_bitwise_equal_to_plain_stack(self, sign, force, time_index):
+        fs = wavy_series(33)
+        X, Y = np.meshgrid(fs.grid.x, fs.grid.y)
+        forces = {"none": NO_FORCE,
+                  "potential": ForceModel.potential(9.8 * Y + X * X * Y),
+                  "tabulated": ForceModel.tabulated(np.sin(X + Y),
+                                                    np.cos(X * Y))}[force]
+        timed = time_index is not None
+        anu = crocco_normal_coefficient(
+            fs, forces, MODEL, sign=sign, time_index=time_index or 0,
+            include_time_term=timed)
+        ref = reference_pieces(fs, forces, MODEL, sign, time_index, timed)
+        assert list(anu.pieces) == list(ref)
+        for name, stack in ref.items():
+            assert anu.pieces[name].shape == (6, 33, 33)
+            assert np.array_equal(anu.pieces[name], stack), name
+
+    @pytest.mark.parametrize("terms", [2, 4])
+    def test_transient_memory_is_a_few_fields(self, terms):
+        # the plain construction needs 17 (two terms) and 25 (four terms)
+        # node fields beyond the kept stacks
+        fs = wavy_series(129)
+        if terms == 2:
+            fs = FieldSet(fs.grid, fs.rho, fs.u, fs.v, fs.p)
+            forces = NO_FORCE
+        else:
+            _, Y = np.meshgrid(fs.grid.x, fs.grid.y)
+            forces = ForceModel.potential(9.8 * Y)
+        field = fs.rho.nbytes
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            anu = crocco_normal_coefficient(fs, forces, MODEL, time_index=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(anu.pieces) == terms
+        kept = sum(stack.nbytes for stack in anu.pieces.values())
+        assert kept == 6 * terms * field
+        assert peak - entry <= kept + 8 * field
 
 
 class TestA1:

@@ -279,6 +279,19 @@ class TestAdvanceNet:
             advance_net(w.initial_nodes(np.linspace(0, 1, 41)),
                         t_end=0.2, m=M, max_iter=1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_corrector_change_raises(self):
+        # nodes 1e-300 apart: the stencil weights are 0/0, and the NaN
+        # change of the iterates must not pass as converged (the command
+        # line refuses such spacings before the solver runs)
+        n = 821
+        i = np.arange(n)
+        nodes = nodes_from_primitive(i * 1e-300, np.ones(n),
+                                     0.01 * np.sin(i / 50), np.ones(n), M)
+        with pytest.raises(NonConvergence, match="corrector did not reach "
+                           "1e-12 in 20 iterations"):
+            advance_net(nodes, t_end=1e-299, m=M)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             advance_net(uniform_nodes(2), t_end=0.1, m=M)
