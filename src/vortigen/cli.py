@@ -25,7 +25,6 @@ arithmetic fault such as a float overflow or a division by zero).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import difflib
 import json
@@ -138,68 +137,40 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
     """Finite float rows of a CSV whose header is exactly ``expected``;
     ``rho`` and ``p`` columns must be positive.
 
-    The body is kept from ``np.loadtxt`` when that gives a nonempty,
-    finite table of ``len(expected)`` columns.  Any other body is parsed
-    again by the ``csv`` loop, which accepts what ``float()`` accepts
-    (quoted fields, ``1_0``, non-ASCII digits) and names the first bad
-    line; on the bodies both accept, the arrays are bitwise equal.
+    The body is one ``np.loadtxt`` parse: rows of plain float literals
+    separated by commas, empty lines skipped.  Anything else, quoted
+    fields, ``1_0`` and non-ASCII digits included, is a ``ParseError``
+    naming the file.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != list(expected):
-                raise ParseError(
-                    f"{path}: header must be exactly {','.join(expected)}")
-            arr = _loadtxt_rows(path, len(expected))
-            if arr is None:
-                arr = _csv_rows(path, reader, expected)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
-           if name in ("rho", "p")):
-        raise NonPhysicalState(f"{path}: rho and p must be positive")
-    return arr
-
-
-def _loadtxt_rows(path, ncols: int) -> Optional[np.ndarray]:
-    """The body of ``path`` below its header line as parsed by
-    ``np.loadtxt``, or None unless it is a nonempty, finite
-    ``(rows, ncols)`` table."""
-    try:
+        with open(path) as fh:
+            header = fh.readline()
+        if [h.strip() for h in header.split(",")] != list(expected):
+            raise ParseError(
+                f"{path}: header must be exactly {','.join(expected)}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             arr = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
                              ndmin=2, dtype=float)
-    except ValueError:  # the csv reader repeats the parse and reports
-        return None
-    if len(arr) and arr.shape[1] == ncols and np.isfinite(arr).all():
-        return arr
-    return None
-
-
-def _csv_rows(path, reader, expected: Sequence[str]) -> np.ndarray:
-    """Finite float rows from ``reader``, positioned after the header."""
-    data = []
-    blank = []  # number of data rows read before each blank line
-    for ln, row in enumerate(reader, start=2):
-        if not row:
-            blank.append(len(data))
-            continue
-        if len(row) != len(expected):
-            raise ParseError(f"{path}:{ln}: expected "
-                             f"{len(expected)} fields, got {len(row)}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: {exc}") from None
-    arr = np.array(data, dtype=float).reshape(len(data), len(expected))
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        i, j = bad[0]
-        ln = i + 2 + sum(b <= i for b in blank)
-        raise ParseError(f"{path}:{ln}: column {expected[j]} is not finite "
-                         f"({arr[i, j]})")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not len(arr):
+        return np.empty((0, len(expected)))
+    if arr.shape[1] != len(expected):
+        raise ParseError(f"{path}: expected {len(expected)} fields per row, "
+                         f"got {arr.shape[1]}")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        with open(path) as fh:  # data row i is the i-th nonempty line
+            lines = [ln for ln, text in enumerate(fh, start=1)
+                     if ln > 1 and text != "\n"]
+        raise ParseError(f"{path}:{lines[i]}: column {expected[j]} is not "
+                         f"finite ({arr[i, j]})")
+    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
+           if name in ("rho", "p")):
+        raise NonPhysicalState(f"{path}: rho and p must be positive")
     return arr
 
 
@@ -290,12 +261,12 @@ def load_initial_1d(path):
     if np.any(dx <= 0.0):
         raise ParseError(f"{path}: x samples must be strictly increasing")
     # the interpolation stencils divide by products of node distances,
-    # which lie between these two
+    # which lie between these two; a subnormal one keeps too few digits
     with np.errstate(over="ignore"):
         products = np.append(dx[:-1] * dx[1:], (x[-1] - x[0]) ** 2)
-    if not np.all((products > 0.0) & (products < np.inf)):
+    if not np.all((products >= np.finfo(float).tiny) & (products < np.inf)):
         raise ParseError(f"{path}: x spacings too small or too far apart "
-                         "(a product of two is 0 or not finite)")
+                         "(a product of two is subnormal, 0 or not finite)")
     return x, arr[:, 1], arr[:, 2], arr[:, 3]
 
 
@@ -886,7 +857,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if dest in vars(args):
                 setattr(args, dest, key.read(f"{key.flag}: {name}",
                                              getattr(args, dest)))
-        return args.func(args)
+        # float faults raise, and exit 3 below; underflow is still ignored
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (NonConvergence, NonFiniteResult, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

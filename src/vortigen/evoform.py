@@ -45,7 +45,7 @@ from .fields import (
     interp_bilinear,
     time_derivative,
 )
-from .thermo import DerivedState, GasModel, derive_fields
+from .thermo import DerivedState, GasModel
 
 __all__ = [
     "ATTRIBUTION_ORDER",
@@ -320,15 +320,20 @@ def crocco_normal_coefficient(
     return NormalCoefficient(pieces)
 
 
-def _temperature_and_h0(fs: FieldSet, m: GasModel):
-    """Node fields T and h0 = h + |U|^2 / 2 by the arithmetic of
-    :func:`derive_fields`, without the a, s and e it also builds."""
-    rho, p = fs.rho, fs.p
-    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+def _temperature(fs: FieldSet, m: GasModel) -> np.ndarray:
+    """Node field T by the arithmetic of :func:`thermo.derive_fields`,
+    without the a, s, e and h it also builds."""
+    if np.any(fs.rho <= 0.0) or np.any(fs.p <= 0.0):
         raise NonPhysicalState("field arrays must have rho > 0 and p > 0")
-    T = p / (rho * m.R)
+    return fs.p / (fs.rho * m.R)
+
+
+def _temperature_and_h0(fs: FieldSet, m: GasModel):
+    """Node fields T and h0 = h + |U|^2 / 2, with h as
+    :func:`thermo.derive_fields` builds it."""
+    T = _temperature(fs, m)
     h0 = m.c_v * T
-    h0 += p / rho
+    h0 += fs.p / fs.rho
     h0 += 0.5 * (fs.u ** 2 + fs.v ** 2)
     return T, h0
 
@@ -361,8 +366,7 @@ def viscous_a1(
     if fs.grid.nx < 5 or fs.grid.ny < 5:
         raise ShapeMismatch("need nx, ny >= 5 to resolve second derivatives")
     grid = fs.grid
-    derived = derive_fields(fs.rho, fs.p, m)
-    T = derived["T"]
+    T = _temperature(fs, m)
     rho = fs.rho
 
     Tx, Ty = gradient(T, grid)

@@ -352,7 +352,7 @@ class TestScenarios:
             assert len(list((tmp_path / f"out{n}").glob("trajectory_*"))) == n
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        assert seen[0]["derive_fields"] <= 3
+        assert seen[0]["derive_fields"] == 0
 
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"
@@ -981,10 +981,14 @@ class TestRunBounds:
         # the span squared overflows, and so do the outer stencil
         # denominators: the weights lose a node and s decays by 1/4 a level
         (100, 1e154),
-    ], ids=["tiny", "huge"])
+        # adjacent spacings multiply to subnormals: the weights keep too few
+        # digits and the corrector does not converge
+        (821, 1e-160),
+    ], ids=["tiny", "huge", "subnormal"])
     def test_unusable_spacing_exits_2(self, tmp_path, capsys, n, spacing):
         # the interpolation stencils divide by products of node distances:
-        # spacings that make one 0 or infinite are refused at ingestion
+        # spacings that make one subnormal, 0 or infinite are refused at
+        # ingestion
         i = np.arange(n)
         init = write_init_csv(tmp_path / "spaced.csv", i * spacing, np.ones(n),
                               0.01 * np.sin(i / 50), np.ones(n))
@@ -1011,9 +1015,7 @@ class TestArithmeticFaults:
     def test_diagnose_exits_3(self, tmp_path, capsys, field):
         write_uniform_csv(tmp_path / "f.csv", **field)
         cfgp = write_config(tmp_path, fields="f.csv")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = cli.main(["diagnose", "--config", str(cfgp)])
+        rc = cli.main(["diagnose", "--config", str(cfgp)])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("numerical failure: ") and err.count("\n") == 1

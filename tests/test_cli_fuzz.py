@@ -9,7 +9,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vortigen import cli
@@ -115,8 +114,7 @@ def assert_finite_json(out: Path):
 
 
 # extreme but finite samples overflow on purpose; the run must still end
-# with exit code 0, 2 or 3
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# with exit code 0, 2 or 3 and emit no warning
 @settings(max_examples=60, deadline=None, database=None)
 @given(rows=init_rows(), cfg=configs,
        typo=mostly(st.none(), misspellings()))
