@@ -12,14 +12,19 @@ Subcommands
 * ``detect-shock``: envelope prediction (analytic) and detection (net).
 * ``report``: pretty-print a run report.
 
+``diagnose``, ``solve-moc`` and ``verify-jumps`` run one pipeline,
+``run_scenario``: ``diagnose`` on its config file, the other two on the
+config their flags make.  Each stage writes its own files, and each run
+prints its report, the text ``report`` prints.
+
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale) and written atomically
-(temp-file-then-rename); a ``diagnose`` or ``solve-moc`` run renames all
-its files together once every stage has passed, so a failed run writes
-nothing.  The environment variable ``VORTIGEN_OUT``
-overrides every output directory.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure (including a non-finite result and an
-arithmetic fault such as a float overflow or a division by zero).
+(temp-file-then-rename); a run renames all its files together once every
+stage has passed, so a failed run writes nothing.  The environment
+variable ``VORTIGEN_OUT`` overrides every output directory.  Exit codes:
+0 success, 2 validation error, 3 numerical failure (including a failed
+jump check, a non-finite result and an arithmetic fault such as a float
+overflow or a division by zero).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .evoform import (
 )
 from .exact import CenteredFan
 from .fields import FieldSet, Snapshot, StructuredGrid2D, frame_along, trace_streamlines
-from .thermo import EntropyConvention, GasModel, PrimitiveState, derive_state
+from .thermo import GasModel, PrimitiveState, derive_state
 
 __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
 
@@ -342,9 +347,6 @@ CONFIG_KEYS = {
     "scenario_id": Key(Kind("a string", lambda v: isinstance(v, str))),
     "gas.gamma": Key(_above(1, float), 1.4, "--gamma"),
     "gas.R": Key(_above(0, float), 287.05, "--R"),
-    "gas.entropy_convention": Key(_one_of(EntropyConvention),
-                                  EntropyConvention.ENTROPY_FUNCTION),
-    "gas.s_ref": Key(_FINITE, 0.0),
     "forces.kind": Key(_one_of(ForceKind), ForceKind.NONE),
     "forces.path": Key(_PATH),
     "transport.mu": Key(_FINITE, 0.0),
@@ -471,6 +473,7 @@ class RunReport:
     dominant: Optional[str] = None
     regime: Optional[str] = None
     envelope: Optional[dict] = None
+    net_levels: Optional[int] = None
     moc_residuals: Optional[dict] = None
     identical_on_pseudostructure: Optional[bool] = None
     jump_checks: List[dict] = field(default_factory=list)
@@ -547,17 +550,6 @@ def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
     net = moc.advance_net(initial, t_end=t_end, m=gas,
                           corrector_tol=corrector_tol)
     return net, analytic
-
-
-def _write_net_outputs(out: Path, net: moc.CharNet, analytic, staged):
-    """Stage net.csv and envelope.json; return (residuals, envelope)."""
-    _write_net_csv(out / "net.csv", net, staged)
-    envelope = {"detected": net.envelope is not None,
-                "event": _event_dict(net.envelope),
-                "analytic": _event_dict(analytic)}
-    _write_json(out / "envelope.json", envelope, staged)
-    return {fam: moc.pseudostructure_residual(net, fam)
-            for fam in ("C0", "C+", "C-")}, envelope
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -640,8 +632,15 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
     if v["initial_data"] is not None:
         net, analytic = _solve_1d(v["initial_data"], cfg.gas, v["t_end"],
                                   v["tolerances"]["corrector"])
-        report.moc_residuals, report.envelope = _write_net_outputs(
-            out, net, analytic, staged)
+        _write_net_csv(out / "net.csv", net, staged)
+        report.net_levels = net.n_levels
+        report.envelope = {"detected": net.envelope is not None,
+                           "event": _event_dict(net.envelope),
+                           "analytic": _event_dict(analytic)}
+        _write_json(out / "envelope.json", report.envelope, staged)
+        report.moc_residuals = {fam: moc.pseudostructure_residual(net, fam)
+                                for fam in ("C0", "C+", "C-")}
+        _write_json(out / "residuals.json", report.moc_residuals, staged)
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy
         s_scale = max(float(np.max(net.s[0])), 1e-300)
@@ -649,9 +648,13 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
             report.moc_residuals["C0"] <= 1e-3 * s_scale)
 
     if v["jump_checks"] is not None:
+        relation = v["jump_checks"]["relation"]
         report.jump_checks = _jump_check_sweep(
-            v["jump_checks"]["relation"], cfg.gas.gamma,
-            v["jump_checks"]["refine"], v["tolerances"]["jump_rel_error"])
+            relation, cfg.gas.gamma, v["jump_checks"]["refine"],
+            v["tolerances"]["jump_rel_error"])
+        _write_json(out / "jump_reports.json",
+                    {"relation": relation, "reports": report.jump_checks},
+                    staged)
 
     report.wall_time_s = time.perf_counter() - t_start
     _write_json(out / "run_report.json", dataclasses.asdict(report), staged)
@@ -662,51 +665,43 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
 # subcommands
 
 
-def _cmd_1d(args) -> int:
-    """``solve-moc`` writes the net with its envelope and residuals,
-    ``detect-shock`` the envelope report alone."""
-    out = _out_dir(args.out)
+def _cmd_run(args) -> int:
+    """Run ``diagnose``'s config file, or the config that the flags of
+    ``solve-moc`` and ``verify-jumps`` make, and print its report; a
+    failed jump check exits 3 once every file is written."""
+    if args.command == "diagnose":
+        cfg = ScenarioConfig.from_file(args.config, overrides=args.keys)
+    else:
+        raw = {"scenario_id": args.command}
+        for name, value in args.keys.items():
+            head, _, leaf = name.rpartition(".")
+            (raw.setdefault(head, {}) if head else raw)[leaf] = value
+        cfg = ScenarioConfig.from_dict(raw)
+    report = run_scenario(cfg)
+    print("\n".join(_report_lines(dataclasses.asdict(report))))
+    failed = [rec for rec in report.jump_checks if not rec["passed"]]
+    if failed:
+        rec, tol = failed[0], cfg.values["tolerances"]["jump_rel_error"]
+        print(f"numerical failure: {rec['relation']} jump check failed at "
+              f"h = {rec['grid_h']:.6g}: rel_error = {rec['rel_error']:.3e} > "
+              f"tol = {tol:.6g} ({len(failed)} of {len(report.jump_checks)} "
+              "levels failed)", file=sys.stderr)
+    return 3 if failed else 0
+
+
+def _cmd_detect_shock(args) -> int:
+    """The envelope report alone; the net is not written."""
     net, analytic = _solve_1d(args.init, GasModel(gamma=args.gamma, R=args.R),
                               args.t_end)
-    if args.command == "solve-moc":
-        with _staged_run() as staged:
-            residuals, envelope = _write_net_outputs(out, net, analytic, staged)
-            _write_json(out / "residuals.json", residuals, staged)
-        print(f"net: {net.n_levels} levels, envelope: "
-              f"{'yes' if envelope['detected'] else 'no'} -> {out}")
-        return 0
     event = net.envelope
     with _staged_run() as staged:
-        _write_json(out / "envelope_report.json", {
+        _write_json(_out_dir(args.out) / "envelope_report.json", {
             "detected": event is not None,
             "numeric": _event_dict(event),
             "analytic": _event_dict(analytic),
         }, staged)
-    if event:
-        print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
-              f"family {event.family}")
-    else:
-        print("no envelope before t_end")
-    return 0
-
-
-def _cmd_diagnose(args) -> int:
-    cfg = ScenarioConfig.from_file(args.config, overrides={
-        "fields": args.fields, "manifest": args.manifest,
-        "output_dir": args.out,
-    })
-    report = run_scenario(cfg)
-    parts = [report.scenario_id]
-    if report.classification is not None:
-        parts.append(report.classification
-                     + (f" (dominant: {report.dominant})"
-                        if report.dominant else "")
-                     + f", max|K| = {report.max_K:.6g},"
-                     f" tol = {report.tolerance:.6g}")
-    if report.envelope is not None:
-        parts.append("envelope detected" if report.envelope["detected"]
-                      else "no envelope")
-    print(": ".join(parts))
+    print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
+          f"family {event.family}" if event else "no envelope before t_end")
     return 0
 
 
@@ -752,19 +747,6 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
     return reports
 
 
-def _cmd_verify_jumps(args) -> int:
-    out = _out_dir(args.out)
-    reports = _jump_check_sweep(args.relation, args.gamma, args.refine,
-                                args.tol)
-    for rec in reports:
-        print(f"h = {rec['grid_h']:.6g}: rel_error = {rec['rel_error']:.3e} "
-              f"({'pass' if rec['passed'] else 'FAIL'})")
-    with _staged_run() as staged:
-        _write_json(out / "jump_reports.json",
-                    {"relation": args.relation, "reports": reports}, staged)
-    return 0 if all(r["passed"] for r in reports) else 3
-
-
 def _report_lines(rep: dict) -> List[str]:
     lines = [f"scenario: {rep.get('scenario_id')}"]
     lag = rep.get("lagrange")
@@ -779,6 +761,8 @@ def _report_lines(rep: dict) -> List[str]:
         lines.append(line)
     if rep.get("regime"):
         lines.append(f"regime at peak speed: {rep['regime']}")
+    if rep.get("net_levels") is not None:
+        lines.append(f"characteristic net: {rep['net_levels']} levels")
     env = rep.get("envelope")
     if env is not None:
         if env.get("detected"):
@@ -793,6 +777,10 @@ def _report_lines(rep: dict) -> List[str]:
             f"{k}={res[k]:.3e}" for k in ("C0", "C+", "C-")))
         lines.append(f"identical relation on trajectory pseudostructure: "
                      f"{rep.get('identical_on_pseudostructure')}")
+    for rec in rep.get("jump_checks") or ():
+        lines.append(f"{rec['relation']} jump check at h = {rec['grid_h']:.6g}:"
+                     f" rel_error = {rec['rel_error']:.3e}"
+                     f" ({'pass' if rec['passed'] else 'FAIL'})")
     lines.append(f"wall time: {rep.get('wall_time_s', 0.0):.3f} s")
     return lines
 
@@ -831,17 +819,18 @@ def build_parser() -> argparse.ArgumentParser:
         _flags(p, "initial_data", "output_dir", required=True)
         _flags(p, "gas.gamma", "gas.R")
         _flags(p, "t_end", required=name == "solve-moc")
-        p.set_defaults(func=_cmd_1d)
+        p.set_defaults(func=_cmd_run if name == "solve-moc"
+                       else _cmd_detect_shock)
 
     p = sub.add_parser("diagnose", help="run the 2-D diagnostic pipeline")
     p.add_argument("--config", required=True, help="scenario config JSON")
     _flags(p, "fields", "manifest", "output_dir")
-    p.set_defaults(func=_cmd_diagnose)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify-jumps", help="jump-relation refinement sweep")
     _flags(p, "jump_checks.relation", "output_dir", required=True)
     _flags(p, "gas.gamma", "jump_checks.refine", "tolerances.jump_rel_error")
-    p.set_defaults(func=_cmd_verify_jumps)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="pretty-print a run report")
     p.add_argument("--run", required=True, help="run output directory")
@@ -851,12 +840,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.keys = {}  # each flag's checked value, by its config key
     try:
         for name, key in CONFIG_KEYS.items():
             dest = key.flag and key.flag.lstrip("-").replace("-", "_")
             if dest in vars(args):
-                setattr(args, dest, key.read(f"{key.flag}: {name}",
-                                             getattr(args, dest)))
+                args.keys[name] = key.read(f"{key.flag}: {name}",
+                                           getattr(args, dest))
+                setattr(args, dest, args.keys[name])
         # float faults raise, and exit 3 below; underflow is still ignored
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

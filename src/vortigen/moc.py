@@ -81,8 +81,8 @@ class CharNet:
 
     Level k+1 node i has C+ parent (k, i), C- parent (k, i+1) and C0 parent
     (k, c0_parent[k+1][i]) (the parent-level node nearest its trajectory
-    foot); :meth:`parents` and :meth:`chain_ids` are the readers of this
-    rule.  ``labels`` carries each node's trajectory launch coordinate.
+    foot); :meth:`parents` reads this rule.  ``labels`` carries each
+    node's trajectory launch coordinate.
     """
 
     gamma: float
@@ -109,16 +109,6 @@ class CharNet:
             return (self.c0_parent[0],) * 3
         i = np.arange(self.level_size(k))
         return i, i + 1, self.c0_parent[k]
-
-    def first_chain(self, family: str, k: int) -> int:
-        """Which chain of the family level k's first node belongs to."""
-        if family not in _SIGN:
-            raise ValueError(f"unknown family {family!r}")
-        return k if family == "C-" else 0
-
-    def chain_ids(self, family: str, k: int) -> np.ndarray:
-        """Which chain of the family each node of level k belongs to."""
-        return np.arange(self.level_size(k)) + self.first_chain(family, k)
 
 
 @dataclass(frozen=True)
@@ -328,13 +318,13 @@ def _level_gaps(net: CharNet, k: int, family: str, dx0: np.ndarray):
     launch spacing of its chain pair (the tube-width ratio dx/dx0, with
     ``dx0 = np.diff(net.x[0])``), and the chain of the first gap (that of
     its left node)."""
-    lo = net.first_chain(family, k)
+    lo = k if family == "C-" else 0  # node i: C+ chain i, C- chain i + k
     g, t_bar = _corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
                                _SIGN[family])
     return g, t_bar, g / dx0[lo:lo + len(g)], lo
 
 
-def _scan_level_pair(net, k, dx0=None, gaps=None) -> Optional[EnvelopeEvent]:
+def _scan_level_pair(net, k, dx0, gaps) -> Optional[EnvelopeEvent]:
     """Detect a same-family crossing between levels k and k+1.
 
     When both families show a sign change in the same level window (the
@@ -347,8 +337,6 @@ def _scan_level_pair(net, k, dx0=None, gaps=None) -> Optional[EnvelopeEvent]:
     ``dx0`` is ``np.diff(net.x[0])``; ``gaps`` carries the level gaps by
     family from scan to scan, level k's in (where present), k+1's out.
     """
-    dx0 = np.diff(net.x[0]) if dx0 is None else dx0
-    gaps = {} if gaps is None else gaps
     best = None
     best_gnorm = np.inf
     for family in _SIGN:
@@ -483,6 +471,8 @@ def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
     chain j's J on level k is that level's corrected gap over the launch
     spacing (:func:`_level_gaps`), followed while the pair stays on the net.
     """
+    if family not in _SIGN:
+        raise ValueError(f"unknown family {family!r}")
     x0 = net.x[0]
     dx0 = np.diff(x0)
     J = np.zeros((net.n_levels, len(x0) - 1))

@@ -515,13 +515,19 @@ class TestDeterminism:
         out = tmp_path / "out"
         argv = ["solve-moc", "--init", str(init), "--gamma", str(GAMMA),
                 "--R", "1.0", "--t-end", "1.0", "--out", str(out)]
-        assert cli.main(argv) == 0
-        first = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert cli.main(argv) == 0
-        second = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            report = json.loads(files.pop("run_report.json"))
+            report.pop("wall_time_s")
+            runs.append((files, report))
+        (first, rep1), (second, rep2) = runs
+        assert sorted(first) == ["envelope.json", "net.csv", "residuals.json"]
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], name
+        assert rep1 == rep2
 
     def test_report_json_deterministic_fields(self, tmp_path):
         write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
@@ -767,8 +773,6 @@ class TestInputValidation:
         assert str(cfgp) in err and f"{section} must be a JSON object" in err
 
     @pytest.mark.parametrize("cfg, field, allowed", [
-        ({"gas": {"gamma": GAMMA, "R": 1.0, "entropy_convention": "bogus"}},
-         "gas.entropy_convention", "entropy_function, specific"),
         ({"crocco_sign": "bogus"}, "crocco_sign", "consistent, paper"),
         ({"a1_variant": "bogus"}, "a1_variant", "paper, standard"),
     ])
@@ -826,9 +830,12 @@ class TestPathsAndModes:
         finally:
             os.umask(old)
         assert rc == 0
-        [path] = out.iterdir()  # the temp file was renamed, none left over
-        assert path.name == "jump_reports.json"
-        assert stat.S_IMODE(path.stat().st_mode) == mode
+        # the temp files were renamed, none left over
+        paths = sorted(out.iterdir())
+        assert [p.name for p in paths] == ["jump_reports.json",
+                                           "run_report.json"]
+        for path in paths:
+            assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def write_two_snapshot_case(dirpath):
@@ -1038,14 +1045,18 @@ class TestConfigTable:
          "unknown key tolerances.equilibrum (did you mean "
          "tolerances.equilibrium?)"),
         ({"gas": {"gamma": GAMMA, "R": 1.0, "zz": 1}}, "unknown key gas.zz"),
+        ({"gas": {"gamma": GAMMA, "R": 1.0, "entropy_convention": "specific"}},
+         "unknown key gas.entropy_convention"),
+        ({"gas": {"gamma": GAMMA, "R": 1.0, "s_ref": 7.0}},
+         "unknown key gas.s_ref"),
         ({"scenario_id": {"a": 1}},
          "scenario_id must be a string, got {'a': 1}"),
         ({"gas": {"gamma": 0.9, "R": 1.0}},
          "gas.gamma must be finite and > 1, got 0.9"),
         ({"gas": {"gamma": GAMMA, "R": 0}}, "gas.R must be finite and > 0, got 0"),
     ], ids=["misspellings", "forces.pth", "jump_checks.refin",
-            "tolerances.equilibrum", "no_hint", "scenario_id", "gamma_0.9",
-            "R_0"])
+            "tolerances.equilibrum", "no_hint", "entropy_convention", "s_ref",
+            "scenario_id", "gamma_0.9", "R_0"])
     def test_bad_config_exits_2(self, tmp_path, capsys, cfg, message):
         write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
         cfgp = write_config(tmp_path, fields="f.csv", **cfg)
@@ -1103,6 +1114,8 @@ class TestConfigTable:
         rep = json.loads((tmp_path / "cfg" / "run_report.json").read_text())
         assert len(flags["reports"]) == 3
         assert flags["reports"] == rep["jump_checks"]
+        assert (tmp_path / "cfg" / "jump_reports.json").read_bytes() \
+            == (tmp_path / "flags" / "jump_reports.json").read_bytes()
 
     def test_readme_config_block_lists_the_table_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1118,3 +1131,80 @@ class TestConfigTable:
                     yield prefix + key
 
         assert sorted(dotted(doc)) == sorted(cli.CONFIG_KEYS)
+
+
+class TestRunViews:
+    """``diagnose``, ``solve-moc`` and ``verify-jumps`` run one pipeline,
+    ``cli.run_scenario``, and print the report of their run."""
+
+    def test_solve_moc_is_diagnose_of_its_keys(self, tmp_path):
+        init = compression_init(tmp_path / "init.csv", n=101)
+        flags, cfg = tmp_path / "flags", tmp_path / "cfg"
+        assert cli.main(["solve-moc", "--init", str(init), "--gamma",
+                         str(GAMMA), "--R", "1.0", "--t-end", "3.0",
+                         "--out", str(flags)]) == 0
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps({"gas": {"gamma": GAMMA, "R": 1.0},
+                                    "initial_data": "init.csv", "t_end": 3.0,
+                                    "output_dir": "cfg"}))
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        assert written_files(flags) == written_files(cfg) == [
+            "envelope.json", "net.csv", "residuals.json", "run_report.json"]
+        for name in ("net.csv", "envelope.json", "residuals.json"):
+            assert (flags / name).read_bytes() == (cfg / name).read_bytes()
+        reports = [json.loads((out / "run_report.json").read_text())
+                   for out in (flags, cfg)]
+        for rep in reports:
+            rep.pop("wall_time_s")
+        assert reports[0].pop("scenario_id") == "solve-moc"
+        assert reports[1].pop("scenario_id") == "config"
+        assert reports[0] == reports[1]
+        assert reports[0]["envelope"]["detected"] is True
+        assert reports[0]["net_levels"] == len(set(
+            line.split(",")[0] for line in
+            (flags / "net.csv").read_text().splitlines()[1:]))
+
+    @pytest.mark.parametrize("command", ["diagnose", "solve-moc",
+                                         "verify-jumps"])
+    def test_stdout_is_the_report(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        init = compression_init(tmp_path / "init.csv", n=101)
+        write_uniform_csv(tmp_path / "f.csv", nx=17, ny=17)
+        argv = {
+            "diagnose": ["diagnose", "--config", str(write_config(
+                tmp_path, fields="f.csv", initial_data="init.csv", t_end=3.0,
+                jump_checks={"relation": "char", "refine": 1}))],
+            "solve-moc": ["solve-moc", "--init", str(init), "--t-end", "0.5",
+                          "--out", str(out)],
+            "verify-jumps": ["verify-jumps", "--relation", "contact",
+                             "--refine", "2", "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 0
+        run = capsys.readouterr()
+        assert run.err == ""
+        assert cli.main(["report", "--run", str(out)]) == 0
+        assert run.out == capsys.readouterr().out
+        scenario = "config" if command == "diagnose" else command
+        assert run.out.startswith(f"scenario: {scenario}\n")
+
+    @pytest.mark.parametrize("command", ["verify-jumps", "diagnose"])
+    def test_failed_jump_check_exits_3_with_one_line(self, tmp_path, capsys,
+                                                     command):
+        out = tmp_path / "out"
+        if command == "verify-jumps":
+            argv = ["verify-jumps", "--relation", "contact", "--refine", "1",
+                    "--tol", "1e-9", "--out", str(out)]
+        else:
+            argv = ["diagnose", "--config", str(write_config(
+                tmp_path, jump_checks={"relation": "contact", "refine": 1},
+                tolerances={"jump_rel_error": 1e-9}))]
+        assert cli.main(argv) == 3
+        run = capsys.readouterr()
+        assert run.err == (
+            "numerical failure: contact jump check failed at h = 0.02: "
+            "rel_error = 7.217e-04 > tol = 1e-09 (1 of 1 levels failed)\n")
+        # the run is still reported and written
+        assert "contact jump check at h = 0.02: rel_error = 7.217e-04 (FAIL)" \
+            in run.out.splitlines()
+        rep = json.loads((out / "jump_reports.json").read_text())
+        assert [r["passed"] for r in rep["reports"]] == [False]

@@ -135,7 +135,9 @@ def test_cli_exits_cleanly_on_generated_input(rows, cfg, typo):
         cfg_path.write_text(json.dumps(cfg))
         runs = [["diagnose", "--config", str(cfg_path)],
                 ["detect-shock", "--init", str(tmp / "init.csv"),
-                 "--out", str(tmp / "shock")]]
+                 "--out", str(tmp / "shock")],
+                ["solve-moc", "--init", str(tmp / "init.csv"), "--t-end",
+                 "1.0", "--out", str(tmp / "moc")]]
         results = [run(argv) for argv in runs]
         for argv, (rc, err) in zip(runs, results):
             assert rc in (0, 2, 3), (argv, rc, err)
@@ -148,7 +150,7 @@ def test_cli_exits_cleanly_on_generated_input(rows, cfg, typo):
             assert rc == 2
             assert (f"unknown key {(head and head + '.') + key}" in err
                     or "must be a JSON object" in err), err
-        for out in (tmp / "run", tmp / "shock"):
+        for out in (tmp / "run", tmp / "shock", tmp / "moc"):
             assert_finite_json(out)
 
 
@@ -167,11 +169,14 @@ def report_like(values):
         **{k: values for k in ("scenario_id", "lagrange", "max_K",
                                "tolerance", "classification", "dominant",
                                "regime", "identical_on_pseudostructure",
-                               "wall_time_s")},
+                               "net_levels", "wall_time_s")},
         "envelope": values | st.fixed_dictionaries({}, optional={
             "detected": values, "event": values | event}),
         "moc_residuals": values | st.fixed_dictionaries({}, optional={
             k: values for k in ("C0", "C+", "C-")}),
+        "jump_checks": values | st.lists(st.fixed_dictionaries({}, optional={
+            k: values for k in ("relation", "grid_h", "rel_error", "passed")}),
+            max_size=2),
     })
 
 

@@ -29,7 +29,7 @@ def advance_net(*args, **kwargs):
     net = moc.advance_net(*args, **kwargs)
     rescan = None
     for k in range(net.n_levels - 1):
-        rescan = moc._scan_level_pair(net, k)
+        rescan = moc._scan_level_pair(net, k, np.diff(net.x[0]), {})
         if rescan is not None:
             break
     # without a crossing the net may still end at a degenerate unit process
@@ -112,6 +112,9 @@ class TestCompatibility:
     def test_rejects_other_families(self, family):
         with pytest.raises(ValueError, match="unknown family"):
             compat_residual((0.3, 1.2, 0.9), (0.3, 1.2, 0.9), family, M)
+        net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
+        with pytest.raises(ValueError, match="unknown family"):
+            jacobian_trace(net, family)
 
     def test_isentropic_reduces_to_riemann_increment(self):
         (ua, aa, sa), (ub, ab, sb) = (0.1, 1.0, 1.0), (0.25, 1.06, 1.0)
@@ -474,11 +477,6 @@ class TestConnectivity:
         for parent in net.parents(0):
             np.testing.assert_array_equal(parent, np.full(7, -1))
 
-    def test_chain_ids(self):
-        net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
-        np.testing.assert_array_equal(net.chain_ids("C+", 2), np.arange(5))
-        np.testing.assert_array_equal(net.chain_ids("C-", 2), np.arange(5) + 2)
-
 
 # ---------------------------------------------------------------------------
 # array kernels against the per-node loops they replaced
@@ -604,7 +602,8 @@ class TestArrayKernels:
             net = random_net(rng, int(rng.integers(3, 40)), 3, tie_level0)
             for k in range(2):
                 ref = scan_level_pair_loop(net, k)
-                assert moc._scan_level_pair(net, k) == ref
+                assert moc._scan_level_pair(net, k, np.diff(net.x[0]),
+                                            {}) == ref
                 if ref is None:
                     continue
                 seen[ref.family] += 1
@@ -623,7 +622,8 @@ class TestArrayKernels:
         for net in real_nets:
             for k in range(net.n_levels - 1):
                 ref = scan_level_pair_loop(net, k)
-                assert moc._scan_level_pair(net, k) == ref
+                assert moc._scan_level_pair(net, k, np.diff(net.x[0]),
+                                            {}) == ref
                 if ref is not None:
                     events.append(ref.family)
         assert events == ["C+", "C+", "C-"]
@@ -780,7 +780,7 @@ def advance_level_reference(x, t, u, a, s, lab, gamma, tol, max_iter):
 
 
 def level_gaps_reference(net, k, family):
-    chain = net.chain_ids(family, k)[:-1]
+    chain = np.arange(net.level_size(k) - 1) + (k if family == "C-" else 0)
     g, t_bar = moc._corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
                                    moc._SIGN[family])
     x0 = net.x[0]
@@ -898,7 +898,7 @@ class TestReferenceCopies:
             for k in range(net.n_levels - 1):
                 ref = scan_level_pair_reference(net, k)
                 assert moc._scan_level_pair(net, k, dx0, gaps) == ref
-                assert moc._scan_level_pair(net, k) == ref
+                assert moc._scan_level_pair(net, k, dx0, {}) == ref
                 events += ref is not None
         assert events > 100
 
