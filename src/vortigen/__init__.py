@@ -10,7 +10,6 @@ relations across trajectories and characteristics.
 from .errors import VortigenError
 from .thermo import (
     DerivedState,
-    EntropyConvention,
     GasModel,
     PrimitiveState,
     derive_state,
@@ -23,7 +22,6 @@ from .fields import (
     StructuredGrid2D,
     Trajectory,
     curl2d,
-    directional_derivative,
     frame_along,
     gradient,
     time_derivative,

@@ -34,6 +34,7 @@ import dataclasses
 import difflib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -145,37 +146,52 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
     The body is one ``np.loadtxt`` parse: rows of plain float literals
     separated by commas, empty lines skipped.  Anything else, quoted
     fields, ``1_0`` and non-ASCII digits included, is a ``ParseError``
-    naming the file.
+    naming the file and its line.
     """
+    n = len(expected)
+
+    def refused(row, what, kind=ParseError):
+        with open(path) as fh:  # loadtxt's rows: nonempty lines after line 1
+            lines = [ln for ln, text in enumerate(fh, start=1)
+                     if ln > 1 and text != "\n"]
+        return kind(f"{path}:{lines[row]}: {what}")
+
     try:
         with open(path) as fh:
             header = fh.readline()
         if [h.strip() for h in header.split(",")] != list(expected):
             raise ParseError(
-                f"{path}: header must be exactly {','.join(expected)}")
+                f"{path}:1: header must be exactly {','.join(expected)}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
             arr = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
                              ndmin=2, dtype=float)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
+    except ValueError as exc:  # conv counts rows from 0, cols from 1
+        conv = re.match(r"(.*) at row (\d+), column (\d+)\.$", str(exc), re.S)
+        cols = re.search(r"changed from (\d+) to (\d+) at row (\d+)", str(exc))
+        if conv:
+            j = int(conv[3]) - 1
+            what = f"column {expected[j] if j < n else j + 1}: {conv[1]}"
+            raise refused(int(conv[2]), what) from None
+        if cols:
+            first, now, row = map(int, cols.groups())
+            row, got = (0, first) if first != n else (row - 1, now)
+            raise refused(row, f"expected {n} fields, got {got}") from None
         raise ParseError(f"{path}: {exc}") from None
     if not len(arr):
-        return np.empty((0, len(expected)))
-    if arr.shape[1] != len(expected):
-        raise ParseError(f"{path}: expected {len(expected)} fields per row, "
-                         f"got {arr.shape[1]}")
+        return np.empty((0, n))
+    if arr.shape[1] != n:
+        raise refused(0, f"expected {n} fields, got {arr.shape[1]}")
     if not np.isfinite(arr).all():
         i, j = np.argwhere(~np.isfinite(arr))[0]
-        with open(path) as fh:  # data row i is the i-th nonempty line
-            lines = [ln for ln, text in enumerate(fh, start=1)
-                     if ln > 1 and text != "\n"]
-        raise ParseError(f"{path}:{lines[i]}: column {expected[j]} is not "
-                         f"finite ({arr[i, j]})")
-    if any(np.any(arr[:, j] <= 0.0) for j, name in enumerate(expected)
-           if name in ("rho", "p")):
-        raise NonPhysicalState(f"{path}: rho and p must be positive")
+        raise refused(i, f"column {expected[j]} is not finite ({arr[i, j]})")
+    positive = np.isin(expected, ("rho", "p"))
+    if (arr[:, positive] <= 0.0).any():
+        i, j = np.argwhere((arr <= 0.0) & positive)[0]
+        raise refused(i, f"column {expected[j]} must be positive, got "
+                      f"{arr[i, j]}", NonPhysicalState)
     return arr
 
 
@@ -623,11 +639,10 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         report.classification = worst.kind
         report.dominant = worst.dominant
 
-        j = int(np.argmax(fs.speed))
-        q = PrimitiveState(rho=float(fs.rho.flat[j]),
-                           u=(float(fs.u.flat[j]), float(fs.v.flat[j])),
-                           p=float(fs.p.flat[j]))
-        report.regime = evoform.classify_regime(derive_state(q, cfg.gas)).value
+        speed = fs.speed
+        j = int(np.argmax(speed))
+        a = np.sqrt(cfg.gas.gamma * fs.p.flat[j] / fs.rho.flat[j])
+        report.regime = evoform.classify_regime(speed.flat[j], a).value
 
     if v["initial_data"] is not None:
         net, analytic = _solve_1d(v["initial_data"], cfg.gas, v["t_end"],

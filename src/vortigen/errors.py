@@ -9,10 +9,6 @@ class NonPhysicalState(VortigenError):
     """Density or pressure is not strictly positive."""
 
 
-class ConventionMismatch(VortigenError):
-    """Operation called under the wrong entropy convention."""
-
-
 class ShapeMismatch(VortigenError):
     """Array does not conform to the grid it is paired with."""
 

@@ -45,7 +45,7 @@ from .fields import (
     interp_bilinear,
     time_derivative,
 )
-from .thermo import DerivedState, GasModel
+from .thermo import GasModel
 
 __all__ = [
     "ATTRIBUTION_ORDER",
@@ -508,15 +508,12 @@ def lagrange_criterion(fs: FieldSet, forces: ForceModel) -> LagrangeReport:
                           simply_connected=simply_connected)
 
 
-def classify_regime(state: DerivedState) -> FlowRegime:
-    """Hyperbolic (|u| > a), elliptic (|u| < a) or sonic within 1e-12 a.
-
-    The speed is recovered from the derived state as sqrt(2 (h0 - h)).
-    """
-    speed = np.sqrt(max(2.0 * (state.h0 - state.h), 0.0))
-    if abs(speed - state.a) <= 1e-12 * state.a:
+def classify_regime(speed: float, a: float) -> FlowRegime:
+    """Hyperbolic (speed > a), elliptic (speed < a) or sonic within 1e-12 a,
+    for a flow speed and the sound speed at the same point."""
+    if abs(speed - a) <= 1e-12 * a:
         return FlowRegime.SONIC
-    return FlowRegime.HYPERBOLIC if speed > state.a else FlowRegime.ELLIPTIC
+    return FlowRegime.HYPERBOLIC if speed > a else FlowRegime.ELLIPTIC
 
 
 def equilibrium_classifier(c: Commutator, tol: float) -> EquilibriumClass:

@@ -34,7 +34,6 @@ __all__ = [
     "curl2d",
     "time_derivative",
     "interp_bilinear",
-    "directional_derivative",
     "trace_streamline",
     "trace_streamlines",
     "frame_along",
@@ -293,17 +292,6 @@ def _gather(f: np.ndarray, grid: StructuredGrid2D, x, y):
             + tx * (1 - ty) * f[..., j, i + 1]
             + (1 - tx) * ty * f[..., j + 1, i]
             + tx * ty * f[..., j + 1, i + 1])
-
-
-def directional_derivative(
-    f: np.ndarray, grid: StructuredGrid2D, point, direction
-) -> float:
-    """Gradient of ``f`` interpolated at ``point``, dotted with a unit vector."""
-    d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    gx, gy = interp_bilinear(np.stack(gradient(f, grid)), grid, point)
-    return gx * d[0] + gy * d[1]
 
 
 # ---------------------------------------------------------------------------

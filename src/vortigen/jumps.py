@@ -9,11 +9,10 @@ jump.  Two relations tie the jumps together:
 * across a C+/C- characteristic: [du/deta] = +/- [da/deta] 2/(gamma-1),
   with the entropy derivative continuous.
 
-Both close exactly only under the entropy-function convention
-s = p/rho**gamma (with continuous p- and u-derivatives,
+Both close exactly in the entropy function s = p/rho**gamma, the package's
+one entropy variable: with continuous p- and u-derivatives,
 a^2 = gamma p^((gamma-1)/gamma) s^(1/gamma) differentiates to precisely the
-contact coefficient), so this module refuses the specific-entropy
-convention rather than converting silently.
+contact coefficient.
 
 Jumps are measured with three-point one-sided stencils offset from the
 surface (samples at 1, 2, 3 normal spacings on each side; the on-surface
@@ -32,9 +31,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import ConventionMismatch, TooCloseToBoundary, WrongSurfaceKind
+from .errors import TooCloseToBoundary, WrongSurfaceKind
 from .fields import FieldSet, StructuredGrid2D, interp_bilinear
-from .thermo import DerivedState, EntropyConvention, GasModel, PrimitiveState
+from .thermo import DerivedState, GasModel, PrimitiveState
 
 __all__ = [
     "SurfaceKind",
@@ -135,9 +134,6 @@ def synthesize_contact_field(base: PrimitiveState, delta_s_slope: float,
     derivative break of exactly ``delta_s_slope`` on the mid-row trajectory
     y = y0, and the density follows from rho = (p/s)^(1/gamma).
     """
-    if m.entropy_convention is not EntropyConvention.ENTROPY_FUNCTION:
-        raise ConventionMismatch(
-            "contact synthesis requires the entropy-function convention")
     if len(base.u) != 2 or base.u[1] != 0.0:
         raise ValueError("base velocity must be horizontal (u, 0)")
     y0 = grid.y[(grid.ny - 1) // 2]
@@ -219,9 +215,6 @@ def contact_jump_check(wd: WeakDiscontinuity, state: DerivedState,
     their measured jumps are folded into ``rel_error`` scaled by how much
     they would contaminate the relation.
     """
-    if m.entropy_convention is not EntropyConvention.ENTROPY_FUNCTION:
-        raise ConventionMismatch(
-            "the contact relation closes only for s = p/rho^gamma")
     if wd.surface.kind is not SurfaceKind.TRAJECTORY:
         raise WrongSurfaceKind("contact relation applies to trajectory surfaces")
     lhs = wd.jumps["a"]
@@ -285,9 +278,6 @@ def consistency_determinant(state: DerivedState, slope: float,
     The speed is recovered from the state as sqrt(2 (h0 - h)) (nonnegative
     branch).
     """
-    if m.entropy_convention is not EntropyConvention.ENTROPY_FUNCTION:
-        raise ConventionMismatch(
-            "determinant closes under the entropy-function convention")
     u = np.sqrt(max(2.0 * (state.h0 - state.h), 0.0))
     a = state.a
     rho = (a ** 2 / (m.gamma * state.s)) ** (1.0 / (m.gamma - 1.0))

@@ -1,8 +1,8 @@
 """1-D unsteady nonisentropic method-of-characteristics solver.
 
-State is carried as (u, a, s) with s the entropy function p/rho**gamma;
-this convention is fixed inside this module because it is the one under
-which the compatibility relations close without conversion factors.
+State is carried as (u, a, s) with s the entropy function p/rho**gamma,
+the package's one entropy variable, in which the compatibility relations
+close without conversion factors.
 
 The compatibility relation along a C+/C- characteristic is
 
@@ -449,8 +449,8 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
             pos = np.clip(lab, xs0[0], xs0[-1])
             i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
             stencil = _stencil(xs0, pos, i)
-            s_ref = _dot(_weights(stencil, pos), [s0[j] for j in stencil[0]])
-            worst = max(worst, float(np.max(np.abs(net.s[k] - s_ref))))
+            s0_lab = _dot(_weights(stencil, pos), [s0[j] for j in stencil[0]])
+            worst = max(worst, float(np.max(np.abs(net.s[k] - s0_lab))))
         return worst
     if family in _SIGN:
         j = 0 if family == "C+" else 1

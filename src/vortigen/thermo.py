@@ -1,31 +1,25 @@
 """Ideal-gas state derivations and the local thermodynamic consistency check.
 
-Two entropy conventions are supported:
-
-* ``ENTROPY_FUNCTION``: s = p / rho**gamma.  This is the convention under
-  which the derivative-jump relation across a trajectory closes exactly
-  (coefficient a / (2*gamma*s)); it is the default and the one the
-  characteristic solver uses internally.
-* ``SPECIFIC``: s = c_v * ln(p / rho**gamma) + s_ref, the physical specific
-  entropy.  Required by ``gibbs_residual``, which checks the differential
-  identity T ds = de + p dV along a sampled state path.
+The entropy variable is the entropy function s = p / rho**gamma, the one
+under which the characteristic compatibility relations and the
+derivative-jump relation across a trajectory (coefficient a / (2*gamma*s))
+close exactly.  Only ``gibbs_residual`` needs the physical specific entropy
+c_v * ln(s), and it forms that itself.
 
 All quantities are per unit mass, SI units unless noted.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConventionMismatch, NonPhysicalState
+from .errors import NonPhysicalState
 
 __all__ = [
-    "EntropyConvention",
     "GasModel",
     "PrimitiveState",
     "DerivedState",
@@ -33,11 +27,6 @@ __all__ = [
     "derive_fields",
     "gibbs_residual",
 ]
-
-
-class EntropyConvention(enum.Enum):
-    ENTROPY_FUNCTION = "entropy_function"
-    SPECIFIC = "specific"
 
 
 @dataclass(frozen=True)
@@ -50,16 +39,10 @@ class GasModel:
         Ratio of specific heats (must exceed 1).
     R : float
         Specific gas constant, J/(kg K).
-    entropy_convention : EntropyConvention
-        Which entropy variable derived states carry.
-    s_ref : float
-        Reference offset for the SPECIFIC convention, J/(kg K).
     """
 
     gamma: float = 1.4
     R: float = 287.05
-    entropy_convention: EntropyConvention = EntropyConvention.ENTROPY_FUNCTION
-    s_ref: float = 0.0
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -103,8 +86,8 @@ class PrimitiveState:
 class DerivedState:
     """State quantities derived from a primitive state under a gas model.
 
-    T temperature (K), a sound speed (m/s), s entropy per the model's
-    convention, e internal energy (J/kg), h enthalpy (J/kg), h0 total
+    T temperature (K), a sound speed (m/s), s the entropy function
+    p/rho**gamma, e internal energy (J/kg), h enthalpy (J/kg), h0 total
     enthalpy (J/kg).
     """
 
@@ -131,10 +114,7 @@ def derive_state(q: PrimitiveState, m: GasModel) -> DerivedState:
     e = m.c_v * T
     h = e + q.p / q.rho
     h0 = h + 0.5 * q.speed ** 2
-    if m.entropy_convention is EntropyConvention.ENTROPY_FUNCTION:
-        s = q.p / q.rho ** m.gamma
-    else:
-        s = m.c_v * math.log(q.p / q.rho ** m.gamma) + m.s_ref
+    s = q.p / q.rho ** m.gamma
     return DerivedState(T=T, a=a, s=s, e=e, h=h, h0=h0)
 
 
@@ -148,10 +128,7 @@ def derive_fields(rho: np.ndarray, p: np.ndarray, m: GasModel) -> dict:
     a = np.sqrt(m.gamma * p / rho)
     e = m.c_v * T
     h = e + p / rho
-    if m.entropy_convention is EntropyConvention.ENTROPY_FUNCTION:
-        s = p / rho ** m.gamma
-    else:
-        s = m.c_v * np.log(p / rho ** m.gamma) + m.s_ref
+    s = p / rho ** m.gamma
     return {"T": T, "a": a, "s": s, "e": e, "h": h}
 
 
@@ -159,15 +136,11 @@ def gibbs_residual(path: Sequence[PrimitiveState], m: GasModel) -> float:
     """Max discrete residual of T ds = de + p dV over consecutive state pairs.
 
     Midpoint (trapezoid-like) discretization: for each pair the residual is
-    ``|T_mid * ds - de - p_mid * dV|`` with V = 1/rho.  On a smoothly sampled
-    thermodynamic path the per-pair residual shrinks at least at second order
-    in the path spacing.
-
-    Requires the SPECIFIC entropy convention; the identity is stated for the
-    physical entropy, not the entropy function.
+    ``|T_mid * ds - de - p_mid * dV|`` with V = 1/rho and ds the change of
+    the physical entropy c_v ln(s).  On a smoothly sampled thermodynamic path
+    the per-pair residual shrinks at least at second order in the path
+    spacing.
     """
-    if m.entropy_convention is not EntropyConvention.SPECIFIC:
-        raise ConventionMismatch("gibbs_residual requires the SPECIFIC convention")
     if len(path) < 2:
         raise ValueError("path needs at least two states")
     worst = 0.0
@@ -177,7 +150,7 @@ def gibbs_residual(path: Sequence[PrimitiveState], m: GasModel) -> float:
         cur = derive_state(q, m)
         T_mid = 0.5 * (prev.T + cur.T)
         p_mid = 0.5 * (prev_q.p + q.p)
-        ds = cur.s - prev.s
+        ds = m.c_v * math.log(cur.s) - m.c_v * math.log(prev.s)
         de = cur.e - prev.e
         dV = 1.0 / q.rho - 1.0 / prev_q.rho
         worst = max(worst, abs(T_mid * ds - de - p_mid * dV))

@@ -182,7 +182,8 @@ class TestLoadFields:
         path = tmp_path / "f.csv"
         write_uniform_csv(path, rho=1.0)
         path.write_text(path.read_text().replace(",1,1,0,1", ",-1,1,0,1", 1))
-        with pytest.raises(cli.NonPhysicalState):
+        with pytest.raises(cli.NonPhysicalState, match=re.escape(
+                f"{path}:2: column rho must be positive, got -1.0")):
             cli.load_fields(path)
 
 
@@ -1012,13 +1013,13 @@ class TestRunBounds:
 
 
 class TestArithmeticFaults:
-    """Scalar arithmetic that overflows or divides by zero exits 3."""
+    """Scalar arithmetic that overflows or divides by zero exits 3; extreme
+    but valid states that need no such arithmetic run."""
 
     @pytest.mark.parametrize("field", [
-        {"rho": 1e-300, "p": 1e-300},  # rho ** gamma underflows to 0
         {"u": 1e200, "v": 1e200},  # v_max ** 2 overflows
         {"h": 1e-300},  # grid spacing ** 3 underflows to 0
-    ], ids=["tiny_state", "huge_velocity", "tiny_spacing"])
+    ], ids=["huge_velocity", "tiny_spacing"])
     def test_diagnose_exits_3(self, tmp_path, capsys, field):
         write_uniform_csv(tmp_path / "f.csv", **field)
         cfgp = write_config(tmp_path, fields="f.csv")
@@ -1028,6 +1029,24 @@ class TestArithmeticFaults:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, regime", [
+        ({"rho": 1e-300, "p": 1e-300}, "elliptic"),  # rho ** gamma is 0
+        ({"rho": 1e300}, "hyperbolic"),  # rho ** gamma overflows
+    ], ids=["tiny_state", "huge_density"])
+    def test_extreme_uniform_state_runs(self, tmp_path, capsys, field, regime):
+        # The regime reads the node's speed and sound speed; no entropy
+        # function is formed on the way, so neither state over- or
+        # underflows.
+        write_uniform_csv(tmp_path / "f.csv", **field)
+        cfgp = write_config(tmp_path, fields="f.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["diagnose", "--config", str(cfgp)])
+        assert rc == 0 and capsys.readouterr().err == "" and caught == []
+        rep = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert rep["classification"] == "locally_equilibrium"
+        assert rep["regime"] == regime
 
 
 class TestConfigTable:

@@ -16,7 +16,6 @@ from vortigen.fields import (
     StructuredGrid2D,
     Trajectory,
     curl2d,
-    directional_derivative,
     frame_along,
     gradient,
     interp_bilinear,
@@ -201,24 +200,6 @@ class TestBilinearAndDirectional:
         pts = [(1.0, 1.0), (2.5, 4.0), (5.0, 5.0 + 1e-12), (3.0, 3.0)]
         with pytest.raises(PointOutsideDomain, match="5.000000000001"):
             interp_bilinear(np.zeros(grid.shape), grid, pts)
-
-    def test_directional_constant_zero(self):
-        grid = StructuredGrid2D(8, 8)
-        f = np.full(grid.shape, 5.0)
-        assert directional_derivative(f, grid, (3.0, 3.0), (0.6, 0.8)) == 0.0
-
-    def test_directional_orthogonal(self):
-        grid = StructuredGrid2D(8, 8)
-        X, _ = mesh(grid)
-        assert directional_derivative(X, grid, (3.0, 3.0), (0.0, 1.0)) == pytest.approx(
-            0.0, abs=1e-13
-        )
-
-    def test_directional_quadratic(self):
-        grid = StructuredGrid2D(101, 5, hx=0.01, hy=0.25)
-        X, _ = mesh(grid)
-        got = directional_derivative(X ** 2, grid, (0.5, 0.0), (1.0, 0.0))
-        assert got == pytest.approx(1.0, abs=1e-6)
 
 
 class TestStreamline:

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vortigen.errors import (
-    ConventionMismatch,
-    TooCloseToBoundary,
-    WrongSurfaceKind,
-)
+from vortigen.errors import TooCloseToBoundary, WrongSurfaceKind
 from vortigen.exact import CenteredFan
 from vortigen.fields import StructuredGrid2D
 from vortigen.jumps import (
@@ -21,7 +17,7 @@ from vortigen.jumps import (
     measure_jump,
     synthesize_contact_field,
 )
-from vortigen.thermo import EntropyConvention, GasModel, PrimitiveState, derive_state
+from vortigen.thermo import GasModel, PrimitiveState, derive_state
 
 M14 = GasModel(gamma=1.4, R=1.0)
 UP = Surface(SurfaceKind.TRAJECTORY, (0.0, 1.0))
@@ -72,14 +68,6 @@ class TestSynthesize:
             wd = measure_discontinuity(fs, m, UP, (0.5, 0.5))
             assert abs(wd.jumps["p"]) <= 1e-12
             assert abs(wd.jumps["u"]) <= 1e-12
-
-    def test_requires_entropy_function_convention(self):
-        m = GasModel(gamma=1.4, R=1.0,
-                     entropy_convention=EntropyConvention.SPECIFIC)
-        grid = StructuredGrid2D(9, 9)
-        with pytest.raises(ConventionMismatch):
-            synthesize_contact_field(PrimitiveState(1.0, (1.0, 0.0), 1.0),
-                                     1.0, grid, m)
 
 
 class TestMeasureJump:
@@ -150,14 +138,6 @@ class TestContactRelation:
             Surface(SurfaceKind.CHARACTERISTIC_PLUS, (0.0, 1.0)),
             {"u": 0.0, "a": 0.0, "s": 0.0, "p": 0.0})
         with pytest.raises(WrongSurfaceKind):
-            contact_jump_check(wd, state, m)
-
-    def test_specific_convention_refused(self):
-        m = GasModel(gamma=1.4, R=1.0,
-                     entropy_convention=EntropyConvention.SPECIFIC)
-        state = derive_state(PrimitiveState(1.0, (1.0, 0.0), 1.0), m)
-        wd = WeakDiscontinuity(UP, {"u": 0.0, "a": 0.0, "s": 0.0, "p": 0.0})
-        with pytest.raises(ConventionMismatch):
             contact_jump_check(wd, state, m)
 
 

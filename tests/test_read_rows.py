@@ -8,11 +8,12 @@ refused.  On generated CSV text, whatever the reader accepts the oracle
 accepts with a bitwise-equal array, whatever the oracle refuses the reader
 refuses with the same exception type (or with a ``ParseError`` for a token
 only the oracle reads, where the oracle went on to refuse ``rho`` or ``p``
-as not positive), bodies of plain float literals are accepted, and the
-reader emits no warning.
+as not positive), bodies of plain float literals are accepted, every
+refusal names the file line, and the reader emits no warning.
 """
 
 import csv
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -179,6 +180,8 @@ def check_against_oracle(expected, text, plain=False):
             text, got, want)
     if plain:
         assert got[0] == "ok", (text, got)
+    if got[0] == "error":  # every refusal names the file line
+        assert re.match(re.escape(f"{path}:") + r"\d+: ", got[2]), got
     return got, path
 
 
@@ -189,26 +192,29 @@ def test_reader_is_a_subset_of_the_oracle(case):
     check_against_oracle(*case)
 
 
-CONVERT = ": could not convert string {} to float64 at row 0, column 1."
-COLUMNS = (": the number of columns changed from 2 to 1 at row 2; "
-           "use `usecols` to select a subset and avoid this error")
+CONVERT = ":{}: column {}: could not convert string {} to float64"
+SHORT = ":{}: expected 2 fields, got 1"
 
 
-# the message, after the file name, of each refused body
+# the message, after the file name, of each refused body; the line is the
+# file's, counted from the header as line 1
 @pytest.mark.parametrize("body, message", [
     ("", None),                                 # header only: no rows
-    ("1,2,3\n4,5,6\n", ": expected 2 fields per row, got 3"),
-    ('"1",2\n3,4\n', CONVERT.format("'\"1\"'")),  # quoted field
-    ("1_0,2\n", CONVERT.format("'1_0'")),        # digit separator
-    ("١,2\n", CONVERT.format("'١'")),            # non-ASCII digit
+    ("1,2,3\n4,5,6\n", ":2: expected 2 fields, got 3"),
+    ("1,2,3\n4,5\n", ":2: expected 2 fields, got 3"),
+    ('"1",2\n3,4\n', CONVERT.format(2, "a", "'\"1\"'")),  # quoted field
+    ("1_0,2\n", CONVERT.format(2, "a", "'1_0'")),  # digit separator
+    ("١,2\n", CONVERT.format(2, "a", "'١'")),     # non-ASCII digit
+    ("1,2\n\n\n3,١\n", CONVERT.format(5, "b", "'١'")),  # after blank lines
     ("1,2\r\n\r\n3,4\r\n", None),               # CRLF and a blank line
     ("1,2\r3,4", None),                         # lone CR, no final newline
     ("1,2\n\n1e400,2\n", ":4: column a is not finite (inf)"),
     ("nan,1\n", ":2: column a is not finite (nan)"),
     ("5e-324,0.1000000000000000055511151231257827\n", None),
-    ("1,2\n  \n3,4\n", COLUMNS),                # whitespace-only line
-    ("1,2\n3\n", COLUMNS),                      # ragged
-    ("1,2\n# note\n", COLUMNS),                 # no comment syntax
+    ("1,2\n  \n3,4\n", SHORT.format(3)),         # whitespace-only line
+    ("1,2\n3\n", SHORT.format(3)),              # ragged
+    ("1,2\n\n3\n", SHORT.format(4)),            # ragged after a blank line
+    ("1,2\n# note\n", SHORT.format(3)),          # no comment syntax
 ])
 def test_reader_cases(body, message):
     got, path = check_against_oracle(("a", "b"), "a,b\n" + body)

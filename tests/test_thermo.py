@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vortigen.errors import ConventionMismatch, NonPhysicalState
+from vortigen.errors import NonPhysicalState
 from vortigen.thermo import (
-    EntropyConvention,
     GasModel,
     PrimitiveState,
     derive_state,
@@ -14,8 +13,8 @@ from vortigen.thermo import (
 )
 
 
-def make_model(convention=EntropyConvention.ENTROPY_FUNCTION, gamma=1.4, R=1.0):
-    return GasModel(gamma=gamma, R=R, entropy_convention=convention)
+def make_model(gamma=1.4, R=1.0):
+    return GasModel(gamma=gamma, R=R)
 
 
 class TestDeriveState:
@@ -66,8 +65,8 @@ class TestDeriveState:
             assert d.a ** 2 * rho == pytest.approx(m.gamma * p, rel=4e-16)
 
     def test_entropy_round_trip(self):
-        # Reconstructing p from (rho, s) under the entropy-function
-        # convention must reproduce p to 1e-12 relative.
+        # Reconstructing p from (rho, s = p/rho^gamma) must reproduce p to
+        # 1e-12 relative.
         rng = np.random.default_rng(99)
         m = make_model()
         for _ in range(100):
@@ -75,17 +74,6 @@ class TestDeriveState:
             p = rng.uniform(0.1, 5.0)
             d = derive_state(PrimitiveState(rho=rho, u=(0.0,), p=p), m)
             assert d.s * rho ** m.gamma == pytest.approx(p, rel=1e-12)
-
-    def test_specific_convention_entropy(self):
-        m = make_model(EntropyConvention.SPECIFIC)
-        m_off = GasModel(
-            gamma=1.4, R=1.0, entropy_convention=EntropyConvention.SPECIFIC, s_ref=7.0
-        )
-        q = PrimitiveState(rho=2.0, u=(0.0,), p=3.0)
-        d = derive_state(q, m)
-        expect = m.c_v * math.log(3.0 / 2.0 ** 1.4)
-        assert d.s == pytest.approx(expect, rel=1e-14)
-        assert derive_state(q, m_off).s == pytest.approx(expect + 7.0, rel=1e-14)
 
     def test_derived_stored_heats_consistent(self):
         m = make_model(gamma=1.3, R=11.0)
@@ -117,32 +105,40 @@ class TestGibbsResidual:
         return [PrimitiveState(r, (0.0,), r ** gamma) for r in rho]
 
     def test_repeated_state_is_zero(self):
-        m = make_model(EntropyConvention.SPECIFIC)
+        m = make_model()
         q = PrimitiveState(1.0, (0.0,), 1.0)
         assert gibbs_residual([q, q, q], m) == 0.0
 
     def test_isentropic_refinement_order(self):
         # The residual of the midpoint discretization of T ds = de + p dV
         # must shrink at order >= 2 under refinement of the sampling.
-        m = make_model(EntropyConvention.SPECIFIC)
+        m = make_model()
         res = [gibbs_residual(self.path_isentropic(n), m) for n in (11, 21, 41, 81)]
         assert all(r2 < r1 for r1, r2 in zip(res, res[1:]))
         orders = [np.log2(res[k] / res[k + 1]) for k in range(len(res) - 1)]
         assert min(orders) >= 1.9
 
     def test_far_apart_states_finite(self):
-        m = make_model(EntropyConvention.SPECIFIC)
+        m = make_model()
         path = [PrimitiveState(1.0, (0.0,), 1.0), PrimitiveState(4.0, (0.0,), 0.25)]
         r = gibbs_residual(path, m)
         assert np.isfinite(r) and r > 0.0
 
-    def test_requires_specific_convention(self):
-        m = make_model(EntropyConvention.ENTROPY_FUNCTION)
-        q = PrimitiveState(1.0, (0.0,), 1.0)
-        with pytest.raises(ConventionMismatch):
-            gibbs_residual([q, q], m)
+    def test_two_states_use_physical_entropy(self):
+        # One pair, its residual formed here from the physical entropy
+        # c_v ln(p/rho^gamma), T = p/(rho R) and e = c_v T.
+        m = make_model(gamma=1.4, R=287.05)
+        (r0, p0), (r1, p1) = (2.0, 3.0), (1.5, 0.8)
+        T0, T1 = p0 / (r0 * m.R), p1 / (r1 * m.R)
+        ds = (m.c_v * math.log(p1 / r1 ** m.gamma)
+              - m.c_v * math.log(p0 / r0 ** m.gamma))
+        de = m.c_v * T1 - m.c_v * T0
+        dV = 1.0 / r1 - 1.0 / r0
+        expect = abs(0.5 * (T0 + T1) * ds - de - 0.5 * (p0 + p1) * dV)
+        path = [PrimitiveState(r0, (0.0,), p0), PrimitiveState(r1, (0.0,), p1)]
+        assert expect > 0.0 and gibbs_residual(path, m) == expect
 
     def test_too_short_path(self):
-        m = make_model(EntropyConvention.SPECIFIC)
+        m = make_model()
         with pytest.raises(ValueError):
             gibbs_residual([PrimitiveState(1.0, (0.0,), 1.0)], m)
