@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,11 @@ class TestDeriveState:
         with pytest.raises(ValueError):
             GasModel(R=0.0)
 
+    def test_gas_model_has_only_gamma_and_R(self):
+        # The entropy function p/rho^gamma is the one entropy variable, so
+        # the model carries no entropy convention and no reference offset.
+        assert [f.name for f in dataclasses.fields(GasModel)] == ["gamma", "R"]
+
     def test_derive_fields_matches_scalar_path(self):
         m = make_model()
         rho = np.array([[1.0, 2.0], [0.5, 1.5]])
@@ -124,10 +130,11 @@ class TestGibbsResidual:
         r = gibbs_residual(path, m)
         assert np.isfinite(r) and r > 0.0
 
-    def test_two_states_use_physical_entropy(self):
+    @pytest.mark.parametrize("gamma", [1.2, 1.4, 1.67])
+    def test_two_states_use_physical_entropy(self, gamma):
         # One pair, its residual formed here from the physical entropy
         # c_v ln(p/rho^gamma), T = p/(rho R) and e = c_v T.
-        m = make_model(gamma=1.4, R=287.05)
+        m = make_model(gamma=gamma, R=287.05)
         (r0, p0), (r1, p1) = (2.0, 3.0), (1.5, 0.8)
         T0, T1 = p0 / (r0 * m.R), p1 / (r1 * m.R)
         ds = (m.c_v * math.log(p1 / r1 ** m.gamma)
