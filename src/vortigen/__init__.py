@@ -34,7 +34,6 @@ from .evoform import (
     CroccoSign,
     FlowRegime,
     ForceModel,
-    FormCoefficients,
     TransportModel,
     classify_regime,
     commutator,

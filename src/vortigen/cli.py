@@ -152,9 +152,12 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
 
     def refused(row, what, kind=ParseError):
         with open(path) as fh:  # loadtxt's rows: nonempty lines after line 1
-            lines = [ln for ln, text in enumerate(fh, start=1)
-                     if ln > 1 and text != "\n"]
-        return kind(f"{path}:{lines[row]}: {what}")
+            rows = [(ln, text) for ln, text in enumerate(fh, start=1)
+                    if ln > 1 and text != "\n"]
+        first = rows[0][1].count(",") + 1  # loadtxt's width for every row
+        if first != n:  # so the first row is the first bad one
+            row, what, kind = 0, f"expected {n} fields, got {first}", ParseError
+        return kind(f"{path}:{rows[row][0]}: {what}")
 
     try:
         with open(path) as fh:
@@ -176,9 +179,8 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
             what = f"column {expected[j] if j < n else j + 1}: {conv[1]}"
             raise refused(int(conv[2]), what) from None
         if cols:
-            first, now, row = map(int, cols.groups())
-            row, got = (0, first) if first != n else (row - 1, now)
-            raise refused(row, f"expected {n} fields, got {got}") from None
+            raise refused(int(cols[3]) - 1,
+                          f"expected {n} fields, got {cols[2]}") from None
         raise ParseError(f"{path}: {exc}") from None
     if not len(arr):
         return np.empty((0, n))
@@ -523,12 +525,13 @@ def _float_column(levels):
     return "%s", lambda k: text[np.searchsorted(distinct, bits[k])].tolist()
 
 
-def _write_trajectory_csv(path: Path, xi, a1_samples, anu_samples, K, staged):
+def _write_trajectory_csv(path: Path, K, staged):
+    """One row per sample of the form ``K`` that ``commutator`` returns."""
     names = [n for n in ATTRIBUTION_ORDER if n in K.attribution]
     names += sorted(n for n in K.attribution if n not in names)
     header = ["xi1", "A1", "Anu", "K", *names]
     cols = [_float_column([v]) for v in (
-        xi, a1_samples, anu_samples, K.K, *[K.attribution[n] for n in names])]
+        K.xi, K.a1, K.anu, K.K, *[K.attribution[n] for n in names])]
     row = ",".join(spec for spec, _ in cols) + "\n"
     with _atomic_write(path, staged) as fh:
         fh.write(",".join(header) + "\n")
@@ -611,7 +614,6 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
             fs, forces, cfg.gas, sign=v["crocco_sign"],
             time_index=v["time_index"],
             include_time_term=v["include_time_term"])
-        fc = evoform.FormCoefficients(anu, a1)
         tr = v["trajectories"]
         seeds = tr["seeds"] if tr["seeds"] is not None else _default_seeds(fs)
         worst = None
@@ -623,13 +625,8 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         for ti, traj in enumerate(trajs):
             if isinstance(traj, VortigenError):
                 continue
-            frame = frame_along(traj)
-            K = evoform.commutator(fc, traj, frame, fs)
-            anu_samples, _ = anu.sample_along(traj, frame, fs.grid)
-            a1_samples = a1.sample_along(traj, fs.grid)
-            _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv",
-                                  traj.arclength, a1_samples, anu_samples, K,
-                                  staged)
+            K = evoform.commutator(anu, a1, traj, frame_along(traj), fs.grid)
+            _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K, staged)
             cls = evoform.equilibrium_classifier(K, report.tolerance)
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls

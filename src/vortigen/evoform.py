@@ -56,7 +56,6 @@ __all__ = [
     "TransportModel",
     "NormalCoefficient",
     "A1Coefficient",
-    "FormCoefficients",
     "Commutator",
     "FlowRegime",
     "LagrangeReport",
@@ -163,14 +162,6 @@ class NormalCoefficient:
 
     pieces: Dict[str, np.ndarray]
 
-    def sample_along(self, traj: Trajectory, frame: AccompanyingFrame,
-                     grid: StructuredGrid2D):
-        """(total, per-term) A_nu samples along the trajectory; the total
-        is the sum of the terms in piece order."""
-        pieces = {name: _along_normal(g[:2], grid, traj, frame)
-                  for name, g in self.pieces.items()}
-        return np.sum(list(pieces.values()), axis=0), pieces
-
 
 @dataclass(frozen=True)
 class A1Coefficient:
@@ -195,22 +186,17 @@ class A1Coefficient:
 
 
 @dataclass(frozen=True)
-class FormCoefficients:
-    """The evolutionary 1-form's coefficient pair as node fields."""
-
-    anu: NormalCoefficient
-    a1: A1Coefficient
-
-
-@dataclass(frozen=True)
 class Commutator:
-    """K samples along a trajectory and their source attribution.
+    """The evolutionary form along a trajectory: arclength, A1 and A_nu
+    samples, K and its source attribution.
 
     The attribution components sum to K (both are evaluated through the
     same linear derivative operators, so they agree to rounding).
     """
 
     xi: np.ndarray
+    a1: np.ndarray
+    anu: np.ndarray
     K: np.ndarray
     attribution: Dict[str, np.ndarray]
 
@@ -243,12 +229,6 @@ class EquilibriumClass:
 
 # ---------------------------------------------------------------------------
 # coefficient construction
-
-
-def _along_normal(vec, grid, traj, frame):
-    """(Vx, Vy) . n per sample for a stacked (2, ny, nx) node field."""
-    sx, sy = interp_bilinear(vec, grid, traj.points)
-    return sx * frame.normal[:, 0] + sy * frame.normal[:, 1]
 
 
 def crocco_normal_coefficient(
@@ -403,35 +383,37 @@ def viscous_a1(
 # commutator
 
 
-def _frame_contraction(jac, grid, traj, frame):
-    """t . grad(F . n) per sample with the frame frozen at the sample, from
-    the stacked node Jacobian (dFx/dx, dFx/dy, dFy/dx, dFy/dy)."""
-    dxx, dxy, dyx, dyy = interp_bilinear(jac, grid, traj.points)
-    t, n = frame.tangent, frame.normal
-    return ((t[:, 0] * dxx + t[:, 1] * dxy) * n[:, 0]
-            + (t[:, 0] * dyx + t[:, 1] * dyy) * n[:, 1])
-
-
 def commutator(
-    fc: FormCoefficients,
+    anu: NormalCoefficient,
+    a1: A1Coefficient,
     traj: Trajectory,
     frame: AccompanyingFrame,
-    fs: FieldSet,
+    grid: StructuredGrid2D,
 ) -> Commutator:
-    """K = dA_nu/dxi1 - dA1/dxi_nu along the trajectory, with attribution.
+    """A1, A_nu and K = dA_nu/dxi1 - dA1/dxi_nu along the trajectory, with
+    K's attribution.
 
-    Each A_nu term's xi1-derivative is the frame contraction of the term's
-    node-field Jacobian; A1 terms contribute through minus their
-    frame-normal derivative.
+    Each A_nu term's stack is sampled once: its (Gx, Gy) rows dotted with
+    the frame normal give the term's A_nu, and t . J . n of its Jacobian
+    rows (the frame frozen at each sample) its xi1-derivative.  A_nu is
+    the sum of the terms in piece order.  A1 terms contribute through
+    minus their frame-normal derivative.
     """
-    grid = fs.grid
-    attribution = {name: _frame_contraction(g[2:], grid, traj, frame)
-                   for name, g in fc.anu.pieces.items()}
-    for name, grad in fc.a1.gradients.items():
-        attribution[name] = -_along_normal(grad, grid, traj, frame)
+    t, n = frame.tangent, frame.normal
+    anu_terms, attribution = [], {}
+    for name, g in anu.pieces.items():
+        gx, gy, dxx, dxy, dyx, dyy = interp_bilinear(g, grid, traj.points)
+        anu_terms.append(gx * n[:, 0] + gy * n[:, 1])
+        attribution[name] = ((t[:, 0] * dxx + t[:, 1] * dxy) * n[:, 0]
+                             + (t[:, 0] * dyx + t[:, 1] * dyy) * n[:, 1])
+    for name, grad in a1.gradients.items():
+        sx, sy = interp_bilinear(grad, grid, traj.points)
+        attribution[name] = -(sx * n[:, 0] + sy * n[:, 1])
 
-    K = np.sum(list(attribution.values()), axis=0)
-    return Commutator(xi=traj.arclength.copy(), K=K, attribution=attribution)
+    return Commutator(xi=traj.arclength.copy(), a1=a1.sample_along(traj, grid),
+                      anu=np.sum(anu_terms, axis=0),
+                      K=np.sum(list(attribution.values()), axis=0),
+                      attribution=attribution)
 
 
 # ---------------------------------------------------------------------------

@@ -268,24 +268,23 @@ def _pressure(state: DerivedState, m: GasModel) -> float:
 # consistency determinant
 
 
-def consistency_determinant(state: DerivedState, slope: float,
+def consistency_determinant(q: PrimitiveState, slope: float,
                             m: GasModel) -> float:
     """Determinant of the jump system's normal-derivative coefficients.
 
     For the 1-D unsteady system in (rho, u, s) with p = p(rho, s), the
     homogeneous jump system is singular exactly on the characteristic
-    directions; the determinant factors as (slope-u)((slope-u)^2 - a^2).
-    The speed is recovered from the state as sqrt(2 (h0 - h)) (nonnegative
-    branch).
+    directions; the determinant factors as (slope-u)((slope-u)^2 - a^2),
+    with u the signed velocity of the 1-D state ``q``.
     """
-    u = np.sqrt(max(2.0 * (state.h0 - state.h), 0.0))
-    a = state.a
-    rho = (a ** 2 / (m.gamma * state.s)) ** (1.0 / (m.gamma - 1.0))
-    p_s = rho ** m.gamma  # dp/ds at constant rho
-    lam = slope - u
+    if len(q.u) != 1:
+        raise ValueError(f"need a 1-D state, got {len(q.u)} velocity components")
+    a2 = m.gamma * q.p / q.rho  # dp/drho at constant s
+    p_s = q.rho ** m.gamma  # dp/ds at constant rho
+    lam = slope - q.u[0]
     mat = np.array([
-        [lam, -rho, 0.0],
-        [-a * a / rho, lam, -p_s / rho],
+        [lam, -q.rho, 0.0],
+        [-a2 / q.rho, lam, -p_s / q.rho],
         [0.0, 0.0, lam],
     ])
     return float(np.linalg.det(mat))

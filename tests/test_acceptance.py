@@ -10,7 +10,6 @@ from vortigen.evoform import (
     A1Variant,
     CroccoSign,
     ForceModel,
-    FormCoefficients,
     TransportModel,
     commutator,
     crocco_normal_coefficient,
@@ -128,7 +127,7 @@ def test_c03_lagrange_criterion():
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         below &= float(np.max(np.abs(K.K))) <= equilibrium_tolerance(fs, MODEL)
         vals.append(float(np.max(np.abs(K.K))))
     order = fitted_order(vals)
@@ -138,7 +137,7 @@ def test_c03_lagrange_criterion():
     traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
     frame = frame_along(traj)
     anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-    K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+    K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
     cls = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
     ok = below and order >= 1.5 and cls.kind == "nonequilibrium" \
         and cls.dominant == "nonstationarity"
@@ -154,12 +153,10 @@ def test_c04_crocco_sign_resolution():
     traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
     frame = frame_along(traj)
     est = truncation_estimate(fs, MODEL)
-    anu_c, _ = crocco_normal_coefficient(
-        fs, NO_FORCE, MODEL, sign=CroccoSign.CONSISTENT).sample_along(
-            traj, frame, fs.grid)
-    anu_p, _ = crocco_normal_coefficient(
-        fs, NO_FORCE, MODEL, sign=CroccoSign.PAPER_LITERAL).sample_along(
-            traj, frame, fs.grid)
+    anu_c, anu_p = (
+        commutator(crocco_normal_coefficient(fs, NO_FORCE, MODEL, sign=sign),
+                   ideal_a1(), traj, frame, fs.grid).anu
+        for sign in (CroccoSign.CONSISTENT, CroccoSign.PAPER_LITERAL))
     consistent_max = float(np.max(np.abs(anu_c)))
     expected = 2.0 * sigma ** 2 * y_traj / T0
     literal_err = float(np.max(np.abs(anu_p - expected))) / expected
@@ -309,12 +306,13 @@ def test_c09_consistency_determinant():
         u = rng.uniform(0.0, 5.0)
         gamma = rng.choice([1.2, 1.4, 1.67])
         m = GasModel(gamma=gamma, R=1.0)
-        st = derive_state(PrimitiveState(rho=rho, u=(u,), p=p), m)
+        q = PrimitiveState(rho=rho, u=(u,), p=p)
+        st = derive_state(q, m)
         for lam in (u, u + st.a, u - st.a):
-            worst_root = max(worst_root, abs(consistency_determinant(st, lam, m)))
+            worst_root = max(worst_root, abs(consistency_determinant(q, lam, m)))
         for lam in (u + 0.5 * st.a, u - 0.5 * st.a):
             worst_off = min(worst_off,
-                            abs(consistency_determinant(st, lam, m)) / st.a ** 3)
+                            abs(consistency_determinant(q, lam, m)) / st.a ** 3)
     ok = worst_root <= 1e-12 and worst_off >= 0.1
     criterion(9, "consistency determinant", ok,
               f"max |det| at characteristic slopes {worst_root:.1e} (<=1e-12), "

@@ -328,9 +328,10 @@ class TestScenarios:
         assert str(cfgp) in err and "trajectories.seeds" in err
 
     def test_derived_fields_built_once_per_run(self, tmp_path, monkeypatch):
-        # guards against per-seed recomputation of the node fields
+        # guards against per-seed recomputation of the node fields, and
+        # against sampling a node stack twice per seed
         import vortigen
-        from vortigen import fields, thermo
+        from vortigen import evoform, fields, thermo
         fs, _ = couette_flow(mu=0.1, k=0.05, nx=33, ny=33)
         write_fields_csv(tmp_path / "f.csv", fs)
         counts = {}
@@ -341,9 +342,13 @@ class TestScenarios:
             for mod in vars(vortigen).values():
                 if getattr(mod, fn.__name__, None) is fn:
                     monkeypatch.setattr(mod, fn.__name__, counted)
-        seen = []
+        sampled = []
+        monkeypatch.setattr(evoform, "interp_bilinear", lambda *a: (
+            sampled.append(1) or fields.interp_bilinear(*a)))
+        seen, per_seed = [], []
         for n in (8, 64):
             counts.update(derive_fields=0, gradient=0)
+            sampled.clear()
             seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
             cfgp = write_config(
                 tmp_path, fields="f.csv", transport={"mu": 0.1, "k": 0.05},
@@ -352,8 +357,11 @@ class TestScenarios:
             assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
             assert len(list((tmp_path / f"out{n}").glob("trajectory_*"))) == n
             seen.append(dict(counts))
+            per_seed.append(len(sampled) / n)
         assert seen[0] == seen[1]
         assert seen[0]["derive_fields"] == 0
+        # two A_nu term stacks, three A1 gradient stacks and the A1 field
+        assert per_seed == [6, 6]
 
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"
@@ -575,7 +583,7 @@ def net_csv_reference(net):
                      + [template % tuple(r) for r in rows]) + "\n"
 
 
-def trajectory_csv_reference(xi, a1_samples, anu_samples, K):
+def trajectory_csv_reference(K):
     """Reference: the trajectory CSV writer that formatted every float in
     its row."""
     names = [n for n in cli.ATTRIBUTION_ORDER if n in K.attribution]
@@ -583,7 +591,7 @@ def trajectory_csv_reference(xi, a1_samples, anu_samples, K):
     names += sorted(extra)
     header = ["xi1", "A1", "Anu", "K", *names]
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    body = np.column_stack([xi, a1_samples, anu_samples, K.K,
+    body = np.column_stack([K.xi, K.a1, K.anu, K.K,
                             *[K.attribution[n] for n in names]]).tolist()
     return ",".join(header) + "\n" + "".join([row % tuple(r) for r in body])
 
@@ -690,12 +698,12 @@ class TestFloatColumns:
         xi, a1, anu, k_total, *terms = [data.draw(float_column(n))
                                         for _ in range(7)]
         names = ["zz_extra", "viscous_production", "pressure_baroclinic"]
-        K = SimpleNamespace(K=k_total, attribution=dict(zip(names, terms)))
+        K = SimpleNamespace(xi=xi, a1=a1, anu=anu, K=k_total,
+                            attribution=dict(zip(names, terms)))
         path = tmp_path_factory.mktemp("traj") / "trajectory_000.csv"
         with cli._staged_run() as staged:
-            cli._write_trajectory_csv(path, xi, a1, anu, K, staged)
-        assert path.read_bytes() \
-            == trajectory_csv_reference(xi, a1, anu, K).encode()
+            cli._write_trajectory_csv(path, K, staged)
+        assert path.read_bytes() == trajectory_csv_reference(K).encode()
 
     def test_net_csv_reads_back_bitwise(self, tmp_path):
         from vortigen import moc
@@ -719,13 +727,13 @@ class TestFloatColumns:
                             trajectories={"seeds": [[0.1, 0.3]]})
         written, write = [], cli._write_trajectory_csv
         monkeypatch.setattr(cli, "_write_trajectory_csv", lambda *a:
-                            written.append(a[1:5]) or write(*a))
+                            written.append(a[1]) or write(*a))
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
-        xi, a1, anu, K = written[0]
+        K = written[0]
         path = tmp_path / "out" / "trajectory_000.csv"
-        assert path.read_text() == trajectory_csv_reference(xi, a1, anu, K)
+        assert path.read_text() == trajectory_csv_reference(K)
         names = path.read_text().splitlines()[0].split(",")[4:]
-        expect = np.column_stack([xi, a1, anu, K.K,
+        expect = np.column_stack([K.xi, K.a1, K.anu, K.K,
                                   *[K.attribution[n] for n in names]])
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(float_bits(back), float_bits(expect))

@@ -8,7 +8,6 @@ from vortigen.evoform import (
     A1Variant,
     CroccoSign,
     ForceModel,
-    FormCoefficients,
     FlowRegime,
     NormalCoefficient,
     TransportModel,
@@ -64,7 +63,8 @@ class TestCroccoCoefficient:
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        samples, _ = anu.sample_along(traj, frame_along(traj), fs.grid)
+        samples = commutator(anu, ideal_a1(), traj, frame_along(traj),
+                             fs.grid).anu
         assert np.max(np.abs(samples)) <= 1e-13
 
     def test_shear_flow_consistent_sign_vanishes(self):
@@ -73,7 +73,7 @@ class TestCroccoCoefficient:
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
                                         sign=CroccoSign.CONSISTENT)
-        samples, _ = anu.sample_along(traj, frame, fs.grid)
+        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
         est = truncation_estimate(fs, MODEL)
         assert np.max(np.abs(samples)) <= 10.0 * est.anu
 
@@ -84,7 +84,7 @@ class TestCroccoCoefficient:
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
                                         sign=CroccoSign.PAPER_LITERAL)
-        samples, _ = anu.sample_along(traj, frame, fs.grid)
+        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
         expected = 2.0 * sigma ** 2 * y_traj / T0
         assert np.max(np.abs(samples - expected)) <= 0.01 * expected
 
@@ -103,9 +103,12 @@ class TestCroccoCoefficient:
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, force, MODEL)
-        _, pieces = anu.sample_along(traj, frame, fs.grid)
+        # the other terms vanish exactly on the uniform field
+        assert not anu.pieces["h0_gradient"].any()
+        assert not anu.pieces["vortical"].any()
+        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
         T = 1.0
-        assert np.allclose(pieces["force"], g / T, atol=1e-12)
+        assert np.allclose(samples, g / T, atol=1e-12)
 
 
 def wavy_series(n, times=(0.0, 0.1, 0.25)):
@@ -282,7 +285,7 @@ class TestCommutator:
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-12
 
     def test_prescribed_profile_derivative(self):
@@ -298,7 +301,7 @@ class TestCommutator:
         traj = horizontal_line(0.5, n=201)
         frame = frame_along(traj)
         xi = traj.arclength
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         assert np.max(np.abs(K.K - 3.0 * np.cos(3.0 * xi))) <= 1e-3
 
     def test_attribution_sums_to_K(self):
@@ -306,7 +309,7 @@ class TestCommutator:
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         total = np.sum(list(K.attribution.values()), axis=0)
         scale = max(np.max(np.abs(K.K)), 1e-30)
         assert np.max(np.abs(total - K.K)) / scale <= 1e-10
@@ -316,7 +319,7 @@ class TestCommutator:
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         assert np.max(np.abs(K.K)) > equilibrium_tolerance(fs, MODEL)
         integrals = {n: abs(np.trapezoid(c, K.xi))
                      for n, c in K.attribution.items()}
@@ -330,9 +333,8 @@ class TestCommutator:
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K_field = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
-        samples, _ = anu.sample_along(traj, frame, fs.grid)
-        K_samp = np.gradient(samples, traj.arclength, edge_order=2)
+        K_field = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K_samp = np.gradient(K_field.anu, traj.arclength, edge_order=2)
         tol = equilibrium_tolerance(fs, MODEL)
         assert np.max(np.abs(K_field.K)) <= tol
         assert np.max(np.abs(K_field.K - K_samp)) <= tol
@@ -404,7 +406,8 @@ class TestClassification:
 
     def test_zero_K_is_equilibrium(self):
         from vortigen.evoform import Commutator
-        K = Commutator(xi=np.linspace(0, 1, 5), K=np.zeros(5),
+        K = Commutator(xi=np.linspace(0, 1, 5), a1=np.zeros(5),
+                       anu=np.zeros(5), K=np.zeros(5),
                        attribution={"vortical": np.zeros(5)})
         out = equilibrium_classifier(K, tol=1e-8)
         assert out.kind == "locally_equilibrium"
@@ -417,7 +420,7 @@ class TestClassification:
         traj = horizontal_line(0.3, n=65)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(FormCoefficients(anu, a1), traj, frame, fs)
+        K = commutator(anu, a1, traj, frame, fs.grid)
         out = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
         assert out.kind == "nonequilibrium"
         assert out.dominant in ("conduction_production", "viscous_production",
@@ -428,7 +431,8 @@ class TestClassification:
 
     def test_invalid_tolerance(self):
         from vortigen.evoform import Commutator
-        K = Commutator(xi=np.zeros(1), K=np.zeros(1), attribution={})
+        K = Commutator(xi=np.zeros(1), a1=np.zeros(1), anu=np.zeros(1),
+                       K=np.zeros(1), attribution={})
         with pytest.raises(ValueError):
             equilibrium_classifier(K, tol=0.0)
 
@@ -439,7 +443,7 @@ class TestEquilibriumSoundness:
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
         frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-13
 
     def test_source_flow_refinement_order(self):
@@ -449,7 +453,7 @@ class TestEquilibriumSoundness:
             traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
             frame = frame_along(traj)
             anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-            K = commutator(FormCoefficients(anu, ideal_a1()), traj, frame, fs)
+            K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
             assert np.max(np.abs(K.K)) <= equilibrium_tolerance(fs, MODEL)
             vals.append(np.max(np.abs(K.K)))
         orders = [np.log2(vals[k] / vals[k + 1]) for k in range(2)]

@@ -192,9 +192,10 @@ class TestCharRelation:
 class TestConsistencyDeterminant:
     def test_frozen_value(self):
         # u = 0, a = 1: det(2) = 2 (4 - 1) = 6
-        st = derive_state(PrimitiveState(rho=1.0, u=(0.0,), p=1.0 / 1.4), M14)
+        q = PrimitiveState(rho=1.0, u=(0.0,), p=1.0 / 1.4)
+        st = derive_state(q, M14)
         assert st.a == pytest.approx(1.0, rel=1e-14)
-        assert consistency_determinant(st, 2.0, M14) == pytest.approx(6.0, rel=1e-12)
+        assert consistency_determinant(q, 2.0, M14) == pytest.approx(6.0, rel=1e-12)
 
     def test_vanishes_at_characteristic_slopes(self):
         rng = np.random.default_rng(1234)
@@ -204,9 +205,10 @@ class TestConsistencyDeterminant:
             u = rng.uniform(0.0, 5.0)
             gamma = rng.choice([1.2, 1.4, 1.67])
             m = GasModel(gamma=gamma, R=1.0)
-            st = derive_state(PrimitiveState(rho=rho, u=(u,), p=p), m)
+            q = PrimitiveState(rho=rho, u=(u,), p=p)
+            st = derive_state(q, m)
             for lam in (u, u + st.a, u - st.a):
-                assert abs(consistency_determinant(st, lam, m)) <= 1e-12
+                assert abs(consistency_determinant(q, lam, m)) <= 1e-12
 
     def test_bounded_away_off_roots(self):
         rng = np.random.default_rng(99)
@@ -214,10 +216,10 @@ class TestConsistencyDeterminant:
             rho = rng.uniform(0.5, 2.0)
             p = rng.uniform(0.5, 2.0)
             u = rng.uniform(0.0, 5.0)
-            st = derive_state(PrimitiveState(rho=rho, u=(u,), p=p), M14)
-            a = st.a
+            q = PrimitiveState(rho=rho, u=(u,), p=p)
+            a = derive_state(q, M14).a
             for lam in (u + 0.5 * a, u - 0.5 * a, u + 1.5 * a, u - 1.5 * a):
-                assert abs(consistency_determinant(st, lam, M14)) >= a ** 3 / 10.0
+                assert abs(consistency_determinant(q, lam, M14)) >= a ** 3 / 10.0
 
     def test_matches_factored_polynomial(self):
         rng = np.random.default_rng(7)
@@ -226,7 +228,20 @@ class TestConsistencyDeterminant:
             p = rng.uniform(0.5, 2.0)
             u = rng.uniform(0.0, 3.0)
             lam = rng.uniform(-5.0, 8.0)
-            st = derive_state(PrimitiveState(rho=rho, u=(u,), p=p), M14)
-            got = consistency_determinant(st, lam, M14)
+            q = PrimitiveState(rho=rho, u=(u,), p=p)
+            st = derive_state(q, M14)
+            got = consistency_determinant(q, lam, M14)
             expect = (lam - u) * ((lam - u) ** 2 - st.a ** 2)
             assert got == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("u", [1e-9, 1e-6, -1e-6])
+    def test_small_speeds_keep_the_root(self, u):
+        # the speed is the state's own signed u, not sqrt(2 (h0 - h)),
+        # which rounding spoils near zero
+        q = PrimitiveState(rho=1.0, u=(u,), p=1.0)
+        assert abs(consistency_determinant(q, u, M14)) <= 1e-12
+
+    def test_needs_a_1d_state(self):
+        with pytest.raises(ValueError, match="1-D state"):
+            consistency_determinant(
+                PrimitiveState(rho=1.0, u=(0.0, 1.0), p=1.0), 0.0, M14)

@@ -215,6 +215,7 @@ SHORT = ":{}: expected 2 fields, got 1"
     ("1,2\n3\n", SHORT.format(3)),              # ragged
     ("1,2\n\n3\n", SHORT.format(4)),            # ragged after a blank line
     ("1,2\n# note\n", SHORT.format(3)),          # no comment syntax
+    ("-4.7e16\n  \n1_0\n", SHORT.format(2)),   # short first row, bad later
 ])
 def test_reader_cases(body, message):
     got, path = check_against_oracle(("a", "b"), "a,b\n" + body)
