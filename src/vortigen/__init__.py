@@ -50,7 +50,6 @@ from .moc import (
     advance_net,
     compat_residual,
     detect_envelope,
-    jacobian_trace,
     pseudostructure_residual,
     riemann_invariants,
 )

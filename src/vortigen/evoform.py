@@ -301,16 +301,15 @@ def crocco_normal_coefficient(
 
 
 def _temperature(fs: FieldSet, m: GasModel) -> np.ndarray:
-    """Node field T by the arithmetic of :func:`thermo.derive_fields`,
-    without the a, s, e and h it also builds."""
+    """Node field T = p / (rho R)."""
     if np.any(fs.rho <= 0.0) or np.any(fs.p <= 0.0):
         raise NonPhysicalState("field arrays must have rho > 0 and p > 0")
     return fs.p / (fs.rho * m.R)
 
 
 def _temperature_and_h0(fs: FieldSet, m: GasModel):
-    """Node fields T and h0 = h + |U|^2 / 2, with h as
-    :func:`thermo.derive_fields` builds it."""
+    """Node fields T and h0 = c_v T + p / rho + |U|^2 / 2, summed in that
+    order."""
     T = _temperature(fs, m)
     h0 = m.c_v * T
     h0 += fs.p / fs.rho

@@ -48,14 +48,11 @@ from .thermo import GasModel
 __all__ = [
     "CharNet",
     "EnvelopeEvent",
-    "ChainJacobian",
-    "JacobianTrace",
     "riemann_invariants",
     "compat_residual",
     "nodes_from_primitive",
     "advance_net",
     "pseudostructure_residual",
-    "jacobian_trace",
     "detect_envelope",
 ]
 
@@ -109,21 +106,6 @@ class CharNet:
             return (self.c0_parent[0],) * 3
         i = np.arange(self.level_size(k))
         return i, i + 1, self.c0_parent[k]
-
-
-@dataclass(frozen=True)
-class ChainJacobian:
-    """Tube-width ratio J(t) = dx/dx0 along one characteristic chain."""
-
-    x0: float
-    t: np.ndarray
-    J: np.ndarray
-
-
-@dataclass(frozen=True)
-class JacobianTrace:
-    family: str
-    chains: List[ChainJacobian]
 
 
 # ---------------------------------------------------------------------------
@@ -463,53 +445,24 @@ def pseudostructure_residual(net: CharNet, family: str) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def jacobian_trace(net: CharNet, family: str) -> JacobianTrace:
-    """J(t) = dx/dx0 per launch point by adjacent-chain differencing.
-
-    Each level's neighbor positions are slid onto a common time along
-    their own characteristic slopes (node times differ within a level):
-    chain j's J on level k is that level's corrected gap over the launch
-    spacing (:func:`_level_gaps`), followed while the pair stays on the net.
-    """
-    if family not in _SIGN:
-        raise ValueError(f"unknown family {family!r}")
-    x0 = net.x[0]
-    dx0 = np.diff(x0)
-    J = np.zeros((net.n_levels, len(x0) - 1))
-    T = np.zeros_like(J)
-    on = np.zeros(J.shape, dtype=bool)
-    for k in range(net.n_levels):
-        _, t_bar, ratio, lo = _level_gaps(net, k, family, dx0)
-        chain = slice(lo, lo + len(ratio))
-        J[k, chain], T[k, chain], on[k, chain] = ratio, t_bar, True
-    # a chain leaves the net at its first level without its pair
-    depth = np.where(on.all(axis=0), net.n_levels, np.argmin(on, axis=0))
-    mids = 0.5 * (x0[:-1] + x0[1:])
-    return JacobianTrace(family=family, chains=[
-        ChainJacobian(x0=float(mids[j]), t=T[:n, j].copy(), J=J[:n, j].copy())
-        for j, n in enumerate(depth) if n > 0])
-
-
-def detect_envelope(
-    initial: Sequence[np.ndarray],
-    t_end: Optional[float] = None,
-) -> Optional[EnvelopeEvent]:
+def detect_envelope(initial: Sequence[np.ndarray]) -> Optional[EnvelopeEvent]:
     """Straight-characteristic estimate of the first same-family crossing
     from t=0 initial data ``(x, u, a, s)``.
 
     With lam = u +/- a per family, the earliest crossing is
     t* = -1 / min(dlam/dx) over points where the slope gradient is
-    negative.  Returns None when no crossing occurs (before ``t_end`` if
-    given).  The crossing found on a net is ``CharNet.envelope``.
+    negative.  Returns None when no crossing occurs.  The crossing found
+    on a net is ``CharNet.envelope``.
     """
     x, u, a, _ = _initial_arrays(initial)
+    # slope gradients at the rounding-noise level of the stencil are zero;
+    # max|u| + max(a) is the rounding scale of lam's terms, in any units
+    noise = 1024.0 * np.finfo(float).eps \
+        * float(np.max(np.abs(u)) + np.max(a)) / float(np.min(np.diff(x)))
     best = None
     for family, sign in _SIGN.items():
         lam = u + sign * a
         dlam = np.gradient(lam, x, edge_order=2)
-        # ignore slope gradients at the rounding-noise level of the stencil
-        noise = 1024.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(lam)))) \
-            / float(np.min(np.diff(x)))
         dlam = np.where(np.abs(dlam) <= noise, 0.0, dlam)
         if np.min(dlam) < 0.0:
             i = int(np.argmin(dlam))
@@ -517,6 +470,4 @@ def detect_envelope(
             x_star = float(x[i] + lam[i] * t_star)
             if best is None or t_star < best.t_star:
                 best = EnvelopeEvent(t_star, x_star, family)
-    if best is not None and t_end is not None and best.t_star > t_end:
-        return None
     return best

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonPhysicalState
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "PrimitiveState",
     "DerivedState",
     "derive_state",
-    "derive_fields",
     "gibbs_residual",
 ]
 
@@ -116,20 +113,6 @@ def derive_state(q: PrimitiveState, m: GasModel) -> DerivedState:
     h0 = h + 0.5 * q.speed ** 2
     s = q.p / q.rho ** m.gamma
     return DerivedState(T=T, a=a, s=s, e=e, h=h, h0=h0)
-
-
-def derive_fields(rho: np.ndarray, p: np.ndarray, m: GasModel) -> dict:
-    """Vectorized derivations on node arrays; returns T, a, s, e, h arrays."""
-    rho = np.asarray(rho, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(rho <= 0.0) or np.any(p <= 0.0):
-        raise NonPhysicalState("field arrays must have rho > 0 and p > 0")
-    T = p / (rho * m.R)
-    a = np.sqrt(m.gamma * p / rho)
-    e = m.c_v * T
-    h = e + p / rho
-    s = p / rho ** m.gamma
-    return {"T": T, "a": a, "s": s, "e": e, "h": h}
 
 
 def gibbs_residual(path: Sequence[PrimitiveState], m: GasModel) -> float:

@@ -331,23 +331,24 @@ class TestScenarios:
         # guards against per-seed recomputation of the node fields, and
         # against sampling a node stack twice per seed
         import vortigen
-        from vortigen import evoform, fields, thermo
+        from vortigen import evoform, fields
         fs, _ = couette_flow(mu=0.1, k=0.05, nx=33, ny=33)
         write_fields_csv(tmp_path / "f.csv", fs)
         counts = {}
-        for fn in (thermo.derive_fields, fields.gradient):
-            def counted(*a, _fn=fn, **kw):
-                counts[_fn.__name__] += 1
-                return _fn(*a, **kw)
-            for mod in vars(vortigen).values():
-                if getattr(mod, fn.__name__, None) is fn:
-                    monkeypatch.setattr(mod, fn.__name__, counted)
+        fn = fields.gradient
+
+        def counted(*a, **kw):
+            counts["gradient"] += 1
+            return fn(*a, **kw)
+        for mod in vars(vortigen).values():
+            if getattr(mod, "gradient", None) is fn:
+                monkeypatch.setattr(mod, "gradient", counted)
         sampled = []
         monkeypatch.setattr(evoform, "interp_bilinear", lambda *a: (
             sampled.append(1) or fields.interp_bilinear(*a)))
         seen, per_seed = [], []
         for n in (8, 64):
-            counts.update(derive_fields=0, gradient=0)
+            counts.update(gradient=0)
             sampled.clear()
             seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
             cfgp = write_config(
@@ -359,7 +360,6 @@ class TestScenarios:
             seen.append(dict(counts))
             per_seed.append(len(sampled) / n)
         assert seen[0] == seen[1]
-        assert seen[0]["derive_fields"] == 0
         # two A_nu term stacks, three A1 gradient stacks and the A1 field
         assert per_seed == [6, 6]
 
@@ -1190,6 +1190,23 @@ class TestRunViews:
         assert reports[0]["net_levels"] == len(set(
             line.split(",")[0] for line in
             (flags / "net.csv").read_text().splitlines()[1:]))
+
+    def test_detect_shock_reports_the_envelope_of_diagnose(self, tmp_path):
+        # detect-shock stays a command of its own; without t_end both it and
+        # diagnose's 1-D stage run the net to 1.5x the analytic estimate
+        init = compression_init(tmp_path / "init.csv", n=161)
+        shock, diag = tmp_path / "shock", tmp_path / "diag"
+        assert cli.main(["detect-shock", "--init", str(init), "--gamma",
+                         str(GAMMA), "--R", "1.0", "--out", str(shock)]) == 0
+        cfgp = write_config(tmp_path, initial_data="init.csv",
+                            output_dir=str(diag))
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        report = json.loads((shock / "envelope_report.json").read_text())
+        envelope = json.loads((diag / "envelope.json").read_text())
+        assert report["detected"] is True
+        assert report == {"detected": envelope["detected"],
+                          "numeric": envelope["event"],
+                          "analytic": envelope["analytic"]}
 
     @pytest.mark.parametrize("command", ["diagnose", "solve-moc",
                                          "verify-jumps"])

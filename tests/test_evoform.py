@@ -32,7 +32,6 @@ from vortigen.fields import (
     time_derivative,
     trace_streamline,
 )
-from vortigen.thermo import derive_fields
 
 from scenarios import (
     GAMMA,
@@ -130,9 +129,8 @@ def reference_pieces(fs, forces, m, sign, time_index, include_time_term):
     """The (6, ny, nx) term stacks built by the plain expressions, each term
     stacked from its (Gx, Gy) and their node gradients."""
     grid = fs.grid
-    derived = derive_fields(fs.rho, fs.p, m)
-    T = derived["T"]
-    h0 = derived["h"] + 0.5 * (fs.u ** 2 + fs.v ** 2)
+    T = fs.p / (fs.rho * m.R)
+    h0 = m.c_v * T + fs.p / fs.rho + 0.5 * (fs.u ** 2 + fs.v ** 2)
     vort_sign = 1.0 if sign is CroccoSign.PAPER_LITERAL else -1.0
     gx, gy = gradient(h0, grid)
     omega = curl2d(fs.u, fs.v, grid)

@@ -9,7 +9,6 @@ from vortigen.moc import (
     EnvelopeEvent,
     compat_residual,
     detect_envelope,
-    jacobian_trace,
     nodes_from_primitive,
     pseudostructure_residual,
     riemann_invariants,
@@ -112,9 +111,6 @@ class TestCompatibility:
     def test_rejects_other_families(self, family):
         with pytest.raises(ValueError, match="unknown family"):
             compat_residual((0.3, 1.2, 0.9), (0.3, 1.2, 0.9), family, M)
-        net = advance_net(uniform_nodes(7), t_end=0.5, m=M)
-        with pytest.raises(ValueError, match="unknown family"):
-            jacobian_trace(net, family)
 
     def test_isentropic_reduces_to_riemann_increment(self):
         (ua, aa, sa), (ub, ab, sb) = (0.1, 1.0, 1.0), (0.25, 1.06, 1.0)
@@ -359,24 +355,42 @@ class TestPseudostructure:
         assert min(orders) >= 1.9
 
 
+def central_chain(net, family):
+    """Launch midpoint of the chain nearest x = 0 and its tube-width ratio
+    J = dx/dx0 with its time, level by level from ``moc._level_gaps``,
+    while the chain's pair stays on the net."""
+    x0 = net.x[0]
+    mids = 0.5 * (x0[:-1] + x0[1:])
+    j = int(np.argmin(np.abs(mids)))
+    t, J = [], []
+    for k in range(net.n_levels):
+        _, t_bar, ratio, lo = moc._level_gaps(net, k, family, np.diff(x0))
+        if not lo <= j < lo + len(ratio):
+            break
+        t.append(t_bar[j - lo])
+        J.append(ratio[j - lo])
+    return mids[j], np.array(t), np.array(J)
+
+
 class TestJacobian:
     def test_uniform_state_identity(self):
         net = advance_net(uniform_nodes(15), t_end=0.3, m=M)
-        for ch in jacobian_trace(net, "C+").chains:
-            np.testing.assert_allclose(ch.J, 1.0, atol=1e-12)
-            assert ch.J[0] == 1.0
-        for ch in jacobian_trace(net, "C-").chains:
-            np.testing.assert_allclose(ch.J, 1.0, atol=1e-12)
+        dx0 = np.diff(net.x[0])
+        for family in ("C+", "C-"):
+            for k in range(net.n_levels):
+                ratio = moc._level_gaps(net, k, family, dx0)[2]
+                np.testing.assert_allclose(ratio, 1.0, atol=1e-12)
+                if k == 0:
+                    assert np.all(ratio == 1.0)
 
     def test_expansion_wave_growth(self):
         w = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
         net = advance_net(w.initial_nodes(np.linspace(-1, 1, 201)),
                           t_end=0.6, m=M)
-        jt = jacobian_trace(net, "C+")
-        ch = min(jt.chains, key=lambda c: abs(c.x0))
-        lp = (w.lam(ch.x0 + 1e-6) - w.lam(ch.x0 - 1e-6)) / 2e-6
-        np.testing.assert_allclose(ch.J, 1.0 + lp * ch.t, atol=2e-4)
-        assert np.all(np.diff(ch.J) > 0.0)
+        x0, t, J = central_chain(net, "C+")
+        lp = (w.lam(x0 + 1e-6) - w.lam(x0 - 1e-6)) / 2e-6
+        np.testing.assert_allclose(J, 1.0 + lp * t, atol=2e-4)
+        assert np.all(np.diff(J) > 0.0)
 
     def test_compression_wave_collapse(self):
         gamma = GAMMA
@@ -384,13 +398,12 @@ class TestJacobian:
                        gamma=gamma)
         net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
                           t_end=3.0, m=M)
-        jt = jacobian_trace(net, "C+")
-        ch = min(jt.chains, key=lambda c: abs(c.x0))
-        assert np.all(np.diff(ch.J) < 0.0)
-        lp = (w.lam(ch.x0 + 1e-6) - w.lam(ch.x0 - 1e-6)) / 2e-6
+        x0, t, J = central_chain(net, "C+")
+        assert np.all(np.diff(J) < 0.0)
+        lp = (w.lam(x0 + 1e-6) - w.lam(x0 - 1e-6)) / 2e-6
         # J reaches ~0 by t = -1/lam'
-        assert ch.J[-1] <= 0.02
-        assert ch.t[-1] == pytest.approx(-1.0 / lp, rel=0.02)
+        assert J[-1] <= 0.02
+        assert t[-1] == pytest.approx(-1.0 / lp, rel=0.02)
 
 
 class TestEnvelope:
@@ -450,10 +463,18 @@ class TestEnvelope:
         net = advance_net(nodes, t_end=0.6, m=M)
         assert net.envelope is None
 
-    def test_t_end_filter(self):
-        w = self.compression_wave()
-        nodes = w.initial_nodes(np.linspace(-0.55, 3.55, 821))
-        assert detect_envelope(nodes, t_end=0.5) is None
+    @pytest.mark.parametrize("V", [1e-12, 1e-8, 1e8])
+    def test_analytic_estimate_in_any_speed_unit(self, V):
+        # u and a scaled by V and s by V^2: the same flow in another speed
+        # unit, whose crossing time scales by 1/V
+        x, u, a, s = self.compression_wave().initial_nodes(
+            np.linspace(-0.55, 3.55, 821))
+        ref = detect_envelope((x, u, a, s))
+        ev = detect_envelope((x, u * V, a * V, s * V * V))
+        assert ev is not None and ev.family == ref.family
+        assert ev.t_star * V == pytest.approx(ref.t_star, rel=1e-12)
+        assert detect_envelope(uniform_nodes(21, u=0.3 * V, a=V,
+                                             s=V * V)) is None
 
     def test_detection_first_order_in_spacing(self):
         # the detection error obeys a first-order bound err <= C dx (the
@@ -510,30 +531,6 @@ def scan_level_pair_loop(net, k, families=(("C+", 1.0), ("C-", -1.0))):
                     best = EnvelopeEvent(float(t_star), float(x_star), family)
                     best_gnorm = gnorm
     return best
-
-
-def jacobian_trace_loop(net, family):
-    """Reference: the node-by-node double loop of the chain Jacobians."""
-    sign = 1.0 if family == "C+" else -1.0
-    chains = []
-    for j in range(net.level_size(0) - 1):
-        ts, Js = [], []
-        for k in range(net.n_levels):
-            i0, i1 = (j, j + 1) if family == "C+" else (j - k, j + 1 - k)
-            if i0 < 0 or i1 > net.level_size(k) - 1:
-                break
-            dx0 = net.x[0][j + 1] - net.x[0][j]
-            t_bar = 0.5 * (net.t[k][i0] + net.t[k][i1])
-            lam0 = net.u[k][i0] + sign * net.a[k][i0]
-            lam1 = net.u[k][i1] + sign * net.a[k][i1]
-            x_at0 = net.x[k][i0] + lam0 * (t_bar - net.t[k][i0])
-            x_at1 = net.x[k][i1] + lam1 * (t_bar - net.t[k][i1])
-            Js.append((x_at1 - x_at0) / dx0)
-            ts.append(t_bar)
-        if Js:
-            chains.append((float(0.5 * (net.x[0][j] + net.x[0][j + 1])),
-                           np.array(ts), np.array(Js)))
-    return chains
 
 
 def random_net(rng, n0, levels, tie_level0):
@@ -627,21 +624,6 @@ class TestArrayKernels:
                 if ref is not None:
                     events.append(ref.family)
         assert events == ["C+", "C+", "C-"]
-
-    def test_jacobian_matches_loop(self, real_nets):
-        rng = np.random.default_rng(7)
-        nets = real_nets + [random_net(rng, 12, 6, False)
-                              for _ in range(20)]
-        for net in nets:
-            for family in ("C+", "C-"):
-                ref = jacobian_trace_loop(net, family)
-                got = jacobian_trace(net, family).chains
-                assert len(got) == len(ref)
-                for ch, (x0, t, J) in zip(got, ref):
-                    assert ch.x0 == x0
-                    assert ch.t.dtype == t.dtype and ch.J.dtype == J.dtype
-                    np.testing.assert_array_equal(ch.t, t)
-                    np.testing.assert_array_equal(ch.J, J)
 
     def test_degenerate_end_family_matches_loop(self, real_nets):
         # the 206-node compressions end at a degenerate unit process; redo

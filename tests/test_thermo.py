@@ -9,7 +9,6 @@ from vortigen.thermo import (
     GasModel,
     PrimitiveState,
     derive_state,
-    derive_fields,
     gibbs_residual,
 )
 
@@ -91,18 +90,6 @@ class TestDeriveState:
         # The entropy function p/rho^gamma is the one entropy variable, so
         # the model carries no entropy convention and no reference offset.
         assert [f.name for f in dataclasses.fields(GasModel)] == ["gamma", "R"]
-
-    def test_derive_fields_matches_scalar_path(self):
-        m = make_model()
-        rho = np.array([[1.0, 2.0], [0.5, 1.5]])
-        p = np.array([[1.0, 0.3], [2.0, 0.7]])
-        out = derive_fields(rho, p, m)
-        for j in range(2):
-            for i in range(2):
-                d = derive_state(PrimitiveState(rho[j, i], (0.0,), p[j, i]), m)
-                assert out["a"][j, i] == pytest.approx(d.a, rel=1e-15)
-                assert out["s"][j, i] == pytest.approx(d.s, rel=1e-15)
-                assert out["T"][j, i] == pytest.approx(d.T, rel=1e-15)
 
 
 class TestGibbsResidual:
