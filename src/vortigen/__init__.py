@@ -16,7 +16,6 @@ from .thermo import (
     gibbs_residual,
 )
 from .fields import (
-    AccompanyingFrame,
     FieldSet,
     Snapshot,
     StructuredGrid2D,

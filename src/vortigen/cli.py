@@ -65,7 +65,7 @@ from .evoform import (
     TransportModel,
 )
 from .exact import CenteredFan
-from .fields import FieldSet, Snapshot, StructuredGrid2D, frame_along, trace_streamlines
+from .fields import FieldSet, Snapshot, StructuredGrid2D, trace_streamlines
 from .thermo import GasModel, PrimitiveState, derive_state
 
 __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
@@ -197,10 +197,17 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
     return arr
 
 
+def _node_tol(nodes, h) -> float:
+    """How far two coordinates on an axis of spacing ``h`` may differ:
+    relative to the coordinates, but never a sizeable part of a step."""
+    return min(1e-9 * max(abs(nodes[0]), abs(nodes[-1]), h), 1e-3 * h)
+
+
 def _read_grid_csv(path, columns: Sequence[str],
                    like: Optional[StructuredGrid2D] = None):
-    """Scattered (x, y, values...) rows -> uniform grid + node arrays; the
-    grid must match ``like`` (to 1e-12) when given."""
+    """Scattered (x, y, values...) rows -> uniform grid + node arrays; when
+    ``like`` is given, the grid must have its node counts, and its node
+    coordinates must agree with ``like``'s to ``_node_tol``."""
     arr = _read_rows(path, ["x", "y", *columns])
     if not len(arr):
         raise ParseError(f"{path}: no data rows")
@@ -211,9 +218,7 @@ def _read_grid_csv(path, columns: Sequence[str],
             raise GridInferenceError(f"{path}: need >= 3 distinct coordinates")
         steps = np.diff(uniq)
         h = steps[0]
-        # relative to the coordinates, but never a sizeable part of a step
-        tol = min(1e-9 * max(abs(uniq[0]), abs(uniq[-1]), h), 1e-3 * h)
-        if np.any(np.abs(steps - h) > tol):
+        if np.any(np.abs(steps - h) > _node_tol(uniq, h)):
             raise GridInferenceError(f"{path}: irregular spacing")
         return uniq, h
 
@@ -224,9 +229,10 @@ def _read_grid_csv(path, columns: Sequence[str],
             f"{path}: {len(arr)} rows do not fill a {len(xs)}x{len(ys)} grid")
     grid = StructuredGrid2D(nx=len(xs), ny=len(ys), x0=float(xs[0]),
                             y0=float(ys[0]), hx=float(hx), hy=float(hy))
-    if like is not None and not np.allclose(
-            dataclasses.astuple(grid), dataclasses.astuple(like),
-            rtol=0.0, atol=1e-12):
+    if like is not None and not (
+            grid.shape == like.shape
+            and np.all(np.abs(grid.x - like.x) <= _node_tol(like.x, like.hx))
+            and np.all(np.abs(grid.y - like.y) <= _node_tol(like.y, like.hy))):
         raise ParseError(f"{path}: grid differs from the field grid")
     ix = np.rint((arr[:, 0] - grid.x0) / grid.hx).astype(int)
     iy = np.rint((arr[:, 1] - grid.y0) / grid.hy).astype(int)
@@ -247,8 +253,8 @@ def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
     """Load a ``x,y,rho,u,v,p`` node CSV, optionally with a snapshot manifest.
 
     The manifest is JSON ``{"snapshots": [{"t": ..., "path": ...}, ...]}``
-    with strictly increasing times; snapshot paths are relative to the
-    manifest's directory and must share the main file's grid.
+    with finite, strictly increasing times; snapshot paths are relative to
+    the manifest's directory and must share the main file's grid.
     """
     grid, f = _read_grid_csv(path, ("rho", "u", "v", "p"))
     snapshots = None
@@ -259,12 +265,16 @@ def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
             raise ParseError(f"{manifest}: needs a nonempty 'snapshots' list")
         base = Path(manifest).parent
         snapshots = []
-        for ent in entries:
+        for k, ent in enumerate(entries):
             try:
-                t = float(ent["t"])
+                t = ent["t"]
                 sub = base / ent["path"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"{manifest}: bad snapshot entry: {exc}") from None
+            if not _finite(t):
+                raise ParseError(f"{manifest}: snapshots[{k}].t must be a "
+                                 f"finite number, got {json.dumps(t)}")
+            t = float(t)
             if snapshots and not t > snapshots[-1].t:
                 raise ParseError(f"{manifest}: snapshot times must increase")
             _, sf = _read_grid_csv(sub, ("rho", "u", "v", "p"), grid)
@@ -625,7 +635,7 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         for ti, traj in enumerate(trajs):
             if isinstance(traj, VortigenError):
                 continue
-            K = evoform.commutator(anu, a1, traj, frame_along(traj), fs.grid)
+            K = evoform.commutator(anu, a1, traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K, staged)
             cls = evoform.equilibrium_classifier(K, report.tolerance)
             if worst is None or cls.magnitude > worst.magnitude:

@@ -12,12 +12,13 @@ is the nonequilibrium indicator: any term feeding it marks an internal
 force and an instability source, and its attribution names the source.
 
 The normal coefficient is assembled from per-term *vector* fields
-G_term(x, y) so that A_nu = G . n on the frame normal; the commutator is
-then evaluated by contracting the node-field Jacobian of G with the frame
-(t . grad(G . n) with the frame held fixed at each sample, dropping
-manifold-deformation terms).  This keeps every derivative on the grid
-stencils, where it is second-order accurate, instead of differencing
-bilinear-interpolated samples, which would cost an order.
+G_term(x, y) so that A_nu = G . n on the frame normal; the commutator
+takes the frame from the trajectory itself (``frame_along``) and
+contracts the node-field Jacobian of G with it (t . grad(G . n) with the
+frame held fixed at each sample, dropping manifold-deformation terms).
+This keeps every derivative on the grid stencils, where it is
+second-order accurate, instead of differencing bilinear-interpolated
+samples, which would cost an order.
 
 Sign conventions: the momentum balance in Crocco form reads
 T grad s = grad h0 - U x rot U - F + dU/dt (the ``CONSISTENT`` vortical
@@ -36,11 +37,11 @@ import numpy as np
 
 from .errors import MissingSnapshots, NonPhysicalState, ShapeMismatch
 from .fields import (
-    AccompanyingFrame,
     FieldSet,
     StructuredGrid2D,
     Trajectory,
     curl2d,
+    frame_along,
     gradient,
     interp_bilinear,
     time_derivative,
@@ -54,7 +55,6 @@ __all__ = [
     "ForceKind",
     "ForceModel",
     "TransportModel",
-    "NormalCoefficient",
     "A1Coefficient",
     "Commutator",
     "FlowRegime",
@@ -151,19 +151,6 @@ class TransportModel:
 
 
 @dataclass(frozen=True)
-class NormalCoefficient:
-    """A_nu as node fields, split into its additive terms.
-
-    ``pieces`` holds, per term, the vector node field G whose frame-normal
-    component is the term (A_nu = G . n) and its node Jacobian, stacked
-    (6, ny, nx) as (Gx, Gy, dGx/dx, dGx/dy, dGy/dx, dGy/dy); commutator
-    evaluation contracts the Jacobian directly.
-    """
-
-    pieces: Dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
 class A1Coefficient:
     """Along-trajectory coefficient as a node field plus its terms and
     their node gradients, stacked (2, ny, nx) per term.
@@ -238,8 +225,13 @@ def crocco_normal_coefficient(
     sign: CroccoSign = CroccoSign.CONSISTENT,
     time_index: int = 0,
     include_time_term: Optional[bool] = None,
-) -> NormalCoefficient:
+) -> Dict[str, np.ndarray]:
     """Normal coefficient A_nu = (grad h0 -/+ U x rot U - F + dU/dt) . n / T.
+
+    Returns A_nu split into its additive terms: per term name, the vector
+    node field G whose frame-normal component is the term (A_nu = G . n)
+    and its node Jacobian, stacked (6, ny, nx) as (Gx, Gy, dGx/dx, dGx/dy,
+    dGy/dx, dGy/dy); ``commutator`` contracts the Jacobian directly.
 
     The vortical sign is minus for ``CONSISTENT`` (the momentum-balance
     identity) and plus for ``PAPER_LITERAL``.  The time term needs at least
@@ -297,7 +289,7 @@ def crocco_normal_coefficient(
         g[:2] /= T
         g[2], g[3] = gradient(g[0], grid)
         g[4], g[5] = gradient(g[1], grid)
-    return NormalCoefficient(pieces)
+    return pieces
 
 
 def _temperature(fs: FieldSet, m: GasModel) -> np.ndarray:
@@ -383,24 +375,26 @@ def viscous_a1(
 
 
 def commutator(
-    anu: NormalCoefficient,
+    anu: Dict[str, np.ndarray],
     a1: A1Coefficient,
     traj: Trajectory,
-    frame: AccompanyingFrame,
     grid: StructuredGrid2D,
 ) -> Commutator:
     """A1, A_nu and K = dA_nu/dxi1 - dA1/dxi_nu along the trajectory, with
     K's attribution.
 
-    Each A_nu term's stack is sampled once: its (Gx, Gy) rows dotted with
-    the frame normal give the term's A_nu, and t . J . n of its Jacobian
-    rows (the frame frozen at each sample) its xi1-derivative.  A_nu is
-    the sum of the terms in piece order.  A1 terms contribute through
-    minus their frame-normal derivative.
+    ``anu`` is the term stacks of ``crocco_normal_coefficient``.  The
+    accompanying frame (unit tangent t, left normal n) comes from the
+    trajectory itself, through ``frame_along``.  Each A_nu term's stack is
+    sampled once: its (Gx, Gy) rows dotted with the frame normal give the
+    term's A_nu, and t . J . n of its Jacobian rows (the frame frozen at
+    each sample) its xi1-derivative.  A_nu is the sum of the terms in
+    ``anu``'s order.  A1 terms contribute through minus their frame-normal
+    derivative.
     """
-    t, n = frame.tangent, frame.normal
+    t, n = frame_along(traj)
     anu_terms, attribution = [], {}
-    for name, g in anu.pieces.items():
+    for name, g in anu.items():
         gx, gy, dxx, dxy, dyx, dyy = interp_bilinear(g, grid, traj.points)
         anu_terms.append(gx * n[:, 0] + gy * n[:, 1])
         attribution[name] = ((t[:, 0] * dxx + t[:, 1] * dxy) * n[:, 0]

@@ -29,7 +29,6 @@ __all__ = [
     "Snapshot",
     "FieldSet",
     "Trajectory",
-    "AccompanyingFrame",
     "gradient",
     "curl2d",
     "time_derivative",
@@ -176,26 +175,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class AccompanyingFrame:
-    """Unit tangent / left-normal pair at every trajectory sample."""
-
-    tangent: np.ndarray  # (n, 2)
-    normal: np.ndarray  # (n, 2)
-
-    def __post_init__(self):
-        t = np.asarray(self.tangent, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
-        if not np.allclose(np.linalg.norm(t, axis=1), 1.0, atol=1e-12):
-            raise ValueError("tangent vectors must be unit length")
-        if not np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-12):
-            raise ValueError("normal vectors must be unit length")
-        if not np.allclose(np.einsum("ij,ij->i", t, n), 0.0, atol=1e-12):
-            raise ValueError("tangent and normal must be orthogonal")
-        object.__setattr__(self, "tangent", t)
-        object.__setattr__(self, "normal", n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +388,10 @@ def trace_streamline(
     return out
 
 
-def frame_along(traj: Trajectory) -> AccompanyingFrame:
-    """Unit tangent by centered arclength differencing; left normal by +90 deg."""
+def frame_along(traj: Trajectory):
+    """The accompanying frame of a trajectory: (tangent, normal), two (n, 2)
+    arrays of unit vectors, the tangent by centered arclength differencing
+    and the left normal by +90 deg."""
     n = len(traj)
     if n < 2:
         raise DegenerateTrajectory("need at least 2 trajectory points")
@@ -421,6 +402,4 @@ def frame_along(traj: Trajectory) -> AccompanyingFrame:
     if np.any(norm == 0.0):
         raise DegenerateTrajectory("zero tangent encountered")
     tx, ty = tx / norm, ty / norm
-    tangent = np.column_stack([tx, ty])
-    normal = np.column_stack([-ty, tx])
-    return AccompanyingFrame(tangent=tangent, normal=normal)
+    return np.column_stack([tx, ty]), np.column_stack([-ty, tx])

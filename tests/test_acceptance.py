@@ -20,7 +20,7 @@ from vortigen.evoform import (
     viscous_a1,
 )
 from vortigen.exact import SimpleWave
-from vortigen.fields import StructuredGrid2D, frame_along, trace_streamline
+from vortigen.fields import StructuredGrid2D, trace_streamline
 from vortigen.jumps import (
     Surface,
     SurfaceKind,
@@ -125,9 +125,8 @@ def test_c03_lagrange_criterion():
     for n in (33, 65, 129):
         fs = source_flow(n)
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         below &= float(np.max(np.abs(K.K))) <= equilibrium_tolerance(fs, MODEL)
         vals.append(float(np.max(np.abs(K.K))))
     order = fitted_order(vals)
@@ -135,9 +134,8 @@ def test_c03_lagrange_criterion():
     # nonequilibrium side: diaphragm-break snapshot pair
     fs = diaphragm_snapshot_pair()
     traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-    frame = frame_along(traj)
     anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-    K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+    K = commutator(anu, ideal_a1(), traj, fs.grid)
     cls = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
     ok = below and order >= 1.5 and cls.kind == "nonequilibrium" \
         and cls.dominant == "nonstationarity"
@@ -151,11 +149,10 @@ def test_c04_crocco_sign_resolution():
     fs, sigma, T0 = shear_flow()
     y_traj = 1.0
     traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
-    frame = frame_along(traj)
     est = truncation_estimate(fs, MODEL)
     anu_c, anu_p = (
         commutator(crocco_normal_coefficient(fs, NO_FORCE, MODEL, sign=sign),
-                   ideal_a1(), traj, frame, fs.grid).anu
+                   ideal_a1(), traj, fs.grid).anu
         for sign in (CroccoSign.CONSISTENT, CroccoSign.PAPER_LITERAL))
     consistent_max = float(np.max(np.abs(anu_c)))
     expected = 2.0 * sigma ** 2 * y_traj / T0

@@ -34,13 +34,13 @@ def write_fields_csv(path, fs: FieldSet):
 
 
 def write_uniform_csv(path, nx=9, ny=9, rho=1.0, u=1.0, v=0.0, p=1.0,
-                      h=None):
+                      h=None, x0=0.0):
     hx, hy = (1.0 / (nx - 1), 1.0 / (ny - 1)) if h is None else (h, h)
     lines = ["x,y,rho,u,v,p"]
     for j in range(ny):
         for i in range(nx):
             lines.append(",".join(format(val, ".17g") for val in
-                                  (i * hx, j * hy, rho, u, v, p)))
+                                  (x0 + i * hx, j * hy, rho, u, v, p)))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -186,6 +186,46 @@ class TestLoadFields:
                 f"{path}:2: column rho must be positive, got -1.0")):
             cli.load_fields(path)
 
+    @pytest.mark.parametrize("h", [1e-3, 1e-13])
+    @pytest.mark.parametrize("x0, same", [(0.0, True), (0.5, False)])
+    def test_snapshot_grid_matches_to_a_part_of_a_step(self, tmp_path, h,
+                                                       x0, same):
+        # x0 is in cells: half a cell off is refused at every spacing
+        fpath = write_uniform_csv(tmp_path / "f.csv", h=h)
+        write_uniform_csv(tmp_path / "s0.csv", h=h)
+        write_uniform_csv(tmp_path / "s1.csv", h=h, x0=x0 * h, u=1.5)
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps({"snapshots": [
+            {"t": 0.0, "path": "s0.csv"}, {"t": 0.5, "path": "s1.csv"}]}))
+        if same:
+            assert len(cli.load_fields(fpath, str(man)).snapshots) == 2
+        else:
+            with pytest.raises(ParseError, match="s1.csv: grid differs"):
+                cli.load_fields(fpath, str(man))
+
+    @pytest.mark.parametrize("times, k, shown", [
+        (["0", "1e999"], 1, "Infinity"),
+        (["0", "1", "1e999"], 2, "Infinity"),
+        (["0", '" 1.0 "'], 1, '" 1.0 "'),
+        (["0", "true"], 1, "true"),
+        (["NaN", "1"], 0, "NaN"),
+    ])
+    def test_manifest_time_must_be_finite_number(self, tmp_path, capsys,
+                                                 times, k, shown):
+        # times are JSON text: json.dumps cannot write 1e999
+        write_uniform_csv(tmp_path / "f.csv")
+        entries = []
+        for i, t in enumerate(times):
+            write_uniform_csv(tmp_path / f"s{i}.csv", u=1.0 + 0.5 * i)
+            entries.append(f'{{"t": {t}, "path": "s{i}.csv"}}')
+        man = tmp_path / "m.json"
+        man.write_text('{"snapshots": [%s]}' % ", ".join(entries))
+        cfgp = write_config(tmp_path, fields="f.csv", manifest="m.json")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            f"{man}: snapshots[{k}].t must be a finite number, got {shown}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestScenarios:
     def test_uniform_flow_locally_equilibrium(self, tmp_path):
@@ -329,7 +369,7 @@ class TestScenarios:
 
     def test_derived_fields_built_once_per_run(self, tmp_path, monkeypatch):
         # guards against per-seed recomputation of the node fields, and
-        # against sampling a node stack twice per seed
+        # against sampling a node stack or building a frame twice per seed
         import vortigen
         from vortigen import evoform, fields
         fs, _ = couette_flow(mu=0.1, k=0.05, nx=33, ny=33)
@@ -343,13 +383,16 @@ class TestScenarios:
         for mod in vars(vortigen).values():
             if getattr(mod, "gradient", None) is fn:
                 monkeypatch.setattr(mod, "gradient", counted)
-        sampled = []
+        sampled, framed = [], []
         monkeypatch.setattr(evoform, "interp_bilinear", lambda *a: (
             sampled.append(1) or fields.interp_bilinear(*a)))
+        monkeypatch.setattr(evoform, "frame_along", lambda traj: (
+            framed.append(1) or fields.frame_along(traj)))
         seen, per_seed = [], []
         for n in (8, 64):
             counts.update(gradient=0)
             sampled.clear()
+            framed.clear()
             seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
             cfgp = write_config(
                 tmp_path, fields="f.csv", transport={"mu": 0.1, "k": 0.05},
@@ -358,10 +401,11 @@ class TestScenarios:
             assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
             assert len(list((tmp_path / f"out{n}").glob("trajectory_*"))) == n
             seen.append(dict(counts))
-            per_seed.append(len(sampled) / n)
+            per_seed.append((len(sampled) / n, len(framed) / n))
         assert seen[0] == seen[1]
-        # two A_nu term stacks, three A1 gradient stacks and the A1 field
-        assert per_seed == [6, 6]
+        # two A_nu term stacks, three A1 gradient stacks and the A1 field;
+        # one frame
+        assert per_seed == [(6, 1), (6, 1)]
 
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"

@@ -9,7 +9,6 @@ from vortigen.evoform import (
     CroccoSign,
     ForceModel,
     FlowRegime,
-    NormalCoefficient,
     TransportModel,
     classify_regime,
     commutator,
@@ -27,7 +26,6 @@ from vortigen.fields import (
     Snapshot,
     Trajectory,
     curl2d,
-    frame_along,
     gradient,
     time_derivative,
     trace_streamline,
@@ -62,17 +60,15 @@ class TestCroccoCoefficient:
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        samples = commutator(anu, ideal_a1(), traj, frame_along(traj),
-                             fs.grid).anu
+        samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         assert np.max(np.abs(samples)) <= 1e-13
 
     def test_shear_flow_consistent_sign_vanishes(self):
         fs, sigma, T0 = shear_flow()
         traj = trace_streamline(fs, (0.1, 1.0), max_len=1.6)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
                                         sign=CroccoSign.CONSISTENT)
-        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
+        samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         est = truncation_estimate(fs, MODEL)
         assert np.max(np.abs(samples)) <= 10.0 * est.anu
 
@@ -80,10 +76,9 @@ class TestCroccoCoefficient:
         fs, sigma, T0 = shear_flow()
         y_traj = 1.0
         traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
                                         sign=CroccoSign.PAPER_LITERAL)
-        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
+        samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         expected = 2.0 * sigma ** 2 * y_traj / T0
         assert np.max(np.abs(samples - expected)) <= 0.01 * expected
 
@@ -100,12 +95,11 @@ class TestCroccoCoefficient:
         g = 2.5
         force = ForceModel.potential(g * Y)
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, force, MODEL)
         # the other terms vanish exactly on the uniform field
-        assert not anu.pieces["h0_gradient"].any()
-        assert not anu.pieces["vortical"].any()
-        samples = commutator(anu, ideal_a1(), traj, frame, fs.grid).anu
+        assert not anu["h0_gradient"].any()
+        assert not anu["vortical"].any()
+        samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         T = 1.0
         assert np.allclose(samples, g / T, atol=1e-12)
 
@@ -148,7 +142,7 @@ def reference_pieces(fs, forces, m, sign, time_index, include_time_term):
             for name, (fx, fy) in vectors.items()}
 
 
-class TestNormalCoefficientStacks:
+class TestCroccoTermStacks:
     """The stacks are built in place, term by term: every value equals the
     plain construction's, and the transient memory is a few node fields."""
 
@@ -167,10 +161,10 @@ class TestNormalCoefficientStacks:
             fs, forces, MODEL, sign=sign, time_index=time_index or 0,
             include_time_term=timed)
         ref = reference_pieces(fs, forces, MODEL, sign, time_index, timed)
-        assert list(anu.pieces) == list(ref)
+        assert list(anu) == list(ref)
         for name, stack in ref.items():
-            assert anu.pieces[name].shape == (6, 33, 33)
-            assert np.array_equal(anu.pieces[name], stack), name
+            assert anu[name].shape == (6, 33, 33)
+            assert np.array_equal(anu[name], stack), name
 
     @pytest.mark.parametrize("terms", [2, 4])
     def test_transient_memory_is_a_few_fields(self, terms):
@@ -191,8 +185,8 @@ class TestNormalCoefficientStacks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(anu.pieces) == terms
-        kept = sum(stack.nbytes for stack in anu.pieces.values())
+        assert len(anu) == terms
+        kept = sum(stack.nbytes for stack in anu.values())
         assert kept == 6 * terms * field
         assert peak - entry <= kept + 8 * field
 
@@ -281,9 +275,8 @@ class TestCommutator:
     def test_zero_coefficients_zero_K(self):
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-12
 
     def test_prescribed_profile_derivative(self):
@@ -294,20 +287,18 @@ class TestCommutator:
         fs = uniform_fs(129)
         X, _ = np.meshgrid(fs.grid.x, fs.grid.y)
         gx, gy = np.zeros(fs.grid.shape), np.sin(3.0 * (X - 0.1))
-        anu = NormalCoefficient({"prescribed": np.stack(
-            [gx, gy, *gradient(gx, fs.grid), *gradient(gy, fs.grid)])})
+        anu = {"prescribed": np.stack(
+            [gx, gy, *gradient(gx, fs.grid), *gradient(gy, fs.grid)])}
         traj = horizontal_line(0.5, n=201)
-        frame = frame_along(traj)
         xi = traj.arclength
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K - 3.0 * np.cos(3.0 * xi))) <= 1e-3
 
     def test_attribution_sums_to_K(self):
         fs = diaphragm_snapshot_pair()
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         total = np.sum(list(K.attribution.values()), axis=0)
         scale = max(np.max(np.abs(K.K)), 1e-30)
         assert np.max(np.abs(total - K.K)) / scale <= 1e-10
@@ -315,9 +306,8 @@ class TestCommutator:
     def test_shock_tube_pair_nonstationarity_dominates(self):
         fs = diaphragm_snapshot_pair()
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) > equilibrium_tolerance(fs, MODEL)
         integrals = {n: abs(np.trapezoid(c, K.xi))
                      for n, c in K.attribution.items()}
@@ -329,9 +319,8 @@ class TestCommutator:
         # samples must agree within the stencil tolerance.
         fs = source_flow(65)
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K_field = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K_field = commutator(anu, ideal_a1(), traj, fs.grid)
         K_samp = np.gradient(K_field.anu, traj.arclength, edge_order=2)
         tol = equilibrium_tolerance(fs, MODEL)
         assert np.max(np.abs(K_field.K)) <= tol
@@ -416,9 +405,8 @@ class TestClassification:
         fs, _ = couette_flow(mu=mu, k=k)
         a1 = viscous_a1(fs, TransportModel(mu=mu, k=k), MODEL)
         traj = horizontal_line(0.3, n=65)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(anu, a1, traj, frame, fs.grid)
+        K = commutator(anu, a1, traj, fs.grid)
         out = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
         assert out.kind == "nonequilibrium"
         assert out.dominant in ("conduction_production", "viscous_production",
@@ -439,9 +427,8 @@ class TestEquilibriumSoundness:
     def test_uniform_state_machine_zero(self):
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        frame = frame_along(traj)
         anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-        K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+        K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-13
 
     def test_source_flow_refinement_order(self):
@@ -449,9 +436,8 @@ class TestEquilibriumSoundness:
         for n in (33, 65, 129):
             fs = source_flow(n)
             traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-            frame = frame_along(traj)
             anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
-            K = commutator(anu, ideal_a1(), traj, frame, fs.grid)
+            K = commutator(anu, ideal_a1(), traj, fs.grid)
             assert np.max(np.abs(K.K)) <= equilibrium_tolerance(fs, MODEL)
             vals.append(np.max(np.abs(K.K)))
         orders = [np.log2(vals[k] / vals[k + 1]) for k in range(2)]

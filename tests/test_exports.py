@@ -1,9 +1,11 @@
-"""Every exported name resolves, and the package re-exports only names
-its modules export (``__all__``, or every public name of a module without
-one)."""
+"""Every exported name resolves, the package re-exports only names its
+modules export (``__all__``, or every public name of a module without
+one), and every name the benchmark's spans patch exists."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -34,3 +36,32 @@ def test_package_reexports_are_exported():
             assert alias.name in exported, f"{node.module}.{alias.name}"
             assert getattr(vortigen, alias.asname or alias.name) is \
                 getattr(mod, alias.name)
+
+
+def load_spans():
+    """``perfbench/spans.py``, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_methods_exist():
+    # a missing one makes ``install`` raise KeyError under --trace 1
+    spans = load_spans()
+    for layer, quals in spans.METHODS.items():
+        mod = importlib.import_module(f"vortigen.{layer}")
+        for qual in quals:
+            cls_name, meth = qual.split(".")
+            assert inspect.isfunction(vars(getattr(mod, cls_name)).get(meth)), \
+                f"{layer}.{qual}"
+
+
+def test_span_observers_are_layer_functions():
+    # a renamed one silently zeroes its counters (moc.nodes feeds the 1-D
+    # work_per_s)
+    spans = load_spans()
+    for layer, name in spans.OBSERVERS:
+        mod = importlib.import_module(f"vortigen.{layer}")
+        assert name in spans._public_functions(mod), f"{layer}.{name}"

@@ -10,7 +10,6 @@ from vortigen.errors import (
     StagnationAtSeed,
 )
 from vortigen.fields import (
-    AccompanyingFrame,
     FieldSet,
     Snapshot,
     StructuredGrid2D,
@@ -320,22 +319,22 @@ class TestBatchedStreamlines:
 class TestFrame:
     def test_straight_trajectory(self):
         pts = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])
-        fr = frame_along(Trajectory.from_points(pts))
-        np.testing.assert_allclose(fr.tangent, [[1.0, 0.0]] * 9, atol=1e-12)
-        np.testing.assert_allclose(fr.normal, [[0.0, 1.0]] * 9, atol=1e-12)
+        tangent, normal = frame_along(Trajectory.from_points(pts))
+        np.testing.assert_allclose(tangent, [[1.0, 0.0]] * 9, atol=1e-12)
+        np.testing.assert_allclose(normal, [[0.0, 1.0]] * 9, atol=1e-12)
 
     def test_circle_normal_points_inward(self):
         th = np.linspace(0.0, np.pi, 4001)
         pts = np.column_stack([np.cos(th), np.sin(th)])
-        fr = frame_along(Trajectory.from_points(pts))
+        _, normal = frame_along(Trajectory.from_points(pts))
         # normal of the counterclockwise circle is -r_hat up to O(h^2)
         inward = -pts[1:-1]
-        np.testing.assert_allclose(fr.normal[1:-1], inward, atol=1e-6)
+        np.testing.assert_allclose(normal[1:-1], inward, atol=1e-6)
 
     def test_two_point_trajectory(self):
-        fr = frame_along(Trajectory.from_points([[0.0, 0.0], [1.0, 1.0]]))
+        tangent, _ = frame_along(Trajectory.from_points([[0.0, 0.0], [1.0, 1.0]]))
         e = np.sqrt(0.5)
-        np.testing.assert_allclose(fr.tangent, [[e, e], [e, e]], atol=1e-12)
+        np.testing.assert_allclose(tangent, [[e, e], [e, e]], atol=1e-12)
 
     def test_orthonormality_over_traced_corpus(self):
         grid = StructuredGrid2D(41, 41, x0=0.5, y0=0.5, hx=0.05, hy=0.05)
@@ -343,9 +342,13 @@ class TestFrame:
         r2 = X ** 2 + Y ** 2
         fs = FieldSet(grid, np.ones(grid.shape), X / r2, Y / r2, np.ones(grid.shape))
         for seed in [(0.7, 0.7), (0.6, 1.4), (1.1, 0.9)]:
-            fr = frame_along(trace_streamline(fs, seed))
-            # AccompanyingFrame validates unit length / orthogonality to 1e-12
-            assert isinstance(fr, AccompanyingFrame)
+            tangent, normal = frame_along(trace_streamline(fs, seed))
+            assert tangent.shape == normal.shape and tangent.shape[1] == 2
+            for vec in (tangent, normal):
+                np.testing.assert_allclose(np.hypot(*vec.T), 1.0, rtol=0,
+                                           atol=1e-12)
+            np.testing.assert_allclose(np.einsum("ij,ij->i", tangent, normal),
+                                       0.0, rtol=0, atol=1e-12)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTrajectory):
