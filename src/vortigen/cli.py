@@ -66,7 +66,7 @@ from .evoform import (
 )
 from .exact import CenteredFan
 from .fields import FieldSet, Snapshot, StructuredGrid2D, trace_streamlines
-from .thermo import GasModel, PrimitiveState, derive_state
+from .thermo import GasModel, PrimitiveState
 
 __all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
 
@@ -280,6 +280,11 @@ def load_fields(path, manifest: Optional[str] = None) -> FieldSet:
             _, sf = _read_grid_csv(sub, ("rho", "u", "v", "p"), grid)
             snapshots.append(Snapshot(t=t, rho=sf["rho"], u=sf["u"],
                                       v=sf["v"], p=sf["p"]))
+        times = [snap.t for snap in snapshots]
+        if not _spacing_ok(times):
+            raise ParseError(f"{manifest}: snapshot times {times} too close or "
+                             "too far apart (a gap, or a product of two, is "
+                             "subnormal, 0 or not finite)")
     return FieldSet(grid, rho=f["rho"], u=f["u"], v=f["v"], p=f["p"],
                     snapshots=snapshots)
 
@@ -290,17 +295,23 @@ def load_initial_1d(path):
     if len(arr) < 3:
         raise ParseError(f"{path}: need at least 3 samples")
     x = arr[:, 0]
-    dx = np.diff(x)
-    if np.any(dx <= 0.0):
+    if np.any(np.diff(x) <= 0.0):
         raise ParseError(f"{path}: x samples must be strictly increasing")
-    # the interpolation stencils divide by products of node distances,
-    # which lie between these two; a subnormal one keeps too few digits
-    with np.errstate(over="ignore"):
-        products = np.append(dx[:-1] * dx[1:], (x[-1] - x[0]) ** 2)
-    if not np.all((products >= np.finfo(float).tiny) & (products < np.inf)):
+    if not _spacing_ok(x):
         raise ParseError(f"{path}: x spacings too small or too far apart "
                          "(a product of two is subnormal, 0 or not finite)")
     return x, arr[:, 1], arr[:, 2], arr[:, 3]
+
+
+def _spacing_ok(x) -> bool:
+    """Whether stencils on the increasing points ``x``, which divide by
+    products of two distances, keep their digits: each product of adjacent
+    gaps and the span squared (the gap of two points) is normal and finite."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        dx = np.diff(x)
+        d = dx if len(x) < 3 else np.append(dx[:-1] * dx[1:], (x[-1] - x[0]) ** 2)
+    return bool(np.all((d >= np.finfo(float).tiny) & (d < np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +671,7 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
                            "event": _event_dict(net.envelope),
                            "analytic": _event_dict(analytic)}
         _write_json(out / "envelope.json", report.envelope, staged)
-        report.moc_residuals = {fam: moc.pseudostructure_residual(net, fam)
-                                for fam in ("C0", "C+", "C-")}
+        report.moc_residuals = moc.pseudostructure_residual(net)
         _write_json(out / "residuals.json", report.moc_residuals, staged)
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy
@@ -743,9 +753,8 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
             surf = jumps.Surface(jumps.SurfaceKind.TRAJECTORY, (0.0, 1.0))
             wd = jumps.measure_discontinuity(
                 fs, gas, surf, (0.5, grid.y[(ny - 1) // 2]))
-            rep = jumps.contact_jump_check(wd, derive_state(base, gas), gas,
-                                           tol=tol)
-            rep = dataclasses.replace(rep, grid_h=grid.hy)
+            rep = jumps.contact_jump_check(wd, base, gas, tol=tol)
+            h = grid.hy
         else:
             n = 60 * 2 ** level + 1
             fan = CenteredFan(gamma=gamma, a0=1.0, u_tail=-0.4)
@@ -764,8 +773,8 @@ def _jump_check_sweep(relation: str, gamma: float, refine: int,
                 name: jumps.measure_jump(f, grid, surf, pt)
                 for name, f in (("u", u), ("a", a), ("s", s), ("p", p))})
             rep = jumps.char_jump_check(wd, gas, tol=tol)
-            rep = dataclasses.replace(rep, grid_h=max(grid.hx, grid.hy))
-        reports.append(rep.to_record())
+            h = max(grid.hx, grid.hy)
+        reports.append({**rep.to_record(), "grid_h": h})
     return reports
 
 

@@ -9,7 +9,7 @@ documented here precisely so reference calculations can replicate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -145,33 +145,23 @@ class FieldSet:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered point samples of a flow trajectory with cumulative arclength."""
+    """Ordered point samples of a flow trajectory and their arclength, the
+    cumulative segment length from 0, derived here; it must increase
+    strictly, which a repeated point or a step lost to rounding breaks."""
 
     points: np.ndarray  # (n, 2)
-    arclength: np.ndarray  # (n,)
+    arclength: np.ndarray = field(init=False)  # (n,)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        arc = np.asarray(self.arclength, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != arc.shape[0]:
-            raise ValueError("points must be (n, 2) matching arclength (n,)")
-        if pts.shape[0] >= 2:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            if np.any(seg == 0.0):
-                raise ValueError("consecutive trajectory points must be distinct")
-            if np.any(np.diff(arc) <= 0.0):
-                raise ValueError("arclength must be strictly increasing")
-        if arc.shape[0] >= 1 and arc[0] != 0.0:
-            raise ValueError("arclength must start at 0")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "arclength", arc)
-
-    @classmethod
-    def from_points(cls, points) -> "Trajectory":
-        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+            raise ValueError("points must be a nonempty (n, 2) array")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         arc = np.concatenate(([0.0], np.cumsum(seg)))
-        return cls(pts, arc)
+        if np.any(np.diff(arc) <= 0.0):
+            raise ValueError("arclength must be strictly increasing")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "arclength", arc)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -365,7 +355,7 @@ def trace_streamlines(
             results.append(DegenerateTrajectory(
                 "streamline terminated at its seed"))
         else:
-            results.append(Trajectory.from_points(paths[s]))
+            results.append(Trajectory(paths[s]))
     return results
 
 

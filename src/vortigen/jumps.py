@@ -26,14 +26,15 @@ keeps every stencil cell strictly on one side of the surface.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import TooCloseToBoundary, WrongSurfaceKind
 from .fields import FieldSet, StructuredGrid2D, interp_bilinear
-from .thermo import DerivedState, GasModel, PrimitiveState
+from .thermo import GasModel, PrimitiveState
 
 __all__ = [
     "SurfaceKind",
@@ -99,19 +100,15 @@ class JumpCheckReport:
     rel_error: float
     passed: bool
     side_errors: Dict[str, float] = field(default_factory=dict)
-    grid_h: Optional[float] = None
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "relation": self.relation,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "rel_error": self.rel_error,
             "passed": self.passed,
         }
-        if self.grid_h is not None:
-            rec["grid_h"] = self.grid_h
-        return rec
 
 
 def _guarded_rel(num: float, scale: float) -> float:
@@ -163,7 +160,7 @@ def _normal_spacing(grid: StructuredGrid2D, normal: np.ndarray) -> float:
 
 
 def measure_jump(f: np.ndarray, grid: StructuredGrid2D, surface: Surface,
-                 point, spacing: Optional[float] = None) -> float:
+                 point) -> float:
     """(plus side) - (minus side) one-sided normal derivative at a surface
     point, by offset three-point second-order stencils.
 
@@ -173,7 +170,7 @@ def measure_jump(f: np.ndarray, grid: StructuredGrid2D, surface: Surface,
         If any stencil sample would leave the grid.
     """
     n = surface.normal
-    h = _normal_spacing(grid, n) if spacing is None else spacing
+    h = _normal_spacing(grid, n)
     x0, y0 = float(point[0]), float(point[1])
     # quadratic fit through offsets (h, 2h, 3h), derivative at the surface
     k = np.array([1, 2, 3, -1, -2, -3])
@@ -189,16 +186,15 @@ def measure_jump(f: np.ndarray, grid: StructuredGrid2D, surface: Surface,
 
 
 def measure_discontinuity(fs: FieldSet, m: GasModel, surface: Surface,
-                          point, spacing: Optional[float] = None
-                          ) -> WeakDiscontinuity:
+                          point) -> WeakDiscontinuity:
     """Measure all four normal-derivative jumps (u, a, s, p) at a point."""
     a = np.sqrt(m.gamma * fs.p / fs.rho)
     s = fs.p / fs.rho ** m.gamma
     jumps = {
-        "u": measure_jump(fs.u, fs.grid, surface, point, spacing),
-        "a": measure_jump(a, fs.grid, surface, point, spacing),
-        "s": measure_jump(s, fs.grid, surface, point, spacing),
-        "p": measure_jump(fs.p, fs.grid, surface, point, spacing),
+        "u": measure_jump(fs.u, fs.grid, surface, point),
+        "a": measure_jump(a, fs.grid, surface, point),
+        "s": measure_jump(s, fs.grid, surface, point),
+        "p": measure_jump(fs.p, fs.grid, surface, point),
     }
     return WeakDiscontinuity(surface=surface, jumps=jumps)
 
@@ -207,26 +203,28 @@ def measure_discontinuity(fs: FieldSet, m: GasModel, surface: Surface,
 # the two jump relations
 
 
-def contact_jump_check(wd: WeakDiscontinuity, state: DerivedState,
+def contact_jump_check(wd: WeakDiscontinuity, q: PrimitiveState,
                        m: GasModel, tol: float = 1e-2) -> JumpCheckReport:
     """Trajectory-normal relation [da/deta1] = [ds/deta1] a/(2 gamma s).
 
+    ``q`` is the primitive state on the surface; a and s follow from it.
     Side conditions: the velocity and pressure derivatives must not jump;
     their measured jumps are folded into ``rel_error`` scaled by how much
     they would contaminate the relation.
     """
     if wd.surface.kind is not SurfaceKind.TRAJECTORY:
         raise WrongSurfaceKind("contact relation applies to trajectory surfaces")
+    a = math.sqrt(m.gamma * q.p / q.rho)
+    s = q.p / q.rho ** m.gamma
     lhs = wd.jumps["a"]
-    rhs = wd.jumps["s"] * state.a / (2.0 * m.gamma * state.s)
+    rhs = wd.jumps["s"] * a / (2.0 * m.gamma * s)
     scale = max(abs(lhs), abs(rhs))
     side = {
         # u-jump competes directly with the a-jump (same units)
         "u": _guarded_rel(wd.jumps["u"], scale),
         # p-jump contaminates [da] by (gamma-1) a/(2 gamma p) [dp]
-        "p": _guarded_rel(
-            (m.gamma - 1.0) * state.a / (2.0 * m.gamma * _pressure(state, m))
-            * wd.jumps["p"], scale),
+        "p": _guarded_rel((m.gamma - 1.0) * a / (2.0 * m.gamma * q.p)
+                          * wd.jumps["p"], scale),
     }
     rel = max(_guarded_rel(lhs - rhs, scale), *side.values())
     return JumpCheckReport(relation="contact", lhs=lhs, rhs=rhs,
@@ -256,12 +254,6 @@ def char_jump_check(wd: WeakDiscontinuity, m: GasModel,
     return JumpCheckReport(relation="char", lhs=lhs, rhs=rhs,
                            rel_error=rel, passed=rel <= tol,
                            side_errors=side)
-
-
-def _pressure(state: DerivedState, m: GasModel) -> float:
-    # p = s rho^gamma with rho recovered from a^2 = gamma s rho^(gamma-1)
-    rho = (state.a ** 2 / (m.gamma * state.s)) ** (1.0 / (m.gamma - 1.0))
-    return state.s * rho ** m.gamma
 
 
 # ---------------------------------------------------------------------------

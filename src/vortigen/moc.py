@@ -12,8 +12,8 @@ which is the form du +/- dp/(rho a) = 0 rewritten with p = s rho**gamma
 (the two are verified equivalent in the test suite by evaluating both on
 random states and small increments).  :func:`riemann_invariants` (J+/- =
 u +/- 2a/(gamma-1)) and the private midpoint entropy term are the one
-implementation of these relations: the corrector, :func:`compat_residual`
-and :func:`pseudostructure_residual` all call them, on floats or arrays.
+implementation of these relations: the corrector and :func:`compat_residual`
+call both, :func:`pseudostructure_residual` the invariants alone.
 
 The net is advanced level-synchronously: each new node is placed at the
 intersection of the C+ characteristic from its left parent and the C-
@@ -412,37 +412,32 @@ def advance_net(
 # net analyses
 
 
-def pseudostructure_residual(net: CharNet, family: str) -> float:
-    """Constancy defect of the family's conserved quantity on the net.
+def pseudostructure_residual(net: CharNet) -> dict:
+    """Constancy defects ``{"C0", "C+", "C-"}`` of the families' conserved
+    quantities on the net, in one sweep over its levels.
 
     * ``"C0"``: max over nodes of |s - s0(label)|, the drift of entropy from
       its value at the trajectory's launch point (s0 interpolated on the
       initial level with the same quadratic stencil the solver uses).
     * ``"C+"`` / ``"C-"``: max per-link change of the matching Riemann
-      invariant u +/- 2a/(gamma-1) along the family's chains.
+      invariant u +/- 2a/(gamma-1) along the family's chains, with the C+
+      parent i and the C- parent i + 1 that :meth:`CharNet.parents` states.
     """
-    g = net.gamma
-    if family == "C0":
-        xs0 = net.x[0]
-        s0 = net.s[0]
-        worst = 0.0
-        for k in range(1, net.n_levels):
-            lab = net.labels[k]
-            pos = np.clip(lab, xs0[0], xs0[-1])
-            i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
-            stencil = _stencil(xs0, pos, i)
-            s0_lab = _dot(_weights(stencil, pos), [s0[j] for j in stencil[0]])
-            worst = max(worst, float(np.max(np.abs(net.s[k] - s0_lab))))
-        return worst
-    if family in _SIGN:
-        j = 0 if family == "C+" else 1
-        worst = 0.0
-        for k in range(1, net.n_levels):
-            J_par = riemann_invariants(net.u[k - 1], net.a[k - 1], g)[j]
-            J = riemann_invariants(net.u[k], net.a[k], g)[j]
-            worst = max(worst, float(np.max(np.abs(J - J_par[net.parents(k)[j]]))))
-        return worst
-    raise ValueError(f"unknown family {family!r}")
+    xs0, s0 = net.x[0], net.s[0]
+    worst = dict.fromkeys(("C0", "C+", "C-"), 0.0)
+    J_par = riemann_invariants(net.u[0], net.a[0], net.gamma)
+    for k in range(1, net.n_levels):
+        pos = np.clip(net.labels[k], xs0[0], xs0[-1])
+        i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
+        stencil = _stencil(xs0, pos, i)
+        s0_lab = _dot(_weights(stencil, pos), [s0[j] for j in stencil[0]])
+        J = riemann_invariants(net.u[k], net.a[k], net.gamma)
+        for fam, drift in (("C0", net.s[k] - s0_lab),
+                           ("C+", J[0] - J_par[0][:-1]),
+                           ("C-", J[1] - J_par[1][1:])):
+            worst[fam] = max(worst[fam], float(np.max(np.abs(drift))))
+        J_par = J
+    return worst
 
 
 def detect_envelope(initial: Sequence[np.ndarray]) -> Optional[EnvelopeEvent]:

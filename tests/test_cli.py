@@ -60,6 +60,21 @@ def compression_init(path, n=821):
     return write_init_csv(path, x, rho, u, p)
 
 
+def diagnose_snapshots(dirpath, times, speeds):
+    """Run ``diagnose`` on 9x9 uniform fields with a manifest of one
+    snapshot per time, given as JSON text (json.dumps cannot write 1e999),
+    at the matching speed u; returns the exit code and the manifest."""
+    write_uniform_csv(dirpath / "f.csv")
+    entries = []
+    for i, (t, u) in enumerate(zip(times, speeds)):
+        write_uniform_csv(dirpath / f"s{i}.csv", u=u)
+        entries.append(f'{{"t": {t}, "path": "s{i}.csv"}}')
+    man = dirpath / "m.json"
+    man.write_text('{"snapshots": [%s]}' % ", ".join(entries))
+    cfgp = write_config(dirpath, fields="f.csv", manifest="m.json")
+    return cli.main(["diagnose", "--config", str(cfgp)]), man
+
+
 def write_config(dirpath, **cfg):
     path = dirpath / "config.json"
     path.write_text(json.dumps({"gas": {"gamma": GAMMA, "R": 1.0},
@@ -212,18 +227,38 @@ class TestLoadFields:
     ])
     def test_manifest_time_must_be_finite_number(self, tmp_path, capsys,
                                                  times, k, shown):
-        # times are JSON text: json.dumps cannot write 1e999
-        write_uniform_csv(tmp_path / "f.csv")
-        entries = []
-        for i, t in enumerate(times):
-            write_uniform_csv(tmp_path / f"s{i}.csv", u=1.0 + 0.5 * i)
-            entries.append(f'{{"t": {t}, "path": "s{i}.csv"}}')
-        man = tmp_path / "m.json"
-        man.write_text('{"snapshots": [%s]}' % ", ".join(entries))
-        cfgp = write_config(tmp_path, fields="f.csv", manifest="m.json")
-        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        rc, man = diagnose_snapshots(tmp_path, times,
+                                     [1.0 + 0.5 * i for i in range(len(times))])
+        assert rc == 2
         assert capsys.readouterr().err.strip().endswith(
             f"{man}: snapshots[{k}].t must be a finite number, got {shown}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("times, runs", [
+        (["0", "1e-320"], False),
+        (["0", "1e-300", "2e-300"], False),
+        (["0", "1e200", "2e200"], False),
+        (["0", "1e160", "2e160"], False),
+        (["0", "1", "1e300"], False),
+        (["0", "1e-160", "2e-160"], False),  # h1 h2 = 1e-320 is subnormal
+        (["0", "1e-300"], True),
+        (["0", "1e300"], True),
+        (["0", "1e-150", "2e-150"], True),
+        (["0"], True),
+    ])
+    def test_manifest_times_too_close_or_far_apart(self, tmp_path, capsys,
+                                                   times, runs):
+        # the time derivative divides by the gaps and by products of two
+        rc, man = diagnose_snapshots(tmp_path, times,
+                                     np.linspace(1.0, 1.5, len(times)))
+        if runs:
+            assert rc == 0
+            return
+        assert rc == 2
+        shown = [float(t) for t in times]
+        assert capsys.readouterr().err.strip().endswith(
+            f"{man}: snapshot times {shown} too close or too far apart "
+            "(a gap, or a product of two, is subnormal, 0 or not finite)")
         assert not (tmp_path / "out").exists()
 
 
@@ -406,6 +441,21 @@ class TestScenarios:
         # two A_nu term stacks, three A1 gradient stacks and the A1 field;
         # one frame
         assert per_seed == [(6, 1), (6, 1)]
+
+    def test_residuals_computed_once_per_solve(self, tmp_path, monkeypatch):
+        # one sweep gives all three families' residuals
+        from vortigen import moc
+        calls = []
+        fn = moc.pseudostructure_residual
+        monkeypatch.setattr(moc, "pseudostructure_residual", lambda *a: (
+            calls.append(a) or fn(*a)))
+        init = compression_init(tmp_path / "init.csv", n=101)
+        out = tmp_path / "out"
+        assert cli.main(["solve-moc", "--init", str(init), "--t-end", "3.0",
+                         "--out", str(out)]) == 0
+        assert len(calls) == 1
+        res = json.loads((out / "residuals.json").read_text())
+        assert res == fn(*calls[0])
 
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"

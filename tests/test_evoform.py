@@ -52,7 +52,7 @@ def uniform_fs(n=17, u=1.0, v=0.0):
 
 def horizontal_line(y, x0=0.1, x1=0.9, n=33):
     pts = np.column_stack([np.linspace(x0, x1, n), np.full(n, y)])
-    return Trajectory.from_points(pts)
+    return Trajectory(pts)
 
 
 class TestCroccoCoefficient:

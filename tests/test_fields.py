@@ -319,20 +319,20 @@ class TestBatchedStreamlines:
 class TestFrame:
     def test_straight_trajectory(self):
         pts = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])
-        tangent, normal = frame_along(Trajectory.from_points(pts))
+        tangent, normal = frame_along(Trajectory(pts))
         np.testing.assert_allclose(tangent, [[1.0, 0.0]] * 9, atol=1e-12)
         np.testing.assert_allclose(normal, [[0.0, 1.0]] * 9, atol=1e-12)
 
     def test_circle_normal_points_inward(self):
         th = np.linspace(0.0, np.pi, 4001)
         pts = np.column_stack([np.cos(th), np.sin(th)])
-        _, normal = frame_along(Trajectory.from_points(pts))
+        _, normal = frame_along(Trajectory(pts))
         # normal of the counterclockwise circle is -r_hat up to O(h^2)
         inward = -pts[1:-1]
         np.testing.assert_allclose(normal[1:-1], inward, atol=1e-6)
 
     def test_two_point_trajectory(self):
-        tangent, _ = frame_along(Trajectory.from_points([[0.0, 0.0], [1.0, 1.0]]))
+        tangent, _ = frame_along(Trajectory([[0.0, 0.0], [1.0, 1.0]]))
         e = np.sqrt(0.5)
         np.testing.assert_allclose(tangent, [[e, e], [e, e]], atol=1e-12)
 
@@ -352,15 +352,13 @@ class TestFrame:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTrajectory):
-            frame_along(Trajectory(np.zeros((1, 2)), np.zeros(1)))
+            frame_along(Trajectory(np.zeros((1, 2))))
 
 
 class TestContainers:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
-            Trajectory(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            Trajectory(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 1.0]))
+            Trajectory(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
     def test_fieldset_positivity(self):
         grid = StructuredGrid2D(3, 3)

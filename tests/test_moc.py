@@ -321,38 +321,43 @@ class TestAdvanceNet:
             u, a, _ = w.state(x, t, (x - 1.5 * t - 0.3, x + 0.3))
             return u, a
         assert net_linf_error_vs(net, exact) <= 1e-4
-        assert pseudostructure_residual(net, "C0") <= 1e-10
-        assert pseudostructure_residual(net, "C+") <= 1e-10
+        res = pseudostructure_residual(net)
+        assert res["C0"] <= 1e-10
+        assert res["C+"] <= 1e-10
 
 
 class TestPseudostructure:
     def test_uniform_net_zero_all_families(self):
         net = advance_net(uniform_nodes(21), t_end=0.4, m=M)
+        res = pseudostructure_residual(net)
         for fam in ("C0", "C+", "C-"):
-            assert pseudostructure_residual(net, fam) <= 1e-14
+            assert res[fam] <= 1e-14
 
     def test_isentropic_simple_wave(self):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
         net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
-        assert pseudostructure_residual(net, "C0") <= 1e-10
-        assert pseudostructure_residual(net, "C+") <= 1e-10
-        assert pseudostructure_residual(net, "C-") <= 1e-10
+        res = pseudostructure_residual(net)
+        assert res["C0"] <= 1e-10
+        assert res["C+"] <= 1e-10
+        assert res["C-"] <= 1e-10
 
     def test_nonisentropic_residual_order(self):
-        def profiles(x):
-            rho = 1.0 + 0.05 * np.sin(2 * np.pi * x)
-            s = 1.0 + 0.10 * np.sin(2 * np.pi * x + 0.7)
-            return rho, 0.05 * np.cos(2 * np.pi * x), s * rho ** GAMMA
-
         res = []
         for n in (51, 101, 201):
-            x = np.linspace(0.0, 1.0, n)
-            net = advance_net(nodes_from_primitive(x, *profiles(x), M),
-                              t_end=0.2, m=M)
-            res.append(pseudostructure_residual(net, "C0"))
+            res.append(pseudostructure_residual(nonisentropic_net(n))["C0"])
         orders = [np.log2(res[k] / res[k + 1]) for k in range(2)]
         assert min(orders) >= 1.9
+
+
+def nonisentropic_net(n):
+    """The nonisentropic sine profile of criterion c07 on ``n`` nodes."""
+    x = np.linspace(0.0, 1.0, n)
+    rho = 1.0 + 0.05 * np.sin(2 * np.pi * x)
+    s = 1.0 + 0.10 * np.sin(2 * np.pi * x + 0.7)
+    return advance_net(nodes_from_primitive(
+        x, rho, 0.05 * np.cos(2 * np.pi * x), s * rho ** GAMMA, M),
+        t_end=0.2, m=M)
 
 
 def central_chain(net, family):
@@ -589,7 +594,52 @@ def real_nets():
     ]
 
 
+def pseudostructure_residual_reference(net, family):
+    """Reference: the per-family residual, one sweep per family."""
+    g = net.gamma
+    if family == "C0":
+        xs0 = net.x[0]
+        s0 = net.s[0]
+        worst = 0.0
+        for k in range(1, net.n_levels):
+            lab = net.labels[k]
+            pos = np.clip(lab, xs0[0], xs0[-1])
+            i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
+            stencil = moc._stencil(xs0, pos, i)
+            s0_lab = moc._dot(moc._weights(stencil, pos),
+                              [s0[j] for j in stencil[0]])
+            worst = max(worst, float(np.max(np.abs(net.s[k] - s0_lab))))
+        return worst
+    j = 0 if family == "C+" else 1
+    worst = 0.0
+    for k in range(1, net.n_levels):
+        J_par = riemann_invariants(net.u[k - 1], net.a[k - 1], g)[j]
+        J = riemann_invariants(net.u[k], net.a[k], g)[j]
+        worst = max(worst, float(np.max(np.abs(J - J_par[net.parents(k)[j]]))))
+    return worst
+
+
+def assert_residual_matches_reference(net):
+    assert pseudostructure_residual(net) == {
+        fam: pseudostructure_residual_reference(net, fam)
+        for fam in ("C0", "C+", "C-")}
+
+
 class TestArrayKernels:
+    def test_residual_matches_reference_on_real_nets(self, real_nets):
+        for net in real_nets:
+            assert_residual_matches_reference(net)
+
+    @pytest.mark.parametrize("n", [51, 101, 201])
+    def test_residual_matches_reference_nonisentropic(self, n):
+        assert_residual_matches_reference(nonisentropic_net(n))
+
+    def test_residual_matches_reference_on_random_nets(self):
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            assert_residual_matches_reference(
+                random_net(rng, int(rng.integers(4, 40)), 4, trial % 2 == 0))
+
     def test_scan_matches_loop_on_random_nets(self):
         rng = np.random.default_rng(2024)
         seen = {"C+": 0, "C-": 0}
