@@ -41,6 +41,7 @@ from .evoform import (
     equilibrium_tolerance,
     ideal_a1,
     lagrange_criterion,
+    sample_anu,
     viscous_a1,
 )
 from .moc import (

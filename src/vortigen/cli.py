@@ -295,7 +295,7 @@ def load_initial_1d(path):
     if len(arr) < 3:
         raise ParseError(f"{path}: need at least 3 samples")
     x = arr[:, 0]
-    if np.any(np.diff(x) <= 0.0):
+    if np.any(x[1:] <= x[:-1]):  # np.diff would overflow on wide gaps
         raise ParseError(f"{path}: x samples must be strictly increasing")
     if not _spacing_ok(x):
         raise ParseError(f"{path}: x spacings too small or too far apart "
@@ -600,6 +600,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
 
 def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
+    """The stages, in order.  2-D fields: ingest, Lagrange test, A1,
+    tolerance, tracing, A_nu sampled on the tiles the trajectories cross,
+    then per trajectory the commutator, its CSV and its class.  1-D data:
+    the net and its CSV, the envelope, the residuals.  Then the jump
+    checks and the report."""
     t_start = time.perf_counter()
     v = cfg.values
     out = _out_dir(v["output_dir"] or ".")
@@ -631,28 +636,33 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
         if report.tolerance is None:
             report.tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
 
-        anu = evoform.crocco_normal_coefficient(
-            fs, forces, cfg.gas, sign=v["crocco_sign"],
-            time_index=v["time_index"],
-            include_time_term=v["include_time_term"])
         tr = v["trajectories"]
         seeds = tr["seeds"] if tr["seeds"] is not None else _default_seeds(fs)
-        worst = None
         try:
             trajs = trace_streamlines(fs, seeds, step=tr["step"],
                                       max_len=tr["max_len"])
         except ValueError as exc:  # the max_len / step budget
             raise ParseError(f"{cfg.config_path}: trajectories.{exc}") from None
-        for ti, traj in enumerate(trajs):
-            if isinstance(traj, VortigenError):
-                continue
-            K = evoform.commutator(anu, a1, traj, fs.grid)
+        traced = [(ti, traj) for ti, traj in enumerate(trajs)
+                  if not isinstance(traj, VortigenError)]
+        if not traced:
+            raise ParseError("no trajectory could be traced from the seeds")
+        # A_nu only on the tiles the trajectories cross, all seeds at once
+        anu = evoform.sample_anu(
+            fs, forces, cfg.gas, np.concatenate([t.points for _, t in traced]),
+            sign=v["crocco_sign"], time_index=v["time_index"],
+            include_time_term=v["include_time_term"])
+        worst, end = None, 0
+        for ti, traj in traced:
+            start, end = end, end + len(traj)
+            K = evoform.commutator({name: s[:, start:end]
+                                    for name, s in anu.items()},
+                                   a1, traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K, staged)
             cls = evoform.equilibrium_classifier(K, report.tolerance)
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls
-        if worst is None:
-            raise ParseError("no trajectory could be traced from the seeds")
+        del anu  # (6, n) per term for every point: free before later stages
         report.max_K = worst.magnitude
         report.classification = worst.kind
         report.dominant = worst.dominant

@@ -44,6 +44,7 @@ from .fields import (
     frame_along,
     gradient,
     interp_bilinear,
+    sample_tiles,
     time_derivative,
 )
 from .thermo import GasModel
@@ -61,6 +62,7 @@ __all__ = [
     "LagrangeReport",
     "EquilibriumClass",
     "crocco_normal_coefficient",
+    "sample_anu",
     "ideal_a1",
     "viscous_a1",
     "commutator",
@@ -127,6 +129,12 @@ class ForceModel:
         elif self.kind is ForceKind.TABULATED:
             grid.check_conforms(self.fx, "fx")
             grid.check_conforms(self.fy, "fy")
+
+    def window(self, rows: slice, cols: slice) -> "ForceModel":
+        """The force on the nodes ``[rows, cols]``, as ``FieldSet.window``."""
+        crop = lambda arr: None if arr is None else np.asarray(arr)[rows, cols]
+        return ForceModel(self.kind, crop(self.phi), crop(self.fx),
+                          crop(self.fy))
 
     def components(self, grid: StructuredGrid2D):
         """(Fx, Fy) node fields, or None when no force is modeled."""
@@ -243,6 +251,8 @@ def crocco_normal_coefficient(
     Memory: the result keeps 6 node fields per term, two to four terms.
     Each stack is written in place, so the call needs only a few node
     fields beyond them while it runs (T, h0 and stencil temporaries).
+    ``sample_anu`` calls this only on small windows of the field set, so
+    a run never holds the stacks for the whole grid.
 
     Raises
     ------
@@ -290,6 +300,33 @@ def crocco_normal_coefficient(
         g[2], g[3] = gradient(g[0], grid)
         g[4], g[5] = gradient(g[1], grid)
     return pieces
+
+
+# the nodes that G's Jacobian reaches: G takes a gradient (h0, the curl
+# or the potential), and the Jacobian a gradient of G
+_ANU_HALO = 2
+
+
+def sample_anu(fs: FieldSet, forces: ForceModel, m: GasModel, points, *,
+               sign: CroccoSign = CroccoSign.CONSISTENT, time_index: int = 0,
+               include_time_term: Optional[bool] = None,
+               ) -> Dict[str, np.ndarray]:
+    """The term stacks of ``crocco_normal_coefficient`` sampled at the
+    (n, 2) ``points``: per term, in its order, a (6, n) array.
+
+    The stacks are built tile by tile (``fields.sample_tiles``) on the
+    tiles that hold a point.  np.gradient's interior formula reads only
+    neighbours, so on a tile's nodes the stacks of the tile widened by two
+    nodes equal the full grid's, and each sample equals ``interp_bilinear``
+    of the full-grid stack, bit for bit.
+    """
+    forces.validate(fs.grid)
+
+    def build(rows, cols):
+        return crocco_normal_coefficient(
+            fs.window(rows, cols), forces.window(rows, cols), m, sign,
+            time_index, include_time_term)
+    return sample_tiles(build, fs.grid, points, _ANU_HALO)
 
 
 def _temperature(fs: FieldSet, m: GasModel) -> np.ndarray:
@@ -383,19 +420,18 @@ def commutator(
     """A1, A_nu and K = dA_nu/dxi1 - dA1/dxi_nu along the trajectory, with
     K's attribution.
 
-    ``anu`` is the term stacks of ``crocco_normal_coefficient``.  The
-    accompanying frame (unit tangent t, left normal n) comes from the
-    trajectory itself, through ``frame_along``.  Each A_nu term's stack is
-    sampled once: its (Gx, Gy) rows dotted with the frame normal give the
-    term's A_nu, and t . J . n of its Jacobian rows (the frame frozen at
-    each sample) its xi1-derivative.  A_nu is the sum of the terms in
-    ``anu``'s order.  A1 terms contribute through minus their frame-normal
-    derivative.
+    ``anu`` is the A_nu term samples of ``sample_anu`` at the trajectory's
+    points, (6, n) per term.  The accompanying frame (unit tangent t, left
+    normal n) comes from the trajectory itself, through ``frame_along``.
+    Each term's (Gx, Gy) rows dotted with the frame normal give the term's
+    A_nu, and t . J . n of its Jacobian rows (the frame frozen at each
+    sample) its xi1-derivative.  A_nu is the sum of the terms in ``anu``'s
+    order.  A1 terms contribute through minus their frame-normal
+    derivative, sampled from their node gradient stacks on ``grid``.
     """
     t, n = frame_along(traj)
     anu_terms, attribution = [], {}
-    for name, g in anu.items():
-        gx, gy, dxx, dxy, dyx, dyy = interp_bilinear(g, grid, traj.points)
+    for name, (gx, gy, dxx, dxy, dyx, dyy) in anu.items():
         anu_terms.append(gx * n[:, 0] + gy * n[:, 1])
         attribution[name] = ((t[:, 0] * dxx + t[:, 1] * dxy) * n[:, 0]
                              + (t[:, 0] * dyx + t[:, 1] * dyy) * n[:, 1])

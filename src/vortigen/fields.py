@@ -33,6 +33,8 @@ __all__ = [
     "curl2d",
     "time_derivative",
     "interp_bilinear",
+    "sample_tiles",
+    "TILE_CELLS",
     "trace_streamline",
     "trace_streamlines",
     "frame_along",
@@ -142,6 +144,21 @@ class FieldSet:
     def speed(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
 
+    def window(self, rows: slice, cols: slice) -> "FieldSet":
+        """The field set cropped to the nodes ``[rows, cols]`` (unit-step
+        slices), snapshots and mask alike.  Locate points on the full grid:
+        the window's grid rounds (x - x0) / hx differently."""
+        g = self.grid
+        grid = StructuredGrid2D(cols.stop - cols.start, rows.stop - rows.start,
+                                g.x0 + cols.start * g.hx,
+                                g.y0 + rows.start * g.hy, g.hx, g.hy)
+        crop = lambda arr: None if arr is None else np.asarray(arr)[rows, cols]
+        snaps = None if self.snapshots is None else [
+            Snapshot(s.t, crop(s.rho), crop(s.u), crop(s.v), crop(s.p))
+            for s in self.snapshots]
+        return FieldSet(grid, crop(self.rho), crop(self.u), crop(self.v),
+                        crop(self.p), snaps, crop(self.mask))
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -238,29 +255,82 @@ def interp_bilinear(f: np.ndarray, grid: StructuredGrid2D, points):
     of shape (..., n) (or (...,) for one point).  Raises
     ``PointOutsideDomain`` if any point lies outside the grid.
     """
+    pts = _inside(grid, points)
+    out = _gather(f, grid, pts[..., 0], pts[..., 1])
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _inside(grid: StructuredGrid2D, points) -> np.ndarray:
+    """``points`` as a float array; raises ``PointOutsideDomain`` naming
+    the first point outside the grid."""
     pts = np.asarray(points, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    inside = grid.contains(x, y)
+    inside = grid.contains(pts[..., 0], pts[..., 1])
     if not np.all(inside):
         bx, by = pts.reshape(-1, 2)[np.argmin(np.ravel(inside))]
         raise PointOutsideDomain(f"point ({bx}, {by}) outside grid")
-    out = _gather(f, grid, x, y)
-    return float(out) if np.ndim(out) == 0 else out
+    return pts
 
 
 def _gather(f: np.ndarray, grid: StructuredGrid2D, x, y):
     """``interp_bilinear`` without the domain check: the caller guarantees
     that every (x, y) lies inside the grid."""
+    return _lookup(f, *_cells(grid, x, y))
+
+
+def _cells(grid: StructuredGrid2D, x, y):
+    """The cell (i, j) holding each point, by its lower-left node, and the
+    point's offsets (tx, ty) in [0, 1] within it."""
     fx = (x - grid.x0) / grid.hx
     fy = (y - grid.y0) / grid.hy
     i = np.minimum(fx.astype(int), grid.nx - 2)
     j = np.minimum(fy.astype(int), grid.ny - 2)
-    tx = fx - i
-    ty = fy - j
+    return i, j, fx - i, fy - j
+
+
+def _lookup(f: np.ndarray, i, j, tx, ty):
+    """Bilinear interpolation of the node stack ``f`` at the offsets
+    (tx, ty) within the cells (i, j)."""
     return ((1 - tx) * (1 - ty) * f[..., j, i]
             + tx * (1 - ty) * f[..., j, i + 1]
             + (1 - tx) * ty * f[..., j + 1, i]
             + tx * ty * f[..., j + 1, i + 1])
+
+
+# sample_tiles builds node stacks on fixed tiles of this many cells a side
+TILE_CELLS = 64
+
+
+def sample_tiles(build, grid: StructuredGrid2D, points, halo: int):
+    """Bilinear samples at the n >= 1 ``points`` of node stacks built only
+    on the fixed tiles of ``TILE_CELLS`` cells a side that hold a point.
+
+    ``build(rows, cols)`` returns a dict of stacks (..., rows, cols) on a
+    tile's nodes widened by ``halo`` nodes and clipped at the grid edge.
+    Points keep the full grid's cell arithmetic, so each sample equals
+    ``interp_bilinear`` of a full-grid stack that agrees with the tile's
+    on the tile's nodes.  Returns per key a (..., n) array; raises as
+    ``interp_bilinear`` does.
+    """
+    pts = _inside(grid, points).reshape(-1, 2)
+    if not len(pts):
+        raise ValueError("need at least one point")
+    i, j, tx, ty = _cells(grid, pts[:, 0], pts[:, 1])
+    per_row = (grid.nx - 2) // TILE_CELLS + 1
+    tile = j // TILE_CELLS * per_row + i // TILE_CELLS
+    order = np.argsort(tile, kind="stable")
+    ids, starts = np.unique(tile[order], return_index=True)
+    out = {}
+    for t, idx in zip(ids.tolist(), np.split(order, starts[1:])):
+        tj, ti = divmod(t, per_row)
+        j0, i0 = max(tj * TILE_CELLS - halo, 0), max(ti * TILE_CELLS - halo, 0)
+        rows = slice(j0, min((tj + 1) * TILE_CELLS + halo, grid.ny - 1) + 1)
+        cols = slice(i0, min((ti + 1) * TILE_CELLS + halo, grid.nx - 1) + 1)
+        cell = i[idx] - i0, j[idx] - j0, tx[idx], ty[idx]
+        for name, g in build(rows, cols).items():
+            if name not in out:
+                out[name] = np.empty(g.shape[:-2] + (len(pts),))
+            out[name][..., idx] = _lookup(g, *cell)
+    return out
 
 
 # ---------------------------------------------------------------------------

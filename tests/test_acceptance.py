@@ -12,10 +12,10 @@ from vortigen.evoform import (
     ForceModel,
     TransportModel,
     commutator,
-    crocco_normal_coefficient,
     equilibrium_classifier,
     equilibrium_tolerance,
     ideal_a1,
+    sample_anu,
     truncation_estimate,
     viscous_a1,
 )
@@ -125,7 +125,7 @@ def test_c03_lagrange_criterion():
     for n in (33, 65, 129):
         fs = source_flow(n)
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         below &= float(np.max(np.abs(K.K))) <= equilibrium_tolerance(fs, MODEL)
         vals.append(float(np.max(np.abs(K.K))))
@@ -134,7 +134,7 @@ def test_c03_lagrange_criterion():
     # nonequilibrium side: diaphragm-break snapshot pair
     fs = diaphragm_snapshot_pair()
     traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-    anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
+    anu = sample_anu(fs, NO_FORCE, MODEL, traj.points, time_index=1)
     K = commutator(anu, ideal_a1(), traj, fs.grid)
     cls = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
     ok = below and order >= 1.5 and cls.kind == "nonequilibrium" \
@@ -151,7 +151,7 @@ def test_c04_crocco_sign_resolution():
     traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
     est = truncation_estimate(fs, MODEL)
     anu_c, anu_p = (
-        commutator(crocco_normal_coefficient(fs, NO_FORCE, MODEL, sign=sign),
+        commutator(sample_anu(fs, NO_FORCE, MODEL, traj.points, sign=sign),
                    ideal_a1(), traj, fs.grid).anu
         for sign in (CroccoSign.CONSISTENT, CroccoSign.PAPER_LITERAL))
     consistent_max = float(np.max(np.abs(anu_c)))

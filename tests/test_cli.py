@@ -17,7 +17,7 @@ from vortigen.exact import SimpleWave
 from vortigen.fields import FieldSet
 from vortigen.thermo import GasModel
 
-from scenarios import GAMMA, couette_flow
+from scenarios import GAMMA, couette_flow, source_flow
 
 M = GasModel(gamma=GAMMA, R=1.0)
 
@@ -423,11 +423,15 @@ class TestScenarios:
             sampled.append(1) or fields.interp_bilinear(*a)))
         monkeypatch.setattr(evoform, "frame_along", lambda traj: (
             framed.append(1) or fields.frame_along(traj)))
+        sample_anu, anu_runs = evoform.sample_anu, []
+        monkeypatch.setattr(evoform, "sample_anu", lambda *a, **kw: (
+            anu_runs.append(1) or sample_anu(*a, **kw)))
         seen, per_seed = [], []
         for n in (8, 64):
             counts.update(gradient=0)
             sampled.clear()
             framed.clear()
+            anu_runs.clear()
             seeds = [[0.1, y] for y in np.linspace(0.05, 0.95, n)]
             cfgp = write_config(
                 tmp_path, fields="f.csv", transport={"mu": 0.1, "k": 0.05},
@@ -437,10 +441,28 @@ class TestScenarios:
             assert len(list((tmp_path / f"out{n}").glob("trajectory_*"))) == n
             seen.append(dict(counts))
             per_seed.append((len(sampled) / n, len(framed) / n))
+            assert len(anu_runs) == 1
         assert seen[0] == seen[1]
-        # two A_nu term stacks, three A1 gradient stacks and the A1 field;
-        # one frame
-        assert per_seed == [(6, 1), (6, 1)]
+        # three A1 gradient stacks and the A1 field (sample_anu samples the
+        # A_nu terms of all seeds at once, off this count); one frame
+        assert per_seed == [(4, 1), (4, 1)]
+
+    def test_anu_stacks_built_only_on_tiles(self, tmp_path, monkeypatch):
+        # the A_nu term stacks are built on the tiles the trajectories
+        # cross, never on the whole grid
+        from vortigen import evoform, fields
+        write_fields_csv(tmp_path / "f.csv", source_flow(257))
+        shapes, build = [], evoform.crocco_normal_coefficient
+        monkeypatch.setattr(evoform, "crocco_normal_coefficient",
+                            lambda fs, *a, **kw: (shapes.append(fs.grid.shape)
+                                                  or build(fs, *a, **kw)))
+        cfgp = write_config(tmp_path, fields="f.csv")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        assert len(list((tmp_path / "out").glob("trajectory_*"))) == 5
+        # a tile's nodes and a two-node halo on each side
+        widest = fields.TILE_CELLS + 1 + 2 * 2
+        assert shapes and (257, 257) not in shapes
+        assert max(max(shape) for shape in shapes) <= widest
 
     def test_residuals_computed_once_per_solve(self, tmp_path, monkeypatch):
         # one sweep gives all three families' residuals
@@ -1109,6 +1131,19 @@ class TestRunBounds:
                            repr(10 * spacing), "--out", str(out)])
         assert rc == 2
         assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}: x spacings ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_gap_exits_2(self, tmp_path, capsys):
+        # increasing x whose first gap, 2e308, overflows: the order check
+        # must not subtract, so the spacing refusal names the file
+        init = write_init_csv(tmp_path / "wide.csv", [-1e308, 1e308, 1.5e308],
+                              np.ones(3), np.zeros(3), np.ones(3))
+        out = tmp_path / "out"
+        rc = cli.main(["solve-moc", "--init", str(init), "--t-end", "1",
+                       "--out", str(out)])
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {init}: x spacings ") and err.count("\n") == 1
         assert not out.exists()

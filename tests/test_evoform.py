@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vortigen.errors import MissingSnapshots
+from vortigen import fields
+
+from vortigen.errors import MissingSnapshots, PointOutsideDomain
 from vortigen.evoform import (
     A1Variant,
     CroccoSign,
@@ -17,6 +20,7 @@ from vortigen.evoform import (
     equilibrium_tolerance,
     ideal_a1,
     lagrange_criterion,
+    sample_anu,
     truncation_estimate,
     viscous_a1,
 )
@@ -27,6 +31,7 @@ from vortigen.fields import (
     Trajectory,
     curl2d,
     gradient,
+    interp_bilinear,
     time_derivative,
     trace_streamline,
 )
@@ -59,15 +64,15 @@ class TestCroccoCoefficient:
     def test_uniform_flow_zero(self):
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         assert np.max(np.abs(samples)) <= 1e-13
 
     def test_shear_flow_consistent_sign_vanishes(self):
         fs, sigma, T0 = shear_flow()
         traj = trace_streamline(fs, (0.1, 1.0), max_len=1.6)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
-                                        sign=CroccoSign.CONSISTENT)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points,
+                         sign=CroccoSign.CONSISTENT)
         samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         est = truncation_estimate(fs, MODEL)
         assert np.max(np.abs(samples)) <= 10.0 * est.anu
@@ -76,8 +81,8 @@ class TestCroccoCoefficient:
         fs, sigma, T0 = shear_flow()
         y_traj = 1.0
         traj = trace_streamline(fs, (0.1, y_traj), max_len=1.6)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL,
-                                        sign=CroccoSign.PAPER_LITERAL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points,
+                         sign=CroccoSign.PAPER_LITERAL)
         samples = commutator(anu, ideal_a1(), traj, fs.grid).anu
         expected = 2.0 * sigma ** 2 * y_traj / T0
         assert np.max(np.abs(samples - expected)) <= 0.01 * expected
@@ -95,7 +100,7 @@ class TestCroccoCoefficient:
         g = 2.5
         force = ForceModel.potential(g * Y)
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        anu = crocco_normal_coefficient(fs, force, MODEL)
+        anu = sample_anu(fs, force, MODEL, traj.points)
         # the other terms vanish exactly on the uniform field
         assert not anu["h0_gradient"].any()
         assert not anu["vortical"].any()
@@ -191,6 +196,98 @@ class TestCroccoTermStacks:
         assert peak - entry <= kept + 8 * field
 
 
+
+@st.composite
+def random_series(draw):
+    """A field set of 3 to 12 nodes a side with 3 snapshots at nonuniform
+    times, its time index and a potential or tabulated force, all from
+    random finite values."""
+    nx, ny = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = StructuredGrid2D(nx, ny, x0=-0.3, y0=1.7, hx=0.7, hy=0.45)
+    shape = grid.shape
+    snaps = [Snapshot(t, rng.uniform(0.5, 2.0, shape),
+                      rng.uniform(-1.0, 1.0, shape),
+                      rng.uniform(-1.0, 1.0, shape),
+                      rng.uniform(0.5, 2.0, shape)) for t in (0.0, 0.3, 0.45)]
+    k = draw(st.integers(0, 2))
+    s = snaps[k]
+    fs = FieldSet(grid, s.rho, s.u, s.v, s.p, snapshots=snaps)
+    if draw(st.booleans()):
+        forces = ForceModel.potential(rng.uniform(-1.0, 1.0, shape))
+    else:
+        forces = ForceModel.tabulated(rng.uniform(-1.0, 1.0, shape),
+                                      rng.uniform(-1.0, 1.0, shape))
+    return fs, forces, k, draw(st.sampled_from(CroccoSign))
+
+
+def full_stacks(fs, forces, k, sign):
+    return crocco_normal_coefficient(fs, forces, MODEL, sign=sign,
+                                     time_index=k, include_time_term=True)
+
+
+class TestTiledSampling:
+    """A_nu built on a window with a two-node halo equals the full grid's
+    on the window's core, so sampling tile by tile equals sampling the
+    full-grid stacks, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_series(), st.data())
+    def test_window_core_equals_full_grid(self, case, data):
+        fs, forces, k, sign = case
+        full = full_stacks(fs, forces, k, sign)
+        assert list(full) == ["h0_gradient", "vortical", "force",
+                              "nonstationarity"]
+        core, win = [], []
+        for n in (fs.grid.ny, fs.grid.nx):
+            # the core's first and last node; ranges reach every edge and
+            # corner of the grid
+            lo = data.draw(st.integers(0, n - 2))
+            hi = data.draw(st.integers(lo + 1, n - 1))
+            start = max(lo - 2, 0)
+            win.append(slice(start, min(hi + 2, n - 1) + 1))
+            core.append((slice(lo, hi + 1), slice(lo - start, hi + 1 - start)))
+        (rows, wrows), (cols, wcols) = core
+        part = crocco_normal_coefficient(
+            fs.window(*win), forces.window(*win), MODEL, sign=sign,
+            time_index=k, include_time_term=True)
+        assert list(part) == list(full)
+        for name, stack in full.items():
+            assert (part[name][:, wrows, wcols].tobytes()
+                    == stack[:, rows, cols].tobytes()), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_series(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_samples_equal_full_grid_interpolation(self, case, tile, seed):
+        fs, forces, k, sign = case
+        grid = fs.grid
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(grid.x0, grid.xmax, 40)
+        ys = rng.uniform(grid.y0, grid.ymax, 40)
+        # the grid's edges and corners, and some nodes
+        xs[:8] = [grid.x0, grid.xmax] * 4
+        ys[4:12] = [grid.y0, grid.ymax] * 4
+        xs[-4:] = grid.x[rng.integers(0, grid.nx, 4)]
+        ys[-4:] = grid.y[rng.integers(0, grid.ny, 4)]
+        pts = np.column_stack([xs, ys])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "TILE_CELLS", tile)
+            got = sample_anu(fs, forces, MODEL, pts, sign=sign, time_index=k,
+                             include_time_term=True)
+        full = full_stacks(fs, forces, k, sign)
+        assert list(got) == list(full)
+        for name, stack in full.items():
+            assert (got[name].tobytes()
+                    == interp_bilinear(stack, grid, pts).tobytes()), name
+
+    def test_points_outside_or_none_refused(self):
+        fs = uniform_fs()
+        with pytest.raises(PointOutsideDomain):
+            sample_anu(fs, NO_FORCE, MODEL, [[0.5, 0.5], [1.5, 0.5]])
+        with pytest.raises(ValueError):
+            sample_anu(fs, NO_FORCE, MODEL, np.empty((0, 2)))
+
+
 class TestA1:
     def test_ideal_is_zero(self):
         a1 = ideal_a1()
@@ -275,7 +372,7 @@ class TestCommutator:
     def test_zero_coefficients_zero_K(self):
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-12
 
@@ -287,9 +384,10 @@ class TestCommutator:
         fs = uniform_fs(129)
         X, _ = np.meshgrid(fs.grid.x, fs.grid.y)
         gx, gy = np.zeros(fs.grid.shape), np.sin(3.0 * (X - 0.1))
-        anu = {"prescribed": np.stack(
-            [gx, gy, *gradient(gx, fs.grid), *gradient(gy, fs.grid)])}
+        stack = np.stack(
+            [gx, gy, *gradient(gx, fs.grid), *gradient(gy, fs.grid)])
         traj = horizontal_line(0.5, n=201)
+        anu = {"prescribed": interp_bilinear(stack, fs.grid, traj.points)}
         xi = traj.arclength
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K - 3.0 * np.cos(3.0 * xi))) <= 1e-3
@@ -297,7 +395,7 @@ class TestCommutator:
     def test_attribution_sums_to_K(self):
         fs = diaphragm_snapshot_pair()
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points, time_index=1)
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         total = np.sum(list(K.attribution.values()), axis=0)
         scale = max(np.max(np.abs(K.K)), 1e-30)
@@ -306,7 +404,7 @@ class TestCommutator:
     def test_shock_tube_pair_nonstationarity_dominates(self):
         fs = diaphragm_snapshot_pair()
         traj = trace_streamline(fs, (0.55, 0.02), max_len=0.5)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL, time_index=1)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points, time_index=1)
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) > equilibrium_tolerance(fs, MODEL)
         integrals = {n: abs(np.trapezoid(c, K.xi))
@@ -319,7 +417,7 @@ class TestCommutator:
         # samples must agree within the stencil tolerance.
         fs = source_flow(65)
         traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         K_field = commutator(anu, ideal_a1(), traj, fs.grid)
         K_samp = np.gradient(K_field.anu, traj.arclength, edge_order=2)
         tol = equilibrium_tolerance(fs, MODEL)
@@ -405,7 +503,7 @@ class TestClassification:
         fs, _ = couette_flow(mu=mu, k=k)
         a1 = viscous_a1(fs, TransportModel(mu=mu, k=k), MODEL)
         traj = horizontal_line(0.3, n=65)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         K = commutator(anu, a1, traj, fs.grid)
         out = equilibrium_classifier(K, equilibrium_tolerance(fs, MODEL))
         assert out.kind == "nonequilibrium"
@@ -427,7 +525,7 @@ class TestEquilibriumSoundness:
     def test_uniform_state_machine_zero(self):
         fs = uniform_fs()
         traj = trace_streamline(fs, (0.1, 0.5), max_len=0.7)
-        anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+        anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
         K = commutator(anu, ideal_a1(), traj, fs.grid)
         assert np.max(np.abs(K.K)) <= 1e-13
 
@@ -436,7 +534,7 @@ class TestEquilibriumSoundness:
         for n in (33, 65, 129):
             fs = source_flow(n)
             traj = trace_streamline(fs, (1.05, 1.1), max_len=0.9)
-            anu = crocco_normal_coefficient(fs, NO_FORCE, MODEL)
+            anu = sample_anu(fs, NO_FORCE, MODEL, traj.points)
             K = commutator(anu, ideal_a1(), traj, fs.grid)
             assert np.max(np.abs(K.K)) <= equilibrium_tolerance(fs, MODEL)
             vals.append(np.max(np.abs(K.K)))

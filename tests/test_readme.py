@@ -17,8 +17,9 @@ def test_readme_has_python_examples():
     assert BLOCKS
 
 
+# ids by ordinal, so that editing the README above a block keeps its name
 @pytest.mark.parametrize("line, code", BLOCKS,
-                         ids=[f"line{line}" for line, _ in BLOCKS])
+                         ids=[f"block{k}" for k in range(len(BLOCKS))])
 def test_python_block_runs(line, code):
     # padded so that a traceback names the README's own line
     exec(compile("\n" * (line - 1) + code, str(README), "exec"),
