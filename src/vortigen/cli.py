@@ -35,6 +35,7 @@ import difflib
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 import time
@@ -561,16 +562,58 @@ def _write_trajectory_csv(path: Path, K, staged):
 
 def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     """Stream the net one level (one write) at a time; parent indices refer
-    to the previous level, -1 on the initial level."""
+    to the previous level, -1 on the initial level.
+
+    Two processes format the levels (POSIX ``os.fork``): the parent writes
+    the header and the levels up to the one where the running node count
+    passes half, while a forked child writes the rest to a ``.tail`` temp
+    file beside ``path``; the parent then appends that file.  The column
+    tables are built before the fork, so the child shares them.  The child
+    ends in ``os._exit`` whatever happens, so it never runs the caller's
+    cleanup, ``atexit`` or a flush of inherited buffers; a failed child
+    raises ``OSError`` here."""
     cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
     specs = ",".join(spec for spec, _ in cols)
-    with _atomic_write(path, staged) as fh:
-        fh.write("level,index,t,x,u,a,s,cplus_parent,cminus_parent,c0_parent\n")
-        for k in range(net.n_levels):
+    nodes = np.cumsum([net.level_size(k) for k in range(net.n_levels)])
+    mid = int(np.searchsorted(nodes, nodes[-1] / 2, side="right")) + 1
+
+    def write_levels(fh, levels):
+        for k in levels:
             row = f"{k},%d,{specs},%d,%d,%d\n"
             fh.write("".join(map(row.__mod__, zip(
                 range(net.level_size(k)), *[r(k) for _, r in cols],
                 *(p.tolist() for p in net.parents(k))))))
+
+    with _atomic_write(path, staged) as fh:
+        fd, tail = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                                    suffix=".tail")
+        pid = 0
+        try:
+            os.close(fd)
+            pid = os.fork()
+            if not pid:  # the child: leaves only through os._exit
+                code = 1
+                try:
+                    with open(tail, "w", newline="") as part:
+                        write_levels(part, range(mid, net.n_levels))
+                    code = 0
+                finally:
+                    os._exit(code)
+            fh.write("level,index,t,x,u,a,s,"
+                     "cplus_parent,cminus_parent,c0_parent\n")
+            write_levels(fh, range(mid))
+            _, status = os.waitpid(pid, 0)
+            pid = 0
+            if os.waitstatus_to_exitcode(status):
+                raise OSError(f"{path}: the process writing levels {mid} "
+                              f"to {net.n_levels - 1} failed")
+            fh.flush()
+            with open(tail, "rb") as part:
+                shutil.copyfileobj(part, fh.buffer)
+        finally:
+            if pid:
+                os.waitpid(pid, 0)
+            os.unlink(tail)
 
 
 def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],

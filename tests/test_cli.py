@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import os
 import random
@@ -549,6 +551,35 @@ class TestFailedRunWritesNothing:
                              "0.1", "--out", str(out)]) == 3
         assert written_files(kept) == ["earlier.txt"]
 
+    @pytest.mark.parametrize("half", ["child", "parent"])
+    def test_failed_net_csv_half(self, tmp_path, monkeypatch, capfd, half):
+        # the net.csv writer forks: a write that fails in the child's half
+        # of the levels (the patch is inherited across the fork) or in the
+        # parent's exits 2 like any failed write, with one stderr line, no
+        # part file left and the child reaped
+        from vortigen import moc
+        init = compression_init(tmp_path / "init.csv", n=41)
+        out = tmp_path / "out"
+        out.mkdir()
+        parent_pid, parents = os.getpid(), moc.CharNet.parents
+
+        def failing(net, k):
+            if (os.getpid() != parent_pid) == (half == "child"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(out / "net.csv"))
+            return parents(net, k)
+        monkeypatch.setattr(moc.CharNet, "parents", failing)
+        assert cli.main(["solve-moc", "--init", str(init), "--gamma",
+                         str(GAMMA), "--R", "1.0", "--t-end", "1.0",
+                         "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "net.csv" in captured.err
+        assert written_files(out) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestSubcommands:
     def test_solve_moc_uniform_straight(self, tmp_path):
@@ -622,6 +653,29 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve-moc", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve-moc", "diagnose"])
+    def test_report_printed_once(self, tmp_path, command):
+        # in a process of its own, so that a forked net.csv writer that
+        # flushed the inherited stdout or ran atexit would show
+        init = compression_init(tmp_path / "init.csv", n=101)
+        out = tmp_path / "out"
+        if command == "solve-moc":
+            argv = ["solve-moc", "--init", str(init), "--gamma", str(GAMMA),
+                    "--R", "1.0", "--t-end", "3.0", "--out", str(out)]
+        else:
+            argv = ["diagnose", "--config", str(write_config(
+                tmp_path, initial_data="init.csv", t_end=3.0))]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "vortigen.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads((out / "run_report.json").read_text())
+        assert proc.stdout == "\n".join(cli._report_lines(report)) + "\n"
+        assert written_files(out) == ["envelope.json", "net.csv",
+                                      "residuals.json", "run_report.json"]
 
     def test_vortigen_out_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -725,6 +779,25 @@ class TestOnePassPipeline:
             cli._write_net_csv(tmp_path / "net.csv", net, staged)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_net_csv_bytes_of_one_and_two_levels(self, tmp_path, levels):
+        # the writer's child formats the levels after the node midpoint:
+        # none of a one-level net, the last level of a two-level one
+        from vortigen import moc
+        x, rho, u, p = cli.load_initial_1d(
+            compression_init(tmp_path / "init.csv", n=101))
+        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                              t_end=3.0, m=M)
+        net = dataclasses.replace(net, **{
+            q: getattr(net, q)[:levels]
+            for q in ("x", "t", "u", "a", "s", "labels", "c0_parent")})
+        assert net.n_levels == levels
+        with cli._staged_run() as staged:
+            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        assert (tmp_path / "net.csv").read_bytes() \
+            == net_csv_reference(net).encode()
+        assert written_files(tmp_path) == ["init.csv", "net.csv"]
 
     @pytest.mark.parametrize("n", [101, 206, 0])  # 0: expansion, no envelope
     def test_detect_shock_scans_each_level_pair_once(self, tmp_path,
