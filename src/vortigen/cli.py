@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import difflib
 import json
+import mmap
 import os
 import re
 import shutil
@@ -43,7 +44,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +115,31 @@ def _staged_run():
             os.replace(tmp, path)
 
 
+def _forked(child: Callable[[], object], parent: Callable[[], object]
+            ) -> Tuple[object, bool]:
+    """Run ``child`` in a forked process (POSIX ``os.fork``) while this one
+    runs ``parent``: ``parent``'s result and whether ``child`` returned.
+
+    The child leaves only through ``os._exit``, 0 if ``child`` returned and
+    1 if it raised, so it never runs the caller's cleanup, ``atexit`` or a
+    flush of inherited buffers.  The child is reaped before this returns
+    or ``parent``'s exception propagates.  A caller redoes a failed
+    child's part itself."""
+    pid = os.fork()
+    if not pid:
+        code = 1
+        try:
+            child()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        result = parent()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return result, os.waitstatus_to_exitcode(status) == 0
+
+
 def _write_json(path: Path, obj, staged: list):
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
@@ -144,10 +170,12 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
     """Finite float rows of a CSV whose header is exactly ``expected``;
     ``rho`` and ``p`` columns must be positive.
 
-    The body is one ``np.loadtxt`` parse: rows of plain float literals
+    The body is parsed by ``np.loadtxt``: rows of plain float literals
     separated by commas, empty lines skipped.  Anything else, quoted
     fields, ``1_0`` and non-ASCII digits included, is a ``ParseError``
-    naming the file and its line.
+    naming the file and its line.  ``_read_body`` parses it in two
+    processes; where it gives no table, one parse of the whole body does,
+    so every refusal is that parse's.
     """
     n = len(expected)
 
@@ -168,8 +196,10 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
                 f"{path}:1: header must be exactly {','.join(expected)}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
-            arr = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                             ndmin=2, dtype=float)
+            arr = _read_body(path, n)
+            if arr is None:
+                arr = np.loadtxt(path, delimiter=",", skiprows=1,
+                                 comments=None, ndmin=2, dtype=float)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # conv counts rows from 0, cols from 1
@@ -196,6 +226,78 @@ def _read_rows(path, expected: Sequence[str]) -> np.ndarray:
         raise refused(i, f"column {expected[j]} must be positive, got "
                       f"{arr[i, j]}", NonPhysicalState)
     return arr
+
+
+# Bodies of fewer lines are parsed in one process: measured end to end on
+# source-flow fields, forking lost up to 33k rows and tied at 66k
+_SPLIT_ROWS = 1 << 16
+
+
+def _split_body(path) -> Optional[Tuple[int, int]]:
+    """Lines of the body of ``path`` before the first line that starts at
+    or after the body's midpoint, and from it on, counted in chunks; None
+    if either count is 0, if the body has fewer than ``_SPLIT_ROWS`` lines,
+    or if the file has a carriage return or a blank body line, which a
+    newline count does not see as ``np.loadtxt`` does (a lone CR ends a
+    line, and ``max_rows`` skips blank lines)."""
+    buf = bytearray(1 << 16)
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():
+            return None
+        pos = fh.tell()
+        mid = pos + (os.fstat(fh.fileno()).st_size - pos) // 2
+        lines, head, ended = 0, 0, True  # ended: a line ends at pos
+        while size := fh.readinto(buf):
+            lf = np.frombuffer(buf, np.uint8, size) == 10
+            if (buf.find(b"\r", 0, size) >= 0 or (ended and lf[0])
+                    or (lf[1:] & lf[:-1]).any()):
+                return None
+            if not head and pos + size >= mid:
+                k = buf.find(b"\n", max(mid - 1 - pos, 0), size)
+                if k >= 0:
+                    head = lines + int(np.count_nonzero(lf[:k + 1]))
+            lines += int(np.count_nonzero(lf))
+            ended = bool(lf[-1])
+            pos += size
+    lines += not ended
+    if lines < _SPLIT_ROWS or not 0 < head < lines:
+        return None
+    return head, lines - head
+
+
+def _read_body(path, n: int) -> Optional[np.ndarray]:
+    """The ``n``-column body of ``path`` parsed in two processes: this one
+    parses the lines before ``_split_body``'s split (``max_rows``) while a
+    forked child parses the rest (``skiprows``); both write into one table
+    in a shared anonymous map.  None if the body does not split, the child
+    failed, either half was refused or a half's row count is not its line
+    count."""
+    cut = _split_body(path)
+    if cut is None:
+        return None
+    head, tail = cut
+    table = np.frombuffer(mmap.mmap(-1, (head + tail) * n * 8))
+    table = table.reshape(head + tail, n)
+
+    def parse(rows, **skip):
+        arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                         dtype=float, **skip)
+        if arr.shape != (rows, n):
+            raise ValueError(f"table shape {arr.shape}, not {(rows, n)}")
+        return arr
+
+    def read_tail():
+        table[head:] = parse(tail, skiprows=1 + head)
+
+    def read_head():
+        try:
+            table[:head] = parse(head, skiprows=1, max_rows=head)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    head_ok, tail_ok = _forked(read_tail, read_head)
+    return table if head_ok and tail_ok else None
 
 
 def _node_tol(nodes, h) -> float:
@@ -564,14 +666,12 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     """Stream the net one level (one write) at a time; parent indices refer
     to the previous level, -1 on the initial level.
 
-    Two processes format the levels (POSIX ``os.fork``): the parent writes
-    the header and the levels up to the one where the running node count
-    passes half, while a forked child writes the rest to a ``.tail`` temp
-    file beside ``path``; the parent then appends that file.  The column
-    tables are built before the fork, so the child shares them.  The child
-    ends in ``os._exit`` whatever happens, so it never runs the caller's
-    cleanup, ``atexit`` or a flush of inherited buffers; a failed child
-    raises ``OSError`` here."""
+    Two processes format the levels (``_forked``): the parent writes the
+    header and the levels up to the one where the running node count
+    passes half, while the child writes the rest to a ``.tail`` temp file
+    beside ``path``; the parent then appends that file, or writes those
+    levels itself if the child failed.  The column tables are built before
+    the fork, so the child shares them."""
     cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
     specs = ",".join(spec for spec, _ in cols)
     nodes = np.cumsum([net.level_size(k) for k in range(net.n_levels)])
@@ -587,32 +687,25 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     with _atomic_write(path, staged) as fh:
         fd, tail = tempfile.mkstemp(dir=path.parent, prefix=path.name,
                                     suffix=".tail")
-        pid = 0
         try:
             os.close(fd)
-            pid = os.fork()
-            if not pid:  # the child: leaves only through os._exit
-                code = 1
-                try:
-                    with open(tail, "w", newline="") as part:
-                        write_levels(part, range(mid, net.n_levels))
-                    code = 0
-                finally:
-                    os._exit(code)
-            fh.write("level,index,t,x,u,a,s,"
-                     "cplus_parent,cminus_parent,c0_parent\n")
-            write_levels(fh, range(mid))
-            _, status = os.waitpid(pid, 0)
-            pid = 0
-            if os.waitstatus_to_exitcode(status):
-                raise OSError(f"{path}: the process writing levels {mid} "
-                              f"to {net.n_levels - 1} failed")
-            fh.flush()
-            with open(tail, "rb") as part:
-                shutil.copyfileobj(part, fh.buffer)
+
+            def write_tail():
+                with open(tail, "w", newline="") as part:
+                    write_levels(part, range(mid, net.n_levels))
+
+            def write_head():
+                fh.write("level,index,t,x,u,a,s,"
+                         "cplus_parent,cminus_parent,c0_parent\n")
+                write_levels(fh, range(mid))
+
+            if _forked(write_tail, write_head)[1]:
+                fh.flush()
+                with open(tail, "rb") as part:
+                    shutil.copyfileobj(part, fh.buffer)
+            else:
+                write_levels(fh, range(mid, net.n_levels))
         finally:
-            if pid:
-                os.waitpid(pid, 0)
             os.unlink(tail)
 
 

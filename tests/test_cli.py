@@ -553,20 +553,22 @@ class TestFailedRunWritesNothing:
 
     @pytest.mark.parametrize("half", ["child", "parent"])
     def test_failed_net_csv_half(self, tmp_path, monkeypatch, capfd, half):
-        # the net.csv writer forks: a write that fails in the child's half
-        # of the levels (the patch is inherited across the fork) or in the
-        # parent's exits 2 like any failed write, with one stderr line, no
-        # part file left and the child reaped
+        # the net.csv writer forks: a disk-full write of a level in the
+        # child's half (the child fails, and the parent redoes that half)
+        # or in the parent's exits 2 with the one line a one-process write
+        # prints, errno text included, no part file left and the child
+        # reaped
         from vortigen import moc
         init = compression_init(tmp_path / "init.csv", n=41)
         out = tmp_path / "out"
         out.mkdir()
-        parent_pid, parents = os.getpid(), moc.CharNet.parents
+        parents = moc.CharNet.parents
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                       str(out / "net.csv"))
 
         def failing(net, k):
-            if (os.getpid() != parent_pid) == (half == "child"):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                              str(out / "net.csv"))
+            if k == (net.n_levels - 1 if half == "child" else 0):
+                raise full
             return parents(net, k)
         monkeypatch.setattr(moc.CharNet, "parents", failing)
         assert cli.main(["solve-moc", "--init", str(init), "--gamma",
@@ -574,11 +576,33 @@ class TestFailedRunWritesNothing:
                          "--out", str(out)]) == 2
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1 and "net.csv" in captured.err
+        assert captured.err == f"error: {full}\n"
         assert written_files(out) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_net_csv_child_is_redone(self, tmp_path, monkeypatch,
+                                            capfd):
+        # a child that dies without writing its half: the parent writes
+        # those levels itself, and net.csv keeps its bytes
+        from vortigen import moc
+        init = compression_init(tmp_path / "init.csv", n=41)
+        argv = ["solve-moc", "--init", str(init), "--gamma", str(GAMMA),
+                "--R", "1.0", "--t-end", "1.0", "--out"]
+        assert cli.main(argv + [str(tmp_path / "one")]) == 0
+        parent_pid, parents = os.getpid(), moc.CharNet.parents
+
+        def dying(net, k):
+            if os.getpid() != parent_pid:
+                os._exit(1)
+            return parents(net, k)
+        monkeypatch.setattr(moc.CharNet, "parents", dying)
+        assert cli.main(argv + [str(tmp_path / "two")]) == 0
+        assert capfd.readouterr().err == ""
+        assert ((tmp_path / "two" / "net.csv").read_bytes()
+                == (tmp_path / "one" / "net.csv").read_bytes())
+        assert written_files(tmp_path / "two") == written_files(
+            tmp_path / "one")
 
 
 class TestSubcommands:
