@@ -12,10 +12,12 @@ Subcommands
 * ``detect-shock``: envelope prediction (analytic) and detection (net).
 * ``report``: pretty-print a run report.
 
-``diagnose``, ``solve-moc`` and ``verify-jumps`` run one pipeline,
-``run_scenario``: ``diagnose`` on its config file, the other two on the
-config their flags make.  Each stage writes its own files, and each run
-prints its report, the text ``report`` prints.
+Every command but ``report`` reads one config (``_config``): ``diagnose``
+its file, the others the one their flags make.  ``detect-shock`` advances
+its net alone; the others run one pipeline, ``run_scenario``, which
+returns the dict that ``run_report.json`` holds.  Each stage writes its
+own files, and each run prints its report, the text ``report`` prints.
+Where ``_forked`` can start no child, one process does both halves.
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale) and written atomically
@@ -42,7 +44,7 @@ import tempfile
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -70,7 +72,7 @@ from .exact import CenteredFan
 from .fields import FieldSet, Snapshot, StructuredGrid2D, trace_streamlines
 from .thermo import GasModel, PrimitiveState
 
-__all__ = ["ScenarioConfig", "RunReport", "load_fields", "run_scenario", "main"]
+__all__ = ["ScenarioConfig", "load_fields", "run_scenario", "main"]
 
 
 @contextmanager
@@ -123,9 +125,14 @@ def _forked(child: Callable[[], object], parent: Callable[[], object]
     The child leaves only through ``os._exit``, 0 if ``child`` returned and
     1 if it raised, so it never runs the caller's cleanup, ``atexit`` or a
     flush of inherited buffers.  The child is reaped before this returns
-    or ``parent``'s exception propagates.  A caller redoes a failed
-    child's part itself."""
-    pid = os.fork()
+    or ``parent``'s exception propagates.  Where no child can be started
+    (no ``os.fork``, or it raises ``OSError``), only ``parent`` runs, and
+    ``child`` counts as failed.  A caller redoes a failed child's part
+    itself."""
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):
+        return parent(), False
     if not pid:
         code = 1
         try:
@@ -602,26 +609,6 @@ class ScenarioConfig:
         return ForceModel.tabulated(f["fx"], f["fy"])
 
 
-@dataclass
-class RunReport:
-    """Serializable scenario outcome; classification is recomputable from
-    ``max_K`` and ``tolerance``."""
-
-    scenario_id: str
-    lagrange: Optional[dict] = None
-    max_K: Optional[float] = None
-    tolerance: Optional[float] = None
-    classification: Optional[str] = None
-    dominant: Optional[str] = None
-    regime: Optional[str] = None
-    envelope: Optional[dict] = None
-    net_levels: Optional[int] = None
-    moc_residuals: Optional[dict] = None
-    identical_on_pseudostructure: Optional[bool] = None
-    jump_checks: List[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-
 def _default_seeds(fs: FieldSet) -> List[List[float]]:
     g = fs.grid
     x = g.x0 + 0.3 * (g.xmax - g.x0)
@@ -709,33 +696,37 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
             os.unlink(tail)
 
 
-def _solve_1d(init_path, gas: GasModel, t_end: Optional[float],
-              corrector_tol=CONFIG_KEYS["tolerances.corrector"].default):
-    """Load 1-D initial data and advance its characteristic net; returns
-    the net and the analytic straight-characteristic envelope estimate.
+def _solve_1d(cfg: ScenarioConfig):
+    """Load the config's 1-D initial data and advance its characteristic
+    net; returns the net and the analytic straight-characteristic envelope
+    estimate.
 
     Without ``t_end`` the net runs to 1.5x the analytic envelope time,
     else for one slowest-sound crossing of the data.
     """
-    initial = moc.nodes_from_primitive(*load_initial_1d(init_path), gas)
+    v = cfg.values
+    initial = moc.nodes_from_primitive(*load_initial_1d(v["initial_data"]),
+                                       cfg.gas)
     analytic = moc.detect_envelope(initial)
+    t_end = v["t_end"]
     if t_end is None:
         x, _, a, _ = initial
         t_end = (1.5 * analytic.t_star if analytic is not None
                  else float(x[-1] - x[0]) / float(np.min(a)))
-    net = moc.advance_net(initial, t_end=t_end, m=gas,
-                          corrector_tol=corrector_tol)
+    net = moc.advance_net(initial, t_end=t_end, m=cfg.gas,
+                          corrector_tol=v["tolerances"]["corrector"])
     return net, analytic
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunReport:
+def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute the configured pipeline and write report plus CSVs; the
-    files appear together once every stage has passed, or not at all."""
+    files appear together once every stage has passed, or not at all.
+    Returns the report, the dict that ``run_report.json`` holds."""
     with _staged_run() as staged:
         return _run_stages(cfg, staged)
 
 
-def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
+def _run_stages(cfg: ScenarioConfig, staged: list) -> dict:
     """The stages, in order.  2-D fields: ingest, Lagrange test, A1,
     tolerance, tracing, A_nu sampled on the tiles the trajectories cross,
     then per trajectory the commutator, its CSV and its class.  1-D data:
@@ -744,7 +735,11 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
     t_start = time.perf_counter()
     v = cfg.values
     out = _out_dir(v["output_dir"] or ".")
-    report = RunReport(scenario_id=v["scenario_id"])
+    report = dict.fromkeys((
+        "lagrange", "max_K", "tolerance", "classification", "dominant",
+        "regime", "envelope", "net_levels", "moc_residuals",
+        "identical_on_pseudostructure"), None)
+    report.update(scenario_id=v["scenario_id"], jump_checks=[])
 
     if v["fields"] is not None:
         fs = load_fields(v["fields"], v["manifest"])
@@ -760,17 +755,17 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
                 f"the {len(fs.snapshots)} snapshots")
 
         rep = evoform.lagrange_criterion(fs, forces)
-        report.lagrange = {**dataclasses.asdict(rep),
-                           "predicts_equilibrium": rep.predicts_equilibrium}
+        report["lagrange"] = {**dataclasses.asdict(rep),
+                              "predicts_equilibrium": rep.predicts_equilibrium}
 
         if cfg.transport is not None:
             a1 = evoform.viscous_a1(fs, cfg.transport, cfg.gas, v["a1_variant"])
         else:
             a1 = evoform.ideal_a1()
 
-        report.tolerance = v["tolerances"]["equilibrium"]
-        if report.tolerance is None:
-            report.tolerance = evoform.equilibrium_tolerance(fs, cfg.gas)
+        report["tolerance"] = v["tolerances"]["equilibrium"]
+        if report["tolerance"] is None:
+            report["tolerance"] = evoform.equilibrium_tolerance(fs, cfg.gas)
 
         tr = v["trajectories"]
         seeds = tr["seeds"] if tr["seeds"] is not None else _default_seeds(fs)
@@ -795,47 +790,46 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
                                     for name, s in anu.items()},
                                    a1, traj, fs.grid)
             _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K, staged)
-            cls = evoform.equilibrium_classifier(K, report.tolerance)
+            cls = evoform.equilibrium_classifier(K, report["tolerance"])
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls
         del anu  # (6, n) per term for every point: free before later stages
-        report.max_K = worst.magnitude
-        report.classification = worst.kind
-        report.dominant = worst.dominant
+        report["max_K"] = worst.magnitude
+        report["classification"] = worst.kind
+        report["dominant"] = worst.dominant
 
         speed = fs.speed
         j = int(np.argmax(speed))
         a = np.sqrt(cfg.gas.gamma * fs.p.flat[j] / fs.rho.flat[j])
-        report.regime = evoform.classify_regime(speed.flat[j], a).value
+        report["regime"] = evoform.classify_regime(speed.flat[j], a).value
 
     if v["initial_data"] is not None:
-        net, analytic = _solve_1d(v["initial_data"], cfg.gas, v["t_end"],
-                                  v["tolerances"]["corrector"])
+        net, analytic = _solve_1d(cfg)
         _write_net_csv(out / "net.csv", net, staged)
-        report.net_levels = net.n_levels
-        report.envelope = {"detected": net.envelope is not None,
-                           "event": _event_dict(net.envelope),
-                           "analytic": _event_dict(analytic)}
-        _write_json(out / "envelope.json", report.envelope, staged)
-        report.moc_residuals = moc.pseudostructure_residual(net)
-        _write_json(out / "residuals.json", report.moc_residuals, staged)
+        report["net_levels"] = net.n_levels
+        report["envelope"] = {"detected": net.envelope is not None,
+                              "event": _event_dict(net.envelope),
+                              "analytic": _event_dict(analytic)}
+        _write_json(out / "envelope.json", report["envelope"], staged)
+        report["moc_residuals"] = moc.pseudostructure_residual(net)
+        _write_json(out / "residuals.json", report["moc_residuals"], staged)
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy
         s_scale = max(float(np.max(net.s[0])), 1e-300)
-        report.identical_on_pseudostructure = (
-            report.moc_residuals["C0"] <= 1e-3 * s_scale)
+        report["identical_on_pseudostructure"] = (
+            report["moc_residuals"]["C0"] <= 1e-3 * s_scale)
 
     if v["jump_checks"] is not None:
         relation = v["jump_checks"]["relation"]
-        report.jump_checks = _jump_check_sweep(
+        report["jump_checks"] = _jump_check_sweep(
             relation, cfg.gas.gamma, v["jump_checks"]["refine"],
             v["tolerances"]["jump_rel_error"])
         _write_json(out / "jump_reports.json",
-                    {"relation": relation, "reports": report.jump_checks},
+                    {"relation": relation, "reports": report["jump_checks"]},
                     staged)
 
-    report.wall_time_s = time.perf_counter() - t_start
-    _write_json(out / "run_report.json", dataclasses.asdict(report), staged)
+    report["wall_time_s"] = time.perf_counter() - t_start
+    _write_json(out / "run_report.json", report, staged)
     return report
 
 
@@ -843,37 +837,41 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> RunReport:
 # subcommands
 
 
-def _cmd_run(args) -> int:
-    """Run ``diagnose``'s config file, or the config that the flags of
-    ``solve-moc`` and ``verify-jumps`` make, and print its report; a
-    failed jump check exits 3 once every file is written."""
+def _config(args) -> ScenarioConfig:
+    """The config of a run command: ``diagnose``'s file, or the config
+    that the flags of the other commands make."""
     if args.command == "diagnose":
-        cfg = ScenarioConfig.from_file(args.config, overrides=args.keys)
-    else:
-        raw = {"scenario_id": args.command}
-        for name, value in args.keys.items():
-            head, _, leaf = name.rpartition(".")
-            (raw.setdefault(head, {}) if head else raw)[leaf] = value
-        cfg = ScenarioConfig.from_dict(raw)
+        return ScenarioConfig.from_file(args.config, overrides=args.keys)
+    raw = {"scenario_id": args.command}
+    for name, value in args.keys.items():
+        head, _, leaf = name.rpartition(".")
+        (raw.setdefault(head, {}) if head else raw)[leaf] = value
+    return ScenarioConfig.from_dict(raw)
+
+
+def _cmd_run(args) -> int:
+    """Run the config of the command and print its report; a failed jump
+    check exits 3 once every file is written."""
+    cfg = _config(args)
     report = run_scenario(cfg)
-    print("\n".join(_report_lines(dataclasses.asdict(report))))
-    failed = [rec for rec in report.jump_checks if not rec["passed"]]
+    print("\n".join(_report_lines(report)))
+    failed = [rec for rec in report["jump_checks"] if not rec["passed"]]
     if failed:
         rec, tol = failed[0], cfg.values["tolerances"]["jump_rel_error"]
         print(f"numerical failure: {rec['relation']} jump check failed at "
               f"h = {rec['grid_h']:.6g}: rel_error = {rec['rel_error']:.3e} > "
-              f"tol = {tol:.6g} ({len(failed)} of {len(report.jump_checks)} "
+              f"tol = {tol:.6g} ({len(failed)} of {len(report['jump_checks'])} "
               "levels failed)", file=sys.stderr)
     return 3 if failed else 0
 
 
 def _cmd_detect_shock(args) -> int:
     """The envelope report alone; the net is not written."""
-    net, analytic = _solve_1d(args.init, GasModel(gamma=args.gamma, R=args.R),
-                              args.t_end)
-    event = net.envelope
+    cfg = _config(args)
+    net, analytic = _solve_1d(cfg)
+    event, out = net.envelope, _out_dir(cfg.values["output_dir"])
     with _staged_run() as staged:
-        _write_json(_out_dir(args.out) / "envelope_report.json", {
+        _write_json(out / "envelope_report.json", {
             "detected": event is not None,
             "numeric": _event_dict(event),
             "analytic": _event_dict(analytic),
@@ -1024,7 +1022,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if dest in vars(args):
                 args.keys[name] = key.read(f"{key.flag}: {name}",
                                            getattr(args, dest))
-                setattr(args, dest, args.keys[name])
         # float faults raise, and exit 3 below; underflow is still ignored
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -256,7 +256,7 @@ def interp_bilinear(f: np.ndarray, grid: StructuredGrid2D, points):
     ``PointOutsideDomain`` if any point lies outside the grid.
     """
     pts = _inside(grid, points)
-    out = _gather(f, grid, pts[..., 0], pts[..., 1])
+    out = _lookup(f, *_cells(grid, pts[..., 0], pts[..., 1]))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -269,12 +269,6 @@ def _inside(grid: StructuredGrid2D, points) -> np.ndarray:
         bx, by = pts.reshape(-1, 2)[np.argmin(np.ravel(inside))]
         raise PointOutsideDomain(f"point ({bx}, {by}) outside grid")
     return pts
-
-
-def _gather(f: np.ndarray, grid: StructuredGrid2D, x, y):
-    """``interp_bilinear`` without the domain check: the caller guarantees
-    that every (x, y) lies inside the grid."""
-    return _lookup(f, *_cells(grid, x, y))
 
 
 def _cells(grid: StructuredGrid2D, x, y):
@@ -373,19 +367,16 @@ def trace_streamlines(
             f"per seed, got {max_len:g} / {step:g} = {max_len / step:.3g}")
     vtol = max(1e-10 * float(np.max(fs.speed)), np.finfo(float).tiny)
     uv = np.stack([fs.u, fs.v])
-    x0, y0, xmax, ymax = grid.x0, grid.y0, grid.xmax, grid.ymax
 
     def contains(p):
-        """``grid.contains`` for an (n, 2) array of points."""
-        x, y = p[:, 0], p[:, 1]
-        return (x0 <= x) & (x <= xmax) & (y0 <= y) & (y <= ymax)
+        return grid.contains(p[:, 0], p[:, 1])
 
     def rhs(p):
         """Unit velocity at ``p`` and the mask of inside, moving points."""
         ok = contains(p)
         if not ok.all():
-            p = np.where(ok[:, None], p, (x0, y0))
-        vel = _gather(uv, grid, p[:, 0], p[:, 1])
+            p = np.where(ok[:, None], p, (grid.x0, grid.y0))
+        vel = _lookup(uv, *_cells(grid, p[:, 0], p[:, 1]))
         speed = np.hypot(vel[0], vel[1])
         ok &= speed >= vtol
         return (vel / np.where(ok, speed, 1.0)).T, ok

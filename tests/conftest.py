@@ -1,3 +1,4 @@
+import errno
 import os
 
 import pytest
@@ -8,7 +9,8 @@ def no_unreaped_child():
     """Fail a test that leaves a child process unreaped, running or not:
     the net.csv writer and the CSV reader fork one child per call through
     ``cli._forked``, which must always wait for it, also when the caller's
-    half or the child fails."""
+    half or the child fails.  Where no child can be started (see
+    ``no_child``), there is none to reap."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -16,3 +18,15 @@ def no_unreaped_child():
         return
     pytest.fail(f"the test left an unreaped child process (pid {pid}, "
                 "0 if still running)")
+
+
+@pytest.fixture(params=["raises", "absent"])
+def no_child(request, monkeypatch):
+    """No child process can be started: ``os.fork`` raises EAGAIN, as at
+    the process limit, or is absent, as on a platform without it."""
+    if request.param == "absent":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.setattr(os, "fork", fork)

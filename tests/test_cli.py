@@ -581,6 +581,20 @@ class TestFailedRunWritesNothing:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_net_csv_without_a_child(self, tmp_path, no_child):
+        # where no child can be started, this process writes every level,
+        # and net.csv keeps its bytes
+        from vortigen import moc
+        x, rho, u, p = cli.load_initial_1d(
+            compression_init(tmp_path / "init.csv", n=101))
+        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                              t_end=3.0, m=M)
+        with cli._staged_run() as staged:
+            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        assert (tmp_path / "net.csv").read_bytes() \
+            == net_csv_reference(net).encode()
+        assert written_files(tmp_path) == ["init.csv", "net.csv"]
+
     def test_failed_net_csv_child_is_redone(self, tmp_path, monkeypatch,
                                             capfd):
         # a child that dies without writing its half: the parent writes
@@ -1433,6 +1447,36 @@ class TestRunViews:
         assert report == {"detected": envelope["detected"],
                           "numeric": envelope["event"],
                           "analytic": envelope["analytic"]}
+
+    @pytest.mark.parametrize("case", ["couette", "1d"])
+    def test_run_scenario_returns_its_report(self, tmp_path, case):
+        # the returned dict is the one run_report.json holds
+        if case == "couette":
+            fs, _ = couette_flow(mu=0.1, k=0.05, nx=33, ny=33)
+            write_fields_csv(tmp_path / "f.csv", fs)
+            cfgp = write_config(tmp_path, fields="f.csv",
+                                transport={"mu": 0.1, "k": 0.05},
+                                jump_checks={"relation": "char", "refine": 1})
+        else:
+            compression_init(tmp_path / "init.csv", n=101)
+            cfgp = write_config(tmp_path, initial_data="init.csv", t_end=3.0)
+        report = cli.run_scenario(cli.ScenarioConfig.from_file(cfgp))
+        written = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        report.pop("wall_time_s")
+        written.pop("wall_time_s")
+        assert report == written
+        assert (report["classification"] is None) == (case == "1d")
+
+    @pytest.mark.parametrize("command", ["detect-shock", "solve-moc"])
+    def test_missing_init_is_one_line(self, tmp_path, capsys, command):
+        # both commands read their flags as one config
+        missing = tmp_path / "absent.csv"
+        assert cli.main([command, "--init", str(missing), "--t-end", "1.0",
+                         "--out", str(tmp_path / "out")]) == 2
+        run = capsys.readouterr()
+        assert run.out == ""
+        assert run.err == f"error: referenced path does not exist: {missing}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["diagnose", "solve-moc",
                                          "verify-jumps"])

@@ -175,6 +175,13 @@ def test_failed_child_is_reparsed(tmp_path, monkeypatch, body):
     assert [c.get("max_rows") for c in calls] == [3, None]
 
 
+def test_no_child_is_one_process(tmp_path, monkeypatch, no_child):
+    # where no child can be started, the body is read as in one process
+    text = "\n".join([HEADER, *ROWS]) + "\n"
+    got = check(tmp_path, monkeypatch, text, forks=1)
+    assert got[:2] == ("ok", (len(ROWS), 4))
+
+
 def test_one_fork_path():
     # the net.csv writer and the CSV reader fork through one helper
     forks, helper = [], None
