@@ -276,9 +276,10 @@ def _read_body(path, n: int) -> Optional[np.ndarray]:
     """The ``n``-column body of ``path`` parsed in two processes: this one
     parses the lines before ``_split_body``'s split (``max_rows``) while a
     forked child parses the rest (``skiprows``); both write into one table
-    in a shared anonymous map.  None if the body does not split, the child
-    failed, either half was refused or a half's row count is not its line
-    count."""
+    in a shared anonymous map.  Where the child failed or none could be
+    started, this process parses the rest after its own half.  None if the
+    body does not split, either half was refused or a half's row count is
+    not its line count."""
     cut = _split_body(path)
     if cut is None:
         return None
@@ -304,7 +305,12 @@ def _read_body(path, n: int) -> Optional[np.ndarray]:
         return True
 
     head_ok, tail_ok = _forked(read_tail, read_head)
-    return table if head_ok and tail_ok else None
+    if head_ok and not tail_ok:
+        try:
+            read_tail()
+        except (OSError, ValueError):
+            return None
+    return table if head_ok else None
 
 
 def _node_tol(nodes, h) -> float:

@@ -466,6 +466,32 @@ class TestScenarios:
         assert shapes and (257, 257) not in shapes
         assert max(max(shape) for shape in shapes) <= widest
 
+    def test_tracer_path_by_live_seeds(self, tmp_path, monkeypatch):
+        # the five default seeds go on in floats from their start; with
+        # _BATCH_SEEDS or more, the batched step runs until fewer are live,
+        # and each seed still live then goes on in floats
+        from vortigen import fields
+        handoffs, make = [], fields._float_rk4
+
+        def float_rk4(fs, vtol):
+            unit_velocity, trace = make(fs, vtol)
+            return unit_velocity, lambda *a: handoffs.append(a[-1]) or trace(*a)
+        monkeypatch.setattr(fields, "_float_rk4", float_rk4)
+        write_fields_csv(tmp_path / "f.csv", source_flow(33))
+        cfgp = write_config(tmp_path, fields="f.csv")
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        assert handoffs == [0.0] * 5
+        handoffs.clear()
+        n = 2 * fields._BATCH_SEEDS
+        seeds = [[1.3, 1.05 + 0.9 * k / (n - 1)] for k in range(n)]
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            output_dir=str(tmp_path / "many"),
+                            trajectories={"seeds": seeds})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        assert len(list((tmp_path / "many").glob("trajectory_*"))) == n
+        assert 0 < len(handoffs) < fields._BATCH_SEEDS
+        assert len(set(handoffs)) == 1 and handoffs[0] > 0
+
     def test_residuals_computed_once_per_solve(self, tmp_path, monkeypatch):
         # one sweep gives all three families' residuals
         from vortigen import moc

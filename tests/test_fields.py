@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vortigen import fields
 from vortigen.errors import (
     DegenerateTrajectory,
     InsufficientSnapshots,
@@ -314,6 +316,69 @@ class TestBatchedStreamlines:
             if isinstance(got, Trajectory):
                 assert got.points.tolist() == \
                     trace_streamline(fs, seed).points.tolist()
+
+
+def noisy_field(seed, noise, n=129):
+    """A smooth non-polynomial flow on the unit square plus node noise,
+    with u = v = 0 at four nodes; returns it and those nodes' points."""
+    rng = np.random.default_rng(seed)
+    grid = StructuredGrid2D(n, n, hx=1.0 / (n - 1), hy=1.0 / (n - 1))
+    X, Y = mesh(grid)
+    a, b = rng.uniform(1.0, 8.0, 2)
+    u = np.cos(a * Y) + 0.5 * np.exp(-X) + noise * rng.standard_normal(X.shape)
+    v = np.sin(b * X) * np.tanh(Y - 0.5) + noise * rng.standard_normal(X.shape)
+    j, i = rng.integers(0, n, (2, 4))
+    u[j, i] = v[j, i] = 0.0
+    one = np.ones(grid.shape)
+    return FieldSet(grid, one, u, v, one), np.column_stack([grid.x[i], grid.y[j]])
+
+
+def traced(fs, seeds, batch_seeds, **kw):
+    """Per seed the points' bytes or the error class, tracing with the
+    batched step while at least ``batch_seeds`` seeds are live; or the
+    message of the ``ValueError`` the trace raises."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fields, "_BATCH_SEEDS", batch_seeds)
+        try:
+            out = trace_streamlines(fs, seeds, **kw)
+        except ValueError as exc:  # a repeated point: not a Trajectory
+            return str(exc)
+    return [r.points.tobytes() if isinstance(r, Trajectory) else type(r)
+            for r in out]
+
+
+class TestTracerPaths:
+    # the batched step runs while at least fields._BATCH_SEEDS seeds are
+    # live, the float path after; forced to one path or the other, and
+    # left to choose, every seed gets the same bits
+    EDGES = [(0.0, 0.5), (1.0, 0.25), (0.5, 0.0), (0.75, 1.0), (0.0, 0.0),
+             (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1e-9, 0.5), (0.5, 1.0 + 1e-9)]
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(field=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 0.05, 0.3]),
+           n=st.integers(1, 2 * fields._BATCH_SEEDS),
+           picks=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+           step=st.sampled_from([None, 3e-3, 1.0 / 700]),
+           max_len=st.floats(0.01, 0.4))
+    def test_both_paths_bitwise(self, field, noise, n, picks, step, max_len):
+        fs, stagnant = noisy_field(field, noise)
+        rng = np.random.default_rng(picks)
+        seeds = rng.uniform(0.0, 1.0, (n, 2))
+        special = np.concatenate([self.EDGES, stagnant])
+        at = rng.integers(0, n, len(picks))
+        seeds[at] = special[rng.integers(0, len(special), len(picks))]
+        kw = dict(step=step, max_len=max_len)
+        batched = traced(fs, seeds, 1, **kw)
+        assert traced(fs, seeds, 10**9, **kw) == batched
+        assert traced(fs, seeds, fields._BATCH_SEEDS, **kw) == batched
+        if isinstance(batched, str):
+            return
+        h = 0.25 / 128 if step is None else step
+        for s in np.unique(np.append(at, 0)):
+            ref = scalar_rk4_reference(fs, seeds[s], h, max_len)
+            assert (ref.tobytes() if isinstance(ref, np.ndarray) else ref) \
+                == batched[s]
 
 
 class TestFrame:

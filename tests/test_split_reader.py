@@ -2,9 +2,10 @@
 parse.
 
 ``_read_rows`` parses a body's earlier lines in this process and the rest
-in a forked child (``cli._read_body``), and parses the whole body again in
-one process when the body does not split, the child fails, either half is
-refused or a half's row count is not its line count.  Each case here
+in a forked child (``cli._read_body``); where the child fails, this
+process parses the rest itself.  It parses the whole body again in one
+process when the body does not split, either half is refused or a half's
+row count is not its line count.  Each case here
 compares the reader with that one-process parse, which
 ``tests/test_read_rows.py`` checks against the ``csv`` oracle: the table
 bitwise, or the exception type and message byte for byte, and no warning.
@@ -156,12 +157,9 @@ def test_blank_line_on_a_chunk_boundary(tmp_path, monkeypatch, blank):
     assert got[:2] == ("ok", ((1 << 13) + 1000, 4))
 
 
-@pytest.mark.parametrize("body", ["\n".join(ROWS) + "\n",
-                                  "\n".join(ROWS[:4] + ["1,nan,2,3"])])
-def test_failed_child_is_reparsed(tmp_path, monkeypatch, body):
-    path = tmp_path / "rows.csv"
-    path.write_text(HEADER + "\n" + body)
-    want = outcome(path)
+def loadtxt_calls_with_failing_child(monkeypatch):
+    """The keyword arguments of each ``np.loadtxt`` call in this process,
+    appended as they come; a forked child that calls it exits 1."""
     parent_pid, loadtxt, calls = os.getpid(), np.loadtxt, []
 
     def child_exits_1(*args, **kwargs):
@@ -170,9 +168,33 @@ def test_failed_child_is_reparsed(tmp_path, monkeypatch, body):
         calls.append(kwargs)
         return loadtxt(*args, **kwargs)
     monkeypatch.setattr(np, "loadtxt", child_exits_1)
+    return calls
+
+
+@pytest.mark.parametrize("body", ["\n".join(ROWS) + "\n",
+                                  "\n".join(ROWS[:4] + ["1,nan,2,3"])])
+def test_failed_child_is_reparsed(tmp_path, monkeypatch, body):
+    path = tmp_path / "rows.csv"
+    path.write_text(HEADER + "\n" + body)
+    want = outcome(path)
+    calls = loadtxt_calls_with_failing_child(monkeypatch)
     assert outcome(path) == want
-    # this process parsed its half, then the whole body
-    assert [c.get("max_rows") for c in calls] == [3, None]
+    # this process parsed its half, then the child's
+    assert [(c["skiprows"], c.get("max_rows")) for c in calls] == \
+        [(1, 3), (4, None)]
+
+
+def test_failed_child_with_a_refused_half(tmp_path, monkeypatch):
+    # the child's half is refused here too: the whole body is parsed again,
+    # so the refusal is the one-process parse's
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join([HEADER, *ROWS[:4], "1,2,3", *ROWS[4:]]) + "\n")
+    want = outcome(path)
+    calls = loadtxt_calls_with_failing_child(monkeypatch)
+    assert outcome(path) == want
+    assert want[:2] == ("error", "ParseError")
+    assert [(c["skiprows"], c.get("max_rows")) for c in calls] == \
+        [(1, 4), (5, None), (1, None)]
 
 
 def test_no_child_is_one_process(tmp_path, monkeypatch, no_child):
