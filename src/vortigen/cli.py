@@ -17,7 +17,7 @@ its file, the others the one their flags make.  ``detect-shock`` advances
 its net alone; the others run one pipeline, ``run_scenario``, which
 returns the dict that ``run_report.json`` holds.  Each stage writes its
 own files, and each run prints its report, the text ``report`` prints.
-Where ``_forked`` can start no child, one process does both halves.
+What a forked child (``_forked``) could not do, the run does after its part.
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale) and written atomically
@@ -26,7 +26,7 @@ stage has passed, so a failed run writes nothing.  The environment
 variable ``VORTIGEN_OUT`` overrides every output directory.  Exit codes:
 0 success, 2 validation error, 3 numerical failure (including a failed
 jump check, a non-finite result and an arithmetic fault such as a float
-overflow or a division by zero).
+overflow or a division by zero) or a failed allocation.
 """
 
 from __future__ import annotations
@@ -117,22 +117,21 @@ def _staged_run():
             os.replace(tmp, path)
 
 
-def _forked(child: Callable[[], object], parent: Callable[[], object]
-            ) -> Tuple[object, bool]:
+def _forked(child: Callable[[], object], parent: Callable[[], object]):
     """Run ``child`` in a forked process (POSIX ``os.fork``) while this one
-    runs ``parent``: ``parent``'s result and whether ``child`` returned.
+    runs ``parent``; ``parent``'s result once ``child``'s part is done.
 
     The child leaves only through ``os._exit``, 0 if ``child`` returned and
     1 if it raised, so it never runs the caller's cleanup, ``atexit`` or a
-    flush of inherited buffers.  The child is reaped before this returns
-    or ``parent``'s exception propagates.  Where no child can be started
-    (no ``os.fork``, or it raises ``OSError``), only ``parent`` runs, and
-    ``child`` counts as failed.  A caller redoes a failed child's part
-    itself."""
+    flush of inherited buffers.  Where no child can be started (no
+    ``os.fork``, or it raises ``OSError``) or the child exits nonzero, this
+    process runs ``child`` after ``parent``, and its exception propagates.
+    The child is reaped before this returns or an exception propagates;
+    ``parent``'s exception skips that redo."""
     try:
         pid = os.fork()
     except (AttributeError, OSError):
-        return parent(), False
+        pid = -1
     if not pid:
         code = 1
         try:
@@ -143,8 +142,10 @@ def _forked(child: Callable[[], object], parent: Callable[[], object]
     try:
         result = parent()
     finally:
-        _, status = os.waitpid(pid, 0)
-    return result, os.waitstatus_to_exitcode(status) == 0
+        failed = pid < 0 or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if failed:
+        child()
+    return result
 
 
 def _write_json(path: Path, obj, staged: list):
@@ -273,13 +274,12 @@ def _split_body(path) -> Optional[Tuple[int, int]]:
 
 
 def _read_body(path, n: int) -> Optional[np.ndarray]:
-    """The ``n``-column body of ``path`` parsed in two processes: this one
-    parses the lines before ``_split_body``'s split (``max_rows``) while a
-    forked child parses the rest (``skiprows``); both write into one table
-    in a shared anonymous map.  Where the child failed or none could be
-    started, this process parses the rest after its own half.  None if the
-    body does not split, either half was refused or a half's row count is
-    not its line count."""
+    """The ``n``-column body of ``path`` parsed in two processes
+    (``_forked``): this one parses the lines before ``_split_body``'s split
+    (``max_rows``) and a forked child the rest (``skiprows``); both write
+    into one table in a shared anonymous map.  None if the body does not
+    split, either half was refused or a half's row count is not its line
+    count."""
     cut = _split_body(path)
     if cut is None:
         return None
@@ -287,30 +287,19 @@ def _read_body(path, n: int) -> Optional[np.ndarray]:
     table = np.frombuffer(mmap.mmap(-1, (head + tail) * n * 8))
     table = table.reshape(head + tail, n)
 
-    def parse(rows, **skip):
+    def parse(part, **skip):
         arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
                          dtype=float, **skip)
-        if arr.shape != (rows, n):
-            raise ValueError(f"table shape {arr.shape}, not {(rows, n)}")
-        return arr
+        if arr.shape != table[part].shape:
+            raise ValueError("a half's row count is not its line count")
+        table[part] = arr
 
-    def read_tail():
-        table[head:] = parse(tail, skiprows=1 + head)
-
-    def read_head():
-        try:
-            table[:head] = parse(head, skiprows=1, max_rows=head)
-        except (OSError, ValueError):
-            return False
-        return True
-
-    head_ok, tail_ok = _forked(read_tail, read_head)
-    if head_ok and not tail_ok:
-        try:
-            read_tail()
-        except (OSError, ValueError):
-            return None
-    return table if head_ok else None
+    try:
+        _forked(lambda: parse(slice(head, None), skiprows=1 + head),
+                lambda: parse(slice(head), skiprows=1, max_rows=head))
+    except (OSError, ValueError):
+        return None
+    return table
 
 
 def _node_tol(nodes, h) -> float:
@@ -662,9 +651,8 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
     Two processes format the levels (``_forked``): the parent writes the
     header and the levels up to the one where the running node count
     passes half, while the child writes the rest to a ``.tail`` temp file
-    beside ``path``; the parent then appends that file, or writes those
-    levels itself if the child failed.  The column tables are built before
-    the fork, so the child shares them."""
+    beside ``path``, which the parent then appends.  The column tables are
+    built before the fork, so the child shares them."""
     cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
     specs = ",".join(spec for spec, _ in cols)
     nodes = np.cumsum([net.level_size(k) for k in range(net.n_levels)])
@@ -692,12 +680,10 @@ def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
                          "cplus_parent,cminus_parent,c0_parent\n")
                 write_levels(fh, range(mid))
 
-            if _forked(write_tail, write_head)[1]:
-                fh.flush()
-                with open(tail, "rb") as part:
-                    shutil.copyfileobj(part, fh.buffer)
-            else:
-                write_levels(fh, range(mid, net.n_levels))
+            _forked(write_tail, write_head)
+            fh.flush()
+            with open(tail, "rb") as part:
+                shutil.copyfileobj(part, fh.buffer)
         finally:
             os.unlink(tail)
 
@@ -1033,6 +1019,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.func(args)
     except (NonConvergence, NonFiniteResult, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the array it could not make
+        print(f"out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 3
     except (VortigenError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

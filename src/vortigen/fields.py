@@ -173,8 +173,7 @@ class Trajectory:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
             raise ValueError("points must be a nonempty (n, 2) array")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        arc = np.concatenate(([0.0], np.cumsum(seg)))
+        arc = _arclength(pts)
         if np.any(np.diff(arc) <= 0.0):
             raise ValueError("arclength must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -182,6 +181,12 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def _arclength(pts: np.ndarray) -> np.ndarray:
+    """The cumulative segment length of the (n, 2) ``pts``, from 0."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return np.concatenate(([0.0], np.cumsum(seg)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +360,11 @@ def trace_streamlines(
     live then goes on alone in Python floats (``_float_rk4``) from the
     shared arclength.  Both paths evaluate the same expressions in the
     same order, so every point is the same whichever path computes it.
-    Returns one entry per seed: its Trajectory, or the error tracing it
-    alone would raise (``SeedOutsideDomain``, ``StagnationAtSeed``,
-    ``DegenerateTrajectory``).  Raises ``ValueError`` unless ``step`` and
+    A path ends before its first point whose arclength does not pass the
+    one before, as where a step at a sink rounds to nothing.  Returns one
+    entry per seed: its Trajectory, or the error tracing it alone would
+    raise (``SeedOutsideDomain``, ``StagnationAtSeed``,
+    ``DegenerateTrajectory``, also for a path of its seed alone).  Raises ``ValueError`` unless ``step`` and
     ``max_len`` (given or default) are finite and positive and
     ``max_len / step`` is at most ``MAX_STEPS_PER_SEED``.
     """
@@ -431,11 +438,12 @@ def trace_streamlines(
         elif not moving[s]:
             results.append(StagnationAtSeed(
                 f"speed below tolerance at seed ({x}, {y})"))
-        elif n_steps[s] == 0:
-            results.append(DegenerateTrajectory(
-                "streamline terminated at its seed"))
         else:
-            results.append(Trajectory(paths[s]))
+            stalled = np.append(np.diff(_arclength(paths[s])) <= 0.0, True)
+            end = 1 + int(np.argmax(stalled))
+            results.append(Trajectory(paths[s][:end]) if end > 1 else
+                           DegenerateTrajectory(
+                               "streamline terminated at its seed"))
     return results
 
 

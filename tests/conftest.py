@@ -9,8 +9,10 @@ def no_unreaped_child():
     """Fail a test that leaves a child process unreaped, running or not:
     the net.csv writer and the CSV reader fork one child per call through
     ``cli._forked``, which must always wait for it, also when the caller's
-    half or the child fails.  Where no child can be started (see
-    ``no_child``), there is none to reap."""
+    half or the child fails.  Whatever the child could not do, the run
+    does after its own half; where no child can be started (see
+    ``no_child``), that is the whole child's half, and there is none to
+    reap."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -577,6 +577,31 @@ class TestFailedRunWritesNothing:
                              "0.1", "--out", str(out)]) == 3
         assert written_files(kept) == ["earlier.txt"]
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 450. MiB for an array with shape (7681, 7681) "
+        "and data type float64", ""], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", ["solve-moc", "verify-jumps"])
+    def test_failed_allocation_exits_3(self, tmp_path, monkeypatch, capsys,
+                                       command, message):
+        # solve-moc fails after staging net.csv, verify-jumps in its sweep
+        from vortigen import moc
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        monkeypatch.setattr(cli, "_jump_check_sweep", fail)
+        out = tmp_path / "out"
+        argv = (["solve-moc", "--init", str(compression_init(
+                    tmp_path / "init.csv", n=41)), "--t-end", "0.5"]
+                if command == "solve-moc" else
+                ["verify-jumps", "--relation", "char", "--refine", "9"])
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"out of memory: {message or 'an allocation failed'}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("half", ["child", "parent"])
     def test_failed_net_csv_half(self, tmp_path, monkeypatch, capfd, half):
         # the net.csv writer forks: a disk-full write of a level in the
@@ -1244,6 +1269,17 @@ class TestRunBounds:
             f"error: {cfgp}: trajectories.max_len / step must be at most "
             f"1,000,000 RK4 steps per seed, got 5.65685 / 1e-09 = 5.66e+09\n")
         assert written_files(tmp_path / "out") == []
+
+    def test_steps_lost_to_rounding_exit_2(self, tmp_path, capsys):
+        # a max_len below the points' spacing leaves every seed its seed
+        # alone: the run names the seeds, not a config key
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            trajectories={"max_len": 1e-300})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no trajectory could be traced from the seeds\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n, spacing", [
         (9, 1e-300),  # adjacent spacings multiply to 0: 0/0 weights

@@ -241,7 +241,8 @@ class TestStreamline:
 
 def scalar_rk4_reference(fs, seed, step, max_len):
     """The per-seed scalar RK4 the batched tracer replaced, kept as the
-    bit-for-bit reference; returns the points or the error class."""
+    bit-for-bit reference; returns the points, up to the first whose
+    arclength does not pass the one before, or the error class."""
     grid = fs.grid
     x, y = float(seed[0]), float(seed[1])
     if not grid.contains(x, y):
@@ -274,7 +275,10 @@ def scalar_rk4_reference(fs, seed, step, max_len):
         x, y = nx, ny
         arc += h
         pts.append((x, y))
-    return np.array(pts) if len(pts) >= 2 else DegenerateTrajectory
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    grows = np.diff(np.concatenate(([0.0], np.cumsum(seg)))) > 0.0
+    end = len(pts) if grows.all() else 1 + int(np.argmin(grows))
+    return np.array(pts[:end]) if end >= 2 else DegenerateTrajectory
 
 
 class TestBatchedStreamlines:
@@ -333,16 +337,28 @@ def noisy_field(seed, noise, n=129):
     return FieldSet(grid, one, u, v, one), np.column_stack([grid.x[i], grid.y[j]])
 
 
+def sink_field(n=129):
+    """A noisy rotation on the unit square whose unit velocity has a sink
+    that the streamline through ``SINK_SEED`` reaches: there the RK4 step
+    rounds to nothing and the point repeats."""
+    rng = np.random.default_rng(0)
+    grid = StructuredGrid2D(n, n, hx=1.0 / (n - 1), hy=1.0 / (n - 1))
+    X, Y = mesh(grid)
+    u = -(Y - 0.5) + 0.3 * np.sin(7 * X) + 0.2 * rng.standard_normal(X.shape)
+    v = X - 0.5 + 0.3 * np.cos(5 * Y) + 0.2 * rng.standard_normal(X.shape)
+    one = np.ones(grid.shape)
+    return FieldSet(grid, one, u, v, one)
+
+
+SINK_SEED = (0.014690302980082004, 0.29387683877600423)
+
+
 def traced(fs, seeds, batch_seeds, **kw):
     """Per seed the points' bytes or the error class, tracing with the
-    batched step while at least ``batch_seeds`` seeds are live; or the
-    message of the ``ValueError`` the trace raises."""
+    batched step while at least ``batch_seeds`` seeds are live."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fields, "_BATCH_SEEDS", batch_seeds)
-        try:
-            out = trace_streamlines(fs, seeds, **kw)
-        except ValueError as exc:  # a repeated point: not a Trajectory
-            return str(exc)
+        out = trace_streamlines(fs, seeds, **kw)
     return [r.points.tobytes() if isinstance(r, Trajectory) else type(r)
             for r in out]
 
@@ -372,13 +388,35 @@ class TestTracerPaths:
         batched = traced(fs, seeds, 1, **kw)
         assert traced(fs, seeds, 10**9, **kw) == batched
         assert traced(fs, seeds, fields._BATCH_SEEDS, **kw) == batched
-        if isinstance(batched, str):
-            return
         h = 0.25 / 128 if step is None else step
         for s in np.unique(np.append(at, 0)):
             ref = scalar_rk4_reference(fs, seeds[s], h, max_len)
             assert (ref.tobytes() if isinstance(ref, np.ndarray) else ref) \
                 == batched[s]
+
+    @pytest.mark.parametrize("batch_seeds", [1, 10**9])
+    def test_path_ends_at_a_sink(self, batch_seeds):
+        # the point repeats from step 339 on: that seed's path ends before
+        # it, and the other seeds keep the bits they get alone
+        fs = sink_field()
+        seeds = [SINK_SEED, (0.3, 0.3), (0.7, 0.6)]
+        got = traced(fs, seeds, batch_seeds, max_len=3.0)
+        assert len(got[0]) == 339 * 16
+        for s, seed in enumerate(seeds):
+            ref = scalar_rk4_reference(fs, seed, 0.25 / 128, 3.0)
+            assert ref.tobytes() == got[s]
+            assert traced(fs, [seed], batch_seeds, max_len=3.0) == [got[s]]
+        arc = trace_streamline(fs, SINK_SEED, max_len=3.0).arclength
+        assert np.all(np.diff(arc) > 0.0)
+
+    @pytest.mark.parametrize("batch_seeds", [1, 10**9])
+    def test_step_lost_to_rounding_leaves_the_seed(self, batch_seeds):
+        # a max_len below every point's spacing: the first step repeats the
+        # seed, so only the seed is left
+        fs, _ = noisy_field(0, 0.05)
+        seeds = [(0.3, 0.3), (0.6, 0.2)]
+        assert traced(fs, seeds, batch_seeds, max_len=1e-300) == \
+            [DegenerateTrajectory] * 2
 
 
 class TestFrame:

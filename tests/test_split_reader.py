@@ -2,11 +2,12 @@
 parse.
 
 ``_read_rows`` parses a body's earlier lines in this process and the rest
-in a forked child (``cli._read_body``); where the child fails, this
-process parses the rest itself.  It parses the whole body again in one
-process when the body does not split, either half is refused or a half's
-row count is not its line count.  Each case here
-compares the reader with that one-process parse, which
+in a forked child (``cli._read_body``).  Whatever the child could not do,
+this process does after its own half (``cli._forked``): where the child
+fails or none can be started, it parses the rest itself.  It parses the
+whole body again in one process when the body does not split, either
+half is refused or a half's row count is not its line count.  Each case
+here compares the reader with that one-process parse, which
 ``tests/test_read_rows.py`` checks against the ``csv`` oracle: the table
 bitwise, or the exception type and message byte for byte, and no warning.
 Bodies shorter than ``cli._SPLIT_ROWS`` lines are parsed in one process;
