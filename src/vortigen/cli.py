@@ -20,13 +20,14 @@ own files, and each run prints its report, the text ``report`` prints.
 What a forked child (``_forked``) could not do, the run does after its part.
 
 All outputs are deterministic for identical inputs (floats are written
-with 17 significant digits, no locale) and written atomically
-(temp-file-then-rename); a run renames all its files together once every
-stage has passed, so a failed run writes nothing.  The environment
-variable ``VORTIGEN_OUT`` overrides every output directory.  Exit codes:
-0 success, 2 validation error, 3 numerical failure (including a failed
-jump check, a non-finite result and an arithmetic fault such as a float
-overflow or a division by zero) or a failed allocation.
+with 17 significant digits, no locale).  A run writes its files into one
+hidden staging directory inside the output directory (``_staged_run``)
+and renames them into place together once every stage has passed, so a
+failed run writes nothing.  The environment variable ``VORTIGEN_OUT``
+overrides every output directory.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure (including a failed jump check, a non-finite
+result and an arithmetic fault such as a float overflow or a division by
+zero) or a failed allocation.
 """
 
 from __future__ import annotations
@@ -76,45 +77,29 @@ __all__ = ["ScenarioConfig", "load_fields", "run_scenario", "main"]
 
 
 @contextmanager
-def _atomic_write(path: Path, staged: list):
-    """Text file handle for ``path``, written to a temp file that joins the
-    ``staged`` list of its run (see ``_staged_run``), as do the directories
-    made for it; the file gets the mode a plain ``open`` would give it under
-    the umask."""
-    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    staged.extend((d, None) for d in reversed(made))
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _staged_run(output_dir):
+    """The staging directory of a run writing into ``output_dir``
+    (``VORTIGEN_OUT`` if set): a hidden directory inside it, made with the
+    output directory and its missing parents.  When the block completes,
+    every file staged there is renamed into place; if it raises, the stage
+    and the directories made for it are removed, so a failed run writes
+    nothing."""
+    out = Path(os.environ.get("VORTIGEN_OUT", output_dir or "."))
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    stage = None
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            # mkstemp creates 0600; setting the umask is the way to read it
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            yield fh
-        staged.append((tmp, path))
+        stage = Path(tempfile.mkdtemp(prefix=".vortigen-", dir=out))
+        yield stage
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+        stage.rmdir()
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if stage is not None:
+            shutil.rmtree(stage)
+        for d in made:
+            d.rmdir()
         raise
-
-
-@contextmanager
-def _staged_run():
-    """The list of a run's staged files, ``(temp, path)``, and of the
-    directories made for them, ``(dir, None)``: the files are renamed into
-    place together when the block completes; if it raises, they are
-    unlinked and the directories removed, so a failed run writes nothing."""
-    staged = []
-    try:
-        yield staged
-    except BaseException:
-        for tmp, path in reversed(staged):
-            (os.rmdir if path is None else os.unlink)(tmp)
-        raise
-    for tmp, path in staged:
-        if path is not None:
-            os.replace(tmp, path)
 
 
 def _forked(child: Callable[[], object], parent: Callable[[], object]):
@@ -148,12 +133,12 @@ def _forked(child: Callable[[], object], parent: Callable[[], object]):
     return result
 
 
-def _write_json(path: Path, obj, staged: list):
+def _write_json(path: Path, obj):
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise NonFiniteResult(f"{path}: result is not finite") from None
-    with _atomic_write(path, staged) as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text + "\n")
 
 
@@ -163,11 +148,6 @@ def _read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
-
-
-def _out_dir(default) -> Path:
-    """``VORTIGEN_OUT`` if set, else ``default``."""
-    return Path(os.environ.get("VORTIGEN_OUT", default))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +611,7 @@ def _float_column(levels):
     return "%s", lambda k: text[np.searchsorted(distinct, bits[k])].tolist()
 
 
-def _write_trajectory_csv(path: Path, K, staged):
+def _write_trajectory_csv(path: Path, K):
     """One row per sample of the form ``K`` that ``commutator`` returns."""
     names = [n for n in ATTRIBUTION_ORDER if n in K.attribution]
     names += sorted(n for n in K.attribution if n not in names)
@@ -639,53 +619,42 @@ def _write_trajectory_csv(path: Path, K, staged):
     cols = [_float_column([v]) for v in (
         K.xi, K.a1, K.anu, K.K, *[K.attribution[n] for n in names])]
     row = ",".join(spec for spec, _ in cols) + "\n"
-    with _atomic_write(path, staged) as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write("".join(map(row.__mod__, zip(*[r(0) for _, r in cols]))))
 
 
-def _write_net_csv(path: Path, net: moc.CharNet, staged: list):
+def _write_net_csv(path: Path, net: moc.CharNet):
     """Stream the net one level (one write) at a time; parent indices refer
     to the previous level, -1 on the initial level.
 
     Two processes format the levels (``_forked``): the parent writes the
     header and the levels up to the one where the running node count
-    passes half, while the child writes the rest to a ``.tail`` temp file
-    beside ``path``, which the parent then appends.  The column tables are
-    built before the fork, so the child shares them."""
+    passes half, while the child writes the rest to the part file beside
+    ``path`` in the run's stage, ``net.csv.tail``, which the parent then
+    appends and removes (a failed run's stage goes with it).  The
+    column tables are built before the fork, so the child shares them."""
     cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
     specs = ",".join(spec for spec, _ in cols)
     nodes = np.cumsum([net.level_size(k) for k in range(net.n_levels)])
     mid = int(np.searchsorted(nodes, nodes[-1] / 2, side="right")) + 1
 
-    def write_levels(fh, levels):
-        for k in levels:
-            row = f"{k},%d,{specs},%d,%d,%d\n"
-            fh.write("".join(map(row.__mod__, zip(
-                range(net.level_size(k)), *[r(k) for _, r in cols],
-                *(p.tolist() for p in net.parents(k))))))
+    def write_levels(into, levels, header=""):
+        with open(into, "w", newline="") as fh:
+            fh.write(header)
+            for k in levels:
+                row = f"{k},%d,{specs},%d,%d,%d\n"
+                fh.write("".join(map(row.__mod__, zip(
+                    range(net.level_size(k)), *[r(k) for _, r in cols],
+                    *(p.tolist() for p in net.parents(k))))))
 
-    with _atomic_write(path, staged) as fh:
-        fd, tail = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                    suffix=".tail")
-        try:
-            os.close(fd)
-
-            def write_tail():
-                with open(tail, "w", newline="") as part:
-                    write_levels(part, range(mid, net.n_levels))
-
-            def write_head():
-                fh.write("level,index,t,x,u,a,s,"
-                         "cplus_parent,cminus_parent,c0_parent\n")
-                write_levels(fh, range(mid))
-
-            _forked(write_tail, write_head)
-            fh.flush()
-            with open(tail, "rb") as part:
-                shutil.copyfileobj(part, fh.buffer)
-        finally:
-            os.unlink(tail)
+    tail = path.with_name(path.name + ".tail")
+    _forked(lambda: write_levels(tail, range(mid, net.n_levels)),
+            lambda: write_levels(path, range(mid), "level,index,t,x,u,a,s,"
+                                 "cplus_parent,cminus_parent,c0_parent\n"))
+    with open(path, "ab") as fh, open(tail, "rb") as part:
+        shutil.copyfileobj(part, fh)
+    os.unlink(tail)
 
 
 def _solve_1d(cfg: ScenarioConfig):
@@ -714,19 +683,18 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute the configured pipeline and write report plus CSVs; the
     files appear together once every stage has passed, or not at all.
     Returns the report, the dict that ``run_report.json`` holds."""
-    with _staged_run() as staged:
-        return _run_stages(cfg, staged)
+    with _staged_run(cfg.values["output_dir"]) as stage:
+        return _run_stages(cfg, stage)
 
 
-def _run_stages(cfg: ScenarioConfig, staged: list) -> dict:
-    """The stages, in order.  2-D fields: ingest, Lagrange test, A1,
-    tolerance, tracing, A_nu sampled on the tiles the trajectories cross,
-    then per trajectory the commutator, its CSV and its class.  1-D data:
-    the net and its CSV, the envelope, the residuals.  Then the jump
-    checks and the report."""
+def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
+    """The stages, in order, writing into ``out``.  2-D fields: ingest,
+    Lagrange test, A1, tolerance, tracing, A_nu sampled on the tiles the
+    trajectories cross, then per trajectory the commutator, its CSV and its
+    class.  1-D data: the net and its CSV, the envelope, the residuals.
+    Then the jump checks and the report."""
     t_start = time.perf_counter()
     v = cfg.values
-    out = _out_dir(v["output_dir"] or ".")
     report = dict.fromkeys((
         "lagrange", "max_K", "tolerance", "classification", "dominant",
         "regime", "envelope", "net_levels", "moc_residuals",
@@ -781,7 +749,7 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> dict:
             K = evoform.commutator({name: s[:, start:end]
                                     for name, s in anu.items()},
                                    a1, traj, fs.grid)
-            _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K, staged)
+            _write_trajectory_csv(out / f"trajectory_{ti:03d}.csv", K)
             cls = evoform.equilibrium_classifier(K, report["tolerance"])
             if worst is None or cls.magnitude > worst.magnitude:
                 worst = cls
@@ -797,14 +765,14 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> dict:
 
     if v["initial_data"] is not None:
         net, analytic = _solve_1d(cfg)
-        _write_net_csv(out / "net.csv", net, staged)
+        _write_net_csv(out / "net.csv", net)
         report["net_levels"] = net.n_levels
         report["envelope"] = {"detected": net.envelope is not None,
                               "event": _event_dict(net.envelope),
                               "analytic": _event_dict(analytic)}
-        _write_json(out / "envelope.json", report["envelope"], staged)
+        _write_json(out / "envelope.json", report["envelope"])
         report["moc_residuals"] = moc.pseudostructure_residual(net)
-        _write_json(out / "residuals.json", report["moc_residuals"], staged)
+        _write_json(out / "residuals.json", report["moc_residuals"])
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy
         s_scale = max(float(np.max(net.s[0])), 1e-300)
@@ -817,11 +785,10 @@ def _run_stages(cfg: ScenarioConfig, staged: list) -> dict:
             relation, cfg.gas.gamma, v["jump_checks"]["refine"],
             v["tolerances"]["jump_rel_error"])
         _write_json(out / "jump_reports.json",
-                    {"relation": relation, "reports": report["jump_checks"]},
-                    staged)
+                    {"relation": relation, "reports": report["jump_checks"]})
 
     report["wall_time_s"] = time.perf_counter() - t_start
-    _write_json(out / "run_report.json", report, staged)
+    _write_json(out / "run_report.json", report)
     return report
 
 
@@ -861,13 +828,13 @@ def _cmd_detect_shock(args) -> int:
     """The envelope report alone; the net is not written."""
     cfg = _config(args)
     net, analytic = _solve_1d(cfg)
-    event, out = net.envelope, _out_dir(cfg.values["output_dir"])
-    with _staged_run() as staged:
-        _write_json(out / "envelope_report.json", {
+    event = net.envelope
+    with _staged_run(cfg.values["output_dir"]) as stage:
+        _write_json(stage / "envelope_report.json", {
             "detected": event is not None,
             "numeric": _event_dict(event),
             "analytic": _event_dict(analytic),
-        }, staged)
+        })
     print(f"envelope: t* = {event.t_star:.6g}, x* = {event.x_star:.6g}, "
           f"family {event.family}" if event else "no envelope before t_end")
     return 0

@@ -361,12 +361,14 @@ def trace_streamlines(
     shared arclength.  Both paths evaluate the same expressions in the
     same order, so every point is the same whichever path computes it.
     A path ends before its first point whose arclength does not pass the
-    one before, as where a step at a sink rounds to nothing.  Returns one
-    entry per seed: its Trajectory, or the error tracing it alone would
-    raise (``SeedOutsideDomain``, ``StagnationAtSeed``,
-    ``DegenerateTrajectory``, also for a path of its seed alone).  Raises ``ValueError`` unless ``step`` and
-    ``max_len`` (given or default) are finite and positive and
-    ``max_len / step`` is at most ``MAX_STEPS_PER_SEED``.
+    one before, as where a step at a sink rounds to nothing; a seed stops
+    stepping at the first step that leaves its point where it was.
+    Returns one entry per seed: its Trajectory, or the error tracing it
+    alone would raise (``SeedOutsideDomain``, ``StagnationAtSeed``,
+    ``DegenerateTrajectory``, also for a path of its seed alone).  Raises
+    ``ValueError`` unless ``step`` and ``max_len`` (given or default) are
+    finite and positive and ``max_len / step`` is at most
+    ``MAX_STEPS_PER_SEED``.
     """
     grid = fs.grid
     seeds = np.array(seeds, dtype=float).reshape(-1, 2)
@@ -417,7 +419,8 @@ def trace_streamlines(
             k3, ok3 = rhs(p + 0.5 * h * k2)
             k4, ok4 = rhs(p + h * k3)
             new = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            ok &= ok2 & ok3 & ok4 & contains(new)
+            # a step that leaves its point where it was ends that seed
+            ok &= ok2 & ok3 & ok4 & contains(new) & (new != p).any(axis=1)
             live, p = live[ok], new[ok]
             n_steps[live] += 1
             arc += h
@@ -495,7 +498,8 @@ def _float_rk4(fs: FieldSet, vtol: float):
                 break
             x1 = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             y1 = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            if not (x0 <= x1 <= xmax and y0 <= y1 <= ymax):
+            if not (x0 <= x1 <= xmax and y0 <= y1 <= ymax) or (
+                    x1 == x and y1 == y):
                 break
             x, y = x1, y1
             arc += h

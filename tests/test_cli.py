@@ -24,15 +24,19 @@ from scenarios import GAMMA, couette_flow, source_flow
 M = GasModel(gamma=GAMMA, R=1.0)
 
 
-def write_fields_csv(path, fs: FieldSet):
-    g = fs.grid
-    lines = ["x,y,rho,u,v,p"]
-    for j in range(g.ny):
-        for i in range(g.nx):
-            vals = (g.x[i], g.y[j], fs.rho[j, i], fs.u[j, i], fs.v[j, i],
-                    fs.p[j, i])
+def write_grid_csv(path, grid, **columns):
+    """A node CSV of ``grid``: x, y and the named (ny, nx) node fields."""
+    lines = [",".join(["x", "y", *columns])]
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            vals = (grid.x[i], grid.y[j], *(f[j, i] for f in columns.values()))
             lines.append(",".join(format(v, ".17g") for v in vals))
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_fields_csv(path, fs: FieldSet):
+    write_grid_csv(path, fs.grid, rho=fs.rho, u=fs.u, v=fs.v, p=fs.p)
 
 
 def write_uniform_csv(path, nx=9, ny=9, rho=1.0, u=1.0, v=0.0, p=1.0,
@@ -514,6 +518,74 @@ class TestScenarios:
                          "--out", str(tmp_path / "o")]) == 2
 
 
+class TestForceFiles:
+    """``forces.kind`` potential and tabulated read their node CSV from
+    ``forces.path``; the force term of A_nu is built on the tiles the
+    trajectories cross, from the force windowed to each tile."""
+
+    @pytest.mark.parametrize("kind", ["potential", "tabulated"])
+    def test_trajectories_match_the_full_grid_evaluation(self, tmp_path,
+                                                          kind):
+        from vortigen import evoform, fields
+        write_fields_csv(tmp_path / "f.csv", source_flow(129))
+        fs = cli.load_fields(tmp_path / "f.csv")
+        X, Y = np.meshgrid(fs.grid.x, fs.grid.y)
+        if kind == "potential":
+            cols = {"phi": np.sin(3 * X) * np.cos(2 * Y) + 0.5 * X * Y}
+            forces = evoform.ForceModel.potential(cols["phi"])
+        else:
+            cols = {"fx": X * np.cos(2 * Y), "fy": np.sin(3 * X) - 0.2 * Y}
+            forces = evoform.ForceModel.tabulated(cols["fx"], cols["fy"])
+        write_grid_csv(tmp_path / "force.csv", fs.grid, **cols)
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            forces={"kind": kind, "path": "force.csv"})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
+        anu = evoform.crocco_normal_coefficient(fs, forces, M)
+        assert "force" in anu
+        trajs = fields.trace_streamlines(fs, cli._default_seeds(fs))
+        tiles = set()
+        for ti, traj in enumerate(trajs):
+            K = evoform.commutator(
+                {name: fields.interp_bilinear(g, fs.grid, traj.points)
+                 for name, g in anu.items()},
+                evoform.ideal_a1(), traj, fs.grid)
+            # bit for bit (a bool: a text diff of two such files is slow)
+            path = tmp_path / "out" / f"trajectory_{ti:03d}.csv"
+            header = path.read_text().partition("\n")[0]
+            names = header.split(",")[4:]
+            expect = np.column_stack([K.xi, K.a1, K.anu, K.K,
+                                      *[K.attribution[n] for n in names]])
+            back = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert header == trajectory_csv_reference(K).partition("\n")[0]
+            assert np.array_equal(float_bits(back), float_bits(expect))
+            i, j, _, _ = fields._cells(fs.grid, *traj.points.T)
+            tiles.update(zip((i // fields.TILE_CELLS).tolist(),
+                             (j // fields.TILE_CELLS).tolist()))
+        assert len(tiles) == 4
+
+    def test_force_without_a_path_exits_2(self, tmp_path, capsys):
+        write_uniform_csv(tmp_path / "f.csv")
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            forces={"kind": "potential"})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == \
+            "error: force kind 'potential' needs a 'path' CSV\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_force_on_another_grid_exits_2(self, tmp_path, capsys):
+        from vortigen.fields import StructuredGrid2D
+        write_uniform_csv(tmp_path / "f.csv")  # 9x9 nodes
+        grid = StructuredGrid2D(11, 11, hx=0.1, hy=0.1)
+        zero = np.zeros(grid.shape)
+        force = write_grid_csv(tmp_path / "force.csv", grid, fx=zero, fy=zero)
+        cfgp = write_config(tmp_path, fields="f.csv",
+                            forces={"kind": "tabulated", "path": "force.csv"})
+        assert cli.main(["diagnose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {force}: grid differs from the field grid\n"
+        assert not (tmp_path / "out").exists()
+
+
 def written_files(out):
     return sorted(p.name for p in out.iterdir()) if out.exists() else []
 
@@ -640,8 +712,8 @@ class TestFailedRunWritesNothing:
             compression_init(tmp_path / "init.csv", n=101))
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
-        with cli._staged_run() as staged:
-            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        with cli._staged_run(tmp_path) as stage:
+            cli._write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
         assert written_files(tmp_path) == ["init.csv", "net.csv"]
@@ -864,8 +936,8 @@ class TestOnePassPipeline:
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
         assert net.envelope is not None
-        with cli._staged_run() as staged:
-            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        with cli._staged_run(tmp_path) as stage:
+            cli._write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
 
@@ -882,8 +954,8 @@ class TestOnePassPipeline:
             q: getattr(net, q)[:levels]
             for q in ("x", "t", "u", "a", "s", "labels", "c0_parent")})
         assert net.n_levels == levels
-        with cli._staged_run() as staged:
-            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        with cli._staged_run(tmp_path) as stage:
+            cli._write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
         assert written_files(tmp_path) == ["init.csv", "net.csv"]
@@ -963,8 +1035,8 @@ class TestFloatColumns:
             spec, _ = cli._float_column(cols[q])
             assert spec == ("%s" if 2 * n_distinct <= sum(sizes) else "%.17g")
         path = tmp_path_factory.mktemp("net") / "net.csv"
-        with cli._staged_run() as staged:
-            cli._write_net_csv(path, net, staged)
+        with cli._staged_run(path.parent) as stage:
+            cli._write_net_csv(stage / path.name, net)
         assert path.read_bytes() == net_csv_reference(net).encode()
 
     @settings(max_examples=60, deadline=None)
@@ -979,8 +1051,8 @@ class TestFloatColumns:
         K = SimpleNamespace(xi=xi, a1=a1, anu=anu, K=k_total,
                             attribution=dict(zip(names, terms)))
         path = tmp_path_factory.mktemp("traj") / "trajectory_000.csv"
-        with cli._staged_run() as staged:
-            cli._write_trajectory_csv(path, K, staged)
+        with cli._staged_run(path.parent) as stage:
+            cli._write_trajectory_csv(stage / path.name, K)
         assert path.read_bytes() == trajectory_csv_reference(K).encode()
 
     def test_net_csv_reads_back_bitwise(self, tmp_path):
@@ -989,8 +1061,8 @@ class TestFloatColumns:
             compression_init(tmp_path / "init.csv"))
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
-        with cli._staged_run() as staged:
-            cli._write_net_csv(tmp_path / "net.csv", net, staged)
+        with cli._staged_run(tmp_path) as stage:
+            cli._write_net_csv(stage / "net.csv", net)
         back = np.loadtxt(tmp_path / "net.csv", delimiter=",", skiprows=1)
         for j, q in enumerate((net.t, net.x, net.u, net.a, net.s), start=2):
             assert np.array_equal(float_bits(back[:, j]),
@@ -1039,7 +1111,7 @@ class TestInputValidation:
 
     def test_non_finite_report_value_exits_3(self, tmp_path):
         with pytest.raises(cli.NonFiniteResult, match="r.json"):
-            cli._write_json(tmp_path / "r.json", {"a": float("nan")}, [])
+            cli._write_json(tmp_path / "r.json", {"a": float("nan")})
         assert list(tmp_path.iterdir()) == []
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):

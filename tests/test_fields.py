@@ -410,6 +410,28 @@ class TestTracerPaths:
         assert np.all(np.diff(arc) > 0.0)
 
     @pytest.mark.parametrize("batch_seeds", [1, 10**9])
+    def test_seed_stops_at_its_first_repeat(self, batch_seeds, monkeypatch):
+        # the point through SINK_SEED first repeats at step 341 of the 1,536
+        # that max_len allows: neither path steps that seed any further
+        fs = sink_field()
+        lookups, flat = [], []
+        lookup, float_rk4 = fields._lookup, fields._float_rk4
+
+        def float_tracer(fs, vtol):
+            unit_velocity, trace = float_rk4(fs, vtol)
+            return unit_velocity, lambda *a: flat.append(trace(*a)) or flat[-1]
+        monkeypatch.setattr(fields, "_lookup",
+                            lambda *a: lookups.append(1) or lookup(*a))
+        monkeypatch.setattr(fields, "_float_rk4", float_tracer)
+        monkeypatch.setattr(fields, "_BATCH_SEEDS", batch_seeds)
+        assert len(trace_streamline(fs, SINK_SEED, max_len=3.0)) == 339
+        # a batched step looks the velocity up four times; the float trace
+        # returns the points of the steps before the one that repeats
+        steps = (len(lookups) // 4 if batch_seeds == 1
+                 else len(flat[0]) // 2 + 1)
+        assert steps <= 341
+
+    @pytest.mark.parametrize("batch_seeds", [1, 10**9])
     def test_step_lost_to_rounding_leaves_the_seed(self, batch_seeds):
         # a max_len below every point's spacing: the first step repeats the
         # seed, so only the seed is left
