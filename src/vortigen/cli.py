@@ -15,7 +15,8 @@ Subcommands
 Every command but ``report`` reads one config (``_config``): ``diagnose``
 its file, the others the one their flags make.  ``detect-shock`` advances
 its net alone; the others run one pipeline, ``run_scenario``, which
-returns the dict that ``run_report.json`` holds.  Each stage writes its
+returns the dict that ``run_report.json`` holds.  Every run command makes
+its output directory before it reads its input.  Each stage writes its
 own files, and each run prints its report, the text ``report`` prints.
 What a forked child (``_forked``) could not do, the run does after its part.
 
@@ -827,9 +828,9 @@ def _cmd_run(args) -> int:
 def _cmd_detect_shock(args) -> int:
     """The envelope report alone; the net is not written."""
     cfg = _config(args)
-    net, analytic = _solve_1d(cfg)
-    event = net.envelope
     with _staged_run(cfg.values["output_dir"]) as stage:
+        net, analytic = _solve_1d(cfg)
+        event = net.envelope
         _write_json(stage / "envelope_report.json", {
             "detected": event is not None,
             "numeric": _event_dict(event),

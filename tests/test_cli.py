@@ -1081,7 +1081,7 @@ class TestFloatColumns:
         assert cli.main(["diagnose", "--config", str(cfgp)]) == 0
         K = written[0]
         path = tmp_path / "out" / "trajectory_000.csv"
-        assert path.read_text() == trajectory_csv_reference(K)
+        assert path.read_bytes() == trajectory_csv_reference(K).encode()
         names = path.read_text().splitlines()[0].split(",")[4:]
         expect = np.column_stack([K.xi, K.a1, K.anu, K.K,
                                   *[K.attribution[n] for n in names]])
@@ -1195,6 +1195,20 @@ class TestPathsAndModes:
                                            "run_report.json"]
         for path in paths:
             assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("command", ["detect-shock", "solve-moc"])
+    def test_out_naming_a_file_exits_before_the_input_is_read(
+            self, tmp_path, capsys, command):
+        init = tmp_path / "init.csv"
+        init.write_text("x,rho,u,p\n0.0,1,0,1\n0.5,1,zero,1\n")
+        out = tmp_path / "out"
+        out.write_text("x\n")
+        assert cli.main([command, "--init", str(init), "--t-end", "0.1",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "x\n"
 
 
 def write_two_snapshot_case(dirpath):
