@@ -14,11 +14,13 @@ Subcommands
 
 Every command but ``report`` reads one config (``_config``): ``diagnose``
 its file, the others the one their flags make.  ``detect-shock`` advances
-its net alone; the others run one pipeline, ``run_scenario``, which
-returns the dict that ``run_report.json`` holds.  Every run command makes
-its output directory before it reads its input.  Each stage writes its
-own files, and each run prints its report, the text ``report`` prints.
-What a forked child (``_forked``) could not do, the run does after its part.
+its net alone and keeps only the levels that the envelope scan reads, at
+most three, so its memory grows with the node count, not with the net;
+the others run one pipeline, ``run_scenario``, which returns the dict
+that ``run_report.json`` holds.  Every run command makes its output
+directory before it reads its input.  Each stage writes its own files,
+and each run prints its report, the text ``report`` prints.  What a
+forked child (``_forked``) could not do, the run does after its part.
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale).  A run writes its files into one
@@ -658,9 +660,10 @@ def _write_net_csv(path: Path, net: moc.CharNet):
     os.unlink(tail)
 
 
-def _solve_1d(cfg: ScenarioConfig):
+def _solve_1d(cfg: ScenarioConfig, keep_levels: bool = True):
     """Load the config's 1-D initial data and advance its characteristic
-    net; returns the net and the analytic straight-characteristic envelope
+    net, released unless ``keep_levels`` (see ``moc.advance_net``);
+    returns the net and the analytic straight-characteristic envelope
     estimate.
 
     Without ``t_end`` the net runs to 1.5x the analytic envelope time,
@@ -676,7 +679,8 @@ def _solve_1d(cfg: ScenarioConfig):
         t_end = (1.5 * analytic.t_star if analytic is not None
                  else float(x[-1] - x[0]) / float(np.min(a)))
     net = moc.advance_net(initial, t_end=t_end, m=cfg.gas,
-                          corrector_tol=v["tolerances"]["corrector"])
+                          corrector_tol=v["tolerances"]["corrector"],
+                          keep_levels=keep_levels)
     return net, analytic
 
 
@@ -829,7 +833,7 @@ def _cmd_detect_shock(args) -> int:
     """The envelope report alone; the net is not written."""
     cfg = _config(args)
     with _staged_run(cfg.values["output_dir"]) as stage:
-        net, analytic = _solve_1d(cfg)
+        net, analytic = _solve_1d(cfg, keep_levels=False)
         event = net.envelope
         _write_json(stage / "envelope_report.json", {
             "detected": event is not None,

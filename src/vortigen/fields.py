@@ -457,7 +457,6 @@ def _float_rk4(fs: FieldSet, vtol: float):
     nx, im, jm = g.nx, g.nx - 2, g.ny - 2
     u, v = (memoryview(np.ascontiguousarray(f)).cast("B").cast("d")
             for f in (fs.u, fs.v))
-    hypot = np.hypot
 
     def unit_velocity(x, y):
         if not (x0 <= x <= xmax and y0 <= y <= ymax):
@@ -476,7 +475,10 @@ def _float_rk4(fs: FieldSet, vtol: float):
         n = k + nx
         vx = a * u[k] + b * u[k + 1] + c * u[n] + d * u[n + 1]
         vy = a * v[k] + b * v[k + 1] + c * v[n] + d * v[n + 1]
-        speed = float(hypot(vx, vy))  # math.hypot rounds some pairs apart
+        try:  # the C library's hypot, as np.hypot; math.hypot rounds apart
+            speed = abs(complex(vx, vy))
+        except OverflowError:  # np.hypot returns inf there
+            speed = float("inf")
         return (vx / speed, vy / speed) if speed >= vtol else None
 
     def trace(x, y, step, max_len, arc):

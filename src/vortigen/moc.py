@@ -32,7 +32,9 @@ initial data; no boundary conditions are invented.
 
 Levels are built sequentially but each level's nodes are computed in one
 vectorized pass; a finished net is treated as immutable and all analyses
-on it are pure.
+on it are pure.  The envelope scan reads only the last two levels, so a
+caller that needs the envelope alone can release the others as the net
+advances: memory O(n) in the initial node count, not the net's O(n^2).
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ class CharNet:
     (k, c0_parent[k+1][i]) (the parent-level node nearest its trajectory
     foot); :meth:`parents` reads this rule.  ``labels`` carries each
     node's trajectory launch coordinate.
+
+    Level k has ``len(x[0]) - k`` nodes.  A net advanced with
+    ``keep_levels=False`` is released: the seven entries of every level
+    but the initial one and the last two are None, while ``n_levels``,
+    :meth:`level_size` and ``envelope`` still describe the whole net.
     """
 
     gamma: float
@@ -97,7 +104,7 @@ class CharNet:
         return len(self.x)
 
     def level_size(self, k: int) -> int:
-        return len(self.x[k])
+        return len(self.x[0]) - k  # each level one node fewer than its parent
 
     def parents(self, k: int):
         """C+, C- and C0 parent indices (on level k-1) of level k's nodes;
@@ -355,12 +362,18 @@ def advance_net(
     m: GasModel,
     corrector_tol: float = 1e-12,
     max_iter: int = 20,
+    *,
+    keep_levels: bool = True,
 ) -> CharNet:
     """Advance the characteristic net from t=0 initial data ``(x, u, a, s)``.
 
     Stops at ``t_end``, at the first envelope event (recorded on
     ``net.envelope``), or when the shrinking domain of determinacy is
-    exhausted.
+    exhausted.  With ``keep_levels=False`` each level but the initial one
+    is released once the scan of the level pair after it is done, so the
+    net keeps the initial level and the last two (see :class:`CharNet`),
+    and its envelope, level count and level sizes are those of the whole
+    net.
 
     Raises
     ------
@@ -400,6 +413,9 @@ def advance_net(
         for lst, arr in zip(levels, result):
             lst.append(arr)
         event = _scan_level_pair(net, k, dx0, gaps)
+        if not keep_levels and k >= 2:
+            for lst in levels:
+                lst[k - 1] = None
         if event is not None:
             net.envelope = event
             break

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -982,6 +983,23 @@ class TestOnePassPipeline:
         assert len(nets) == 1
         assert (nets[0].envelope is None) == (n == 0)
         assert scanned == list(range(nets[0].n_levels - 1))
+
+    def test_detect_shock_memory_grows_with_the_node_count(self, tmp_path):
+        # a 601-node expansion runs to its last level, 180,901 nodes: the
+        # whole net peaks near 10.5 MiB, three levels below 1 MiB
+        w = SimpleWave(lambda x: 0.1 * np.tanh((x - 2.0) / 0.5), gamma=GAMMA)
+        init = write_init_csv(tmp_path / "init.csv", *w.primitive_profile(
+            np.linspace(0.0, 4.0, 601), M))
+        tracemalloc.start()
+        try:
+            code = cli.main(["detect-shock", "--init", str(init), "--gamma",
+                             str(GAMMA), "--R", "1.0",
+                             "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2 ** 20
 
 
 # values whose text is easy to get wrong: signed zeros, subnormals, the

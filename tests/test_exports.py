@@ -1,6 +1,7 @@
 """Every exported name resolves, the package re-exports only names its
 modules export (``__all__``, or every public name of a module without
-one), and every name the benchmark's spans patch exists."""
+one), every name the benchmark's spans patch exists, and its counters
+read the nets that the commands return."""
 
 import ast
 import importlib
@@ -9,9 +10,13 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vortigen
+from vortigen import moc
+from vortigen.exact import SimpleWave
+from vortigen.thermo import GasModel
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(vortigen.__path__))
 
@@ -65,3 +70,17 @@ def test_span_observers_are_layer_functions():
     for layer, name in spans.OBSERVERS:
         mod = importlib.import_module(f"vortigen.{layer}")
         assert name in spans._public_functions(mod), f"{layer}.{name}"
+
+
+def test_net_counters_read_a_released_net():
+    # detect-shock releases its net's inner levels; the benchmark's level
+    # and node counters (the 1-D work_per_s) must read the whole net
+    spans = load_spans()
+    m = GasModel(gamma=1.4, R=1.0)
+    nodes = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=1.4) \
+        .initial_nodes(np.linspace(-1, 1, 101))
+    kept, released = (moc.advance_net(nodes, t_end=0.6, m=m, keep_levels=keep)
+                      for keep in (True, False))
+    assert released.x[1] is None
+    for count in (spans._net_levels, spans._net_nodes):
+        assert count(released) == count(kept) > 1

@@ -440,6 +440,18 @@ class TestTracerPaths:
         assert traced(fs, seeds, batch_seeds, max_len=1e-300) == \
             [DegenerateTrajectory] * 2
 
+    @pytest.mark.parametrize("batch_seeds", [1, 10**9])
+    def test_overflowing_speed_leaves_the_seed(self, batch_seeds):
+        # |U| overflows to inf: the unit velocity is 0, so the first step
+        # repeats the seed on both paths instead of raising
+        grid = StructuredGrid2D(9, 9, hx=0.125, hy=0.125)
+        one = np.ones(grid.shape)
+        fast = np.full(grid.shape, 1.5e308)
+        fs = FieldSet(grid, one, fast, fast, one)
+        with np.errstate(over="ignore"):
+            got = traced(fs, [(0.3, 0.3), (0.5, 0.6)], batch_seeds)
+        assert got == [DegenerateTrajectory] * 2
+
 
 class TestFrame:
     def test_straight_trajectory(self):

@@ -504,6 +504,72 @@ class TestConnectivity:
             np.testing.assert_array_equal(parent, np.full(7, -1))
 
 
+def sine_nodes(n, amp):
+    """u = -amp sin 2 pi x, a = s = 1 on n nodes of [0, 1]."""
+    x = np.linspace(0.0, 1.0, n)
+    return x, -amp * np.sin(2 * np.pi * x), np.ones(n), np.ones(n)
+
+
+def two_mode_nodes(n):
+    """The two-mode compression that ends at a degenerate unit process
+    whose pair depends on the scan direction (201 nodes)."""
+    x = np.linspace(0.0, 1.0, n)
+    u = -0.6 * np.sin(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x + 0.3)
+    return x, u, 1.0 + 0.05 * np.cos(2 * np.pi * x), np.ones(n)
+
+
+def envelope_bits(net):
+    e = net.envelope
+    return e and (e.family, np.array([e.t_star, e.x_star]).tobytes())
+
+
+def simple_wave_nodes(u0, span, n):
+    return SimpleWave(u0, gamma=GAMMA).initial_nodes(np.linspace(*span, n))
+
+
+class TestReleasedNet:
+    # keep_levels=False keeps the initial level and the last two; the
+    # rest of the net reads as if it were all kept.  Each case: its
+    # initial nodes, t_end, and whether it ends at a degenerate unit process
+    CASES = {
+        "c05_compression": (lambda: simple_wave_nodes(
+            lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
+            (-0.55, 3.55), 821), 3.0, True),
+        "c06_wave": (lambda: simple_wave_nodes(
+            lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), (0, 1), 201),
+            0.35, False),
+        "expansion": (lambda: simple_wave_nodes(
+            lambda x: 0.1 * np.tanh(2 * x), (-1, 1), 201), 0.6, False),
+        # the degenerate unit process reads the last level after the one
+        # before it is released
+        "degenerate_at_t0": (lambda: sine_nodes(41, 50.0), 1.0, True),
+        "vacuum": (lambda: sine_nodes(201, 20.0), 1.0, True),
+        "two_mode": (lambda: two_mode_nodes(201), 2.0, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_net_as_kept(self, case, monkeypatch):
+        nodes, t_end, degenerate = self.CASES[case]
+        kept = advance_net(nodes(), t_end=t_end, m=M)
+        steps, step = [], moc._advance_level
+        monkeypatch.setattr(moc, "_advance_level", lambda *a: steps.append(
+            step(*a)) or steps[-1])
+        released = moc.advance_net(nodes(), t_end=t_end, m=M,
+                                   keep_levels=False)
+        assert (steps[-1][0] is None) == degenerate
+        n = kept.n_levels
+        assert released.n_levels == n
+        assert [released.level_size(k) for k in range(n)] == \
+            [kept.level_size(k) for k in range(n)] == [len(x) for x in kept.x]
+        assert envelope_bits(released) == envelope_bits(kept)
+        alive = sorted({0, max(n - 2, 0), n - 1})
+        for q in ("x", "t", "u", "a", "s", "labels", "c0_parent"):
+            levels = getattr(released, q)
+            assert [k for k in range(n) if levels[k] is not None] == alive
+            for k in alive:
+                assert levels[k].tobytes() == getattr(kept, q)[k].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # array kernels against the per-node loops they replaced
 
