@@ -331,9 +331,9 @@ def _read_grid_csv(path, columns: Sequence[str],
         raise GridInferenceError(f"{path}: duplicate or missing grid nodes")
     fields = {}
     for k, name in enumerate(columns):
-        f = np.empty(grid.shape)
-        f[iy, ix] = arr[:, 2 + k]
-        fields[name] = f
+        f = np.empty(grid.nx * grid.ny)
+        f[flat] = arr[:, 2 + k]
+        fields[name] = f.reshape(grid.shape)
     return grid, fields
 
 

@@ -271,7 +271,8 @@ def _inside(grid: StructuredGrid2D, points) -> np.ndarray:
 
 def _cells(grid: StructuredGrid2D, x, y):
     """The cell (i, j) holding each point, by its lower-left node, and the
-    point's offsets (tx, ty) in [0, 1] within it."""
+    point's offsets (tx, ty) in [0, 1] within it; the last cell of a row
+    or column also holds the far edge."""
     fx = (x - grid.x0) / grid.hx
     fy = (y - grid.y0) / grid.hy
     i = np.minimum(fx.astype(int), grid.nx - 2)
@@ -280,12 +281,18 @@ def _cells(grid: StructuredGrid2D, x, y):
 
 
 def _lookup(f: np.ndarray, i, j, tx, ty):
-    """Bilinear interpolation of the node stack ``f`` at the offsets
-    (tx, ty) within the cells (i, j)."""
-    return ((1 - tx) * (1 - ty) * f[..., j, i]
-            + tx * (1 - ty) * f[..., j, i + 1]
-            + (1 - tx) * ty * f[..., j + 1, i]
-            + tx * ty * f[..., j + 1, i + 1])
+    """Bilinear interpolation of the node stack ``f`` (..., rows, cols) at
+    the offsets (tx, ty) within the cells (i, j).  The corners are taken
+    from the flattened node axes at the flat index k = j * cols + i and
+    its neighbours, which costs about half of indexing ``f[..., j, i]``
+    and gives the same values."""
+    nx = f.shape[-1]
+    flat = f.reshape(f.shape[:-2] + (-1,))
+    k = j * nx + i
+    return ((1 - tx) * (1 - ty) * flat.take(k, axis=-1)
+            + tx * (1 - ty) * flat.take(k + 1, axis=-1)
+            + (1 - tx) * ty * flat.take(k + nx, axis=-1)
+            + tx * ty * flat.take(k + (nx + 1), axis=-1))
 
 
 # sample_tiles builds node stacks on fixed tiles of this many cells a side
@@ -335,9 +342,9 @@ MAX_STEPS_PER_SEED = 1_000_000
 
 # The batched RK4 steps while at least this many seeds are live; fewer are
 # stepped one at a time in floats.  Measured on a noisy 129^2 field, a
-# batched step costs about 200-220 us whatever its size, the float path
-# about 10.4 us a seed; the two tied at 22 seeds
-_BATCH_SEEDS = 22
+# batched step costs about 150-190 us from 5 to 64 seeds, the float path
+# about 5.8 us a seed; the two tied at 28 to 29 seeds
+_BATCH_SEEDS = 29
 
 
 def trace_streamlines(
@@ -450,7 +457,8 @@ def _float_rk4(fs: FieldSet, vtol: float):
     out, and ``trace(x, y, step, max_len, arc)``, the points the batched
     step gives one seed from the arclength ``arc`` on, flat as
     [x1, y1, x2, y2, ...].  Same expressions in the same order as the
-    batched step, ``_cells`` and ``_lookup``, so the same bits."""
+    batched step, ``_cells`` and ``_lookup``, the flat node index
+    k = j * nx + i included, so the same bits."""
     g = fs.grid
     x0, y0, hx, hy, xmax, ymax = map(float, (g.x0, g.y0, g.hx, g.hy,
                                             g.xmax, g.ymax))
