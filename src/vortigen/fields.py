@@ -402,11 +402,15 @@ def trace_streamlines(
     if live.size >= _BATCH_SEEDS:
         uv = np.stack([fs.u, fs.v])
 
-        def rhs(p):
-            """Unit velocity at ``p`` and the mask of inside, moving points."""
-            ok = contains(p)
-            if not ok.all():
-                p = np.where(ok[:, None], p, (grid.x0, grid.y0))
+        def rhs(p, inside=False):
+            """Unit velocity at ``p`` and the mask of inside, moving points;
+            ``inside``: every point of ``p`` is known to be inside."""
+            if inside:
+                ok = np.ones(len(p), dtype=bool)
+            else:
+                ok = contains(p)
+                if not ok.all():
+                    p = np.where(ok[:, None], p, (grid.x0, grid.y0))
             vel = _lookup(uv, *_cells(grid, p[:, 0], p[:, 1]))
             speed = np.hypot(vel[0], vel[1])
             ok &= speed >= vtol
@@ -414,7 +418,9 @@ def trace_streamlines(
 
         while arc < max_len and live.size >= _BATCH_SEEDS:
             h = min(step, max_len - arc)
-            k1, ok = rhs(p)
+            # every live point is inside: a seed at its launch, where
+            # unit_velocity found it inside, then each step's contains(new)
+            k1, ok = rhs(p, inside=True)
             k2, ok2 = rhs(p + 0.5 * h * k1)
             k3, ok3 = rhs(p + 0.5 * h * k2)
             k4, ok4 = rhs(p + h * k3)

@@ -502,6 +502,23 @@ class TestTracerPaths:
                  else len(flat[0]) // 2 + 1)
         assert steps == 341
 
+    def test_batched_step_tests_membership_after_the_first_stage(
+            self, monkeypatch):
+        # the first RK4 stage starts from points that passed the step
+        # before (or, at the launch, unit_velocity): a batched step tests
+        # the three later stages and its new points, after the seeds' test
+        fs = sink_field()
+        calls, lookups = [], []
+        contains, lookup = StructuredGrid2D.contains, fields._lookup
+        monkeypatch.setattr(StructuredGrid2D, "contains", lambda *a:
+                            calls.append(1) or contains(*a))
+        monkeypatch.setattr(fields, "_lookup",
+                            lambda *a: lookups.append(1) or lookup(*a))
+        monkeypatch.setattr(fields, "_BATCH_SEEDS", 1)
+        assert len(trace_streamline(fs, SINK_SEED, max_len=3.0)) == 339
+        assert len(lookups) == 4 * 341
+        assert len(calls) == 1 + 4 * 341
+
     @pytest.mark.parametrize("batch_seeds", [1, 10**9])
     def test_step_lost_to_rounding_leaves_the_seed(self, batch_seeds):
         # a max_len below every point's spacing: the first step repeats the

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortigen import moc
 from vortigen.errors import NonConvergence
@@ -360,6 +361,15 @@ def nonisentropic_net(n):
         t_end=0.2, m=M)
 
 
+def tube_ratios(net, k, family):
+    """Level k's tube-width ratios dx/dx0 of one family from
+    ``moc._level_gaps``, their times, and the launch pair of the first."""
+    g, t_bar = moc._level_gaps(net, k)
+    lo = k if family == "C-" else 0  # node i: C+ chain i, C- chain i + k
+    row = g[list(moc._SIGN).index(family)]
+    return t_bar, row / np.diff(net.x[0])[lo:lo + len(row)], lo
+
+
 def central_chain(net, family):
     """Launch midpoint of the chain nearest x = 0 and its tube-width ratio
     J = dx/dx0 with its time, level by level from ``moc._level_gaps``,
@@ -369,7 +379,7 @@ def central_chain(net, family):
     j = int(np.argmin(np.abs(mids)))
     t, J = [], []
     for k in range(net.n_levels):
-        _, t_bar, ratio, lo = moc._level_gaps(net, k, family, np.diff(x0))
+        t_bar, ratio, lo = tube_ratios(net, k, family)
         if not lo <= j < lo + len(ratio):
             break
         t.append(t_bar[j - lo])
@@ -380,10 +390,9 @@ def central_chain(net, family):
 class TestJacobian:
     def test_uniform_state_identity(self):
         net = advance_net(uniform_nodes(15), t_end=0.3, m=M)
-        dx0 = np.diff(net.x[0])
         for family in ("C+", "C-"):
             for k in range(net.n_levels):
-                ratio = moc._level_gaps(net, k, family, dx0)[2]
+                ratio = tube_ratios(net, k, family)[1]
                 np.testing.assert_allclose(ratio, 1.0, atol=1e-12)
                 if k == 0:
                     assert np.all(ratio == 1.0)
@@ -574,15 +583,25 @@ class TestReleasedNet:
 # array kernels against the per-node loops they replaced
 
 
+def corrected_gaps_reference(x, t, u, a, sign):
+    """Reference: one family's adjacent-chain gaps corrected onto a common
+    time with the family slopes, and those times."""
+    lam = u + sign * a
+    t_bar = 0.5 * (t[:-1] + t[1:])
+    left = x[:-1] + lam[:-1] * (t_bar - t[:-1])
+    right = x[1:] + lam[1:] * (t_bar - t[1:])
+    return right - left, t_bar
+
+
 def scan_level_pair_loop(net, k, families=(("C+", 1.0), ("C-", -1.0))):
     """Reference: the per-pair loop of the level-pair crossing scan."""
     x0 = net.x[0]
     best = None
     best_gnorm = np.inf
     for family, sign in families:
-        g_prev, tb_prev = moc._corrected_gaps(
+        g_prev, tb_prev = corrected_gaps_reference(
             net.x[k], net.t[k], net.u[k], net.a[k], sign)
-        g_new, tb_new = moc._corrected_gaps(
+        g_new, tb_new = corrected_gaps_reference(
             net.x[k + 1], net.t[k + 1], net.u[k + 1], net.a[k + 1], sign)
         if family == "C+":
             pairs = zip(range(len(g_new)), range(len(g_new)))
@@ -706,6 +725,37 @@ class TestArrayKernels:
             assert_residual_matches_reference(
                 random_net(rng, int(rng.integers(4, 40)), 4, trial % 2 == 0))
 
+    @pytest.mark.parametrize("block", [1, 50, 700, 10**9])
+    def test_residual_matches_reference_in_any_block(self, real_nets, block,
+                                                     monkeypatch):
+        # blocks of one level (levels larger than the block too), of a few
+        # levels, and of many; a NaN node drops its level's drift alone
+        monkeypatch.setattr(moc, "_BLOCK_NODES", block)
+        for net in real_nets:
+            assert_residual_matches_reference(net)
+        net = real_nets[1]
+        nan_net = CharNet(net.gamma, **{q: [arr.copy() for arr in getattr(net, q)]
+                                        for q in LEVEL_ARRAYS})
+        for k in range(1, net.n_levels, 2):
+            nan_net.s[k][k % len(nan_net.s[k])] = np.nan
+        nan_net.u[9][3] = nan_net.a[30][0] = np.nan
+        assert_residual_matches_reference(nan_net)
+
+    def test_residual_memory_follows_the_block(self, real_nets, monkeypatch):
+        # the 301-node net holds about 43,000 nodes; a sweep of 2,048-node
+        # blocks peaks near 0.6 MiB, one block of them all near 6.9 MiB
+        import tracemalloc
+        net = real_nets[1]
+        assert sum(map(len, net.x)) > 40_000
+        monkeypatch.setattr(moc, "_BLOCK_NODES", 2048)
+        tracemalloc.start()
+        try:
+            pseudostructure_residual(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_scan_matches_loop_on_random_nets(self):
         rng = np.random.default_rng(2024)
         seen = {"C+": 0, "C-": 0}
@@ -753,8 +803,8 @@ class TestArrayKernels:
             x0 = net.x[0]
             gnorm = {}
             for fam, sign in (("C+", 1.0), ("C-", -1.0)):
-                g, _ = moc._corrected_gaps(net.x[k], net.t[k], net.u[k],
-                                           net.a[k], sign)
+                g, _ = corrected_gaps_reference(net.x[k], net.t[k], net.u[k],
+                                                net.a[k], sign)
                 chain = bad if fam == "C+" else bad + k
                 chain = min(max(chain, 0), len(x0) - 2)
                 gnorm[fam] = g[bad] / (x0[chain + 1] - x0[chain])
@@ -879,8 +929,8 @@ def advance_level_reference(x, t, u, a, s, lab, gamma, tol, max_iter):
 
 def level_gaps_reference(net, k, family):
     chain = np.arange(net.level_size(k) - 1) + (k if family == "C-" else 0)
-    g, t_bar = moc._corrected_gaps(net.x[k], net.t[k], net.u[k], net.a[k],
-                                   moc._SIGN[family])
+    g, t_bar = corrected_gaps_reference(net.x[k], net.t[k], net.u[k],
+                                        net.a[k], moc._SIGN[family])
     x0 = net.x[0]
     return g, t_bar, g / (x0[chain + 1] - x0[chain]), chain
 
@@ -1025,6 +1075,141 @@ class TestReferenceCopies:
         net = moc.advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, n)),
                               t_end=3.0, m=M)
         assert net.envelope is not None
-        assert len(calls) <= 2 * net.n_levels + 2
-        # each level's gaps once per family
-        assert sorted(calls) == sorted(2 * list(range(net.n_levels)))
+        assert len(calls) <= net.n_levels + 1
+        # each level's gaps once, both families' together
+        assert sorted(calls) == list(range(net.n_levels))
+
+
+# ---------------------------------------------------------------------------
+# the level step, the scan and the whole advance against their references,
+# on drawn data
+
+
+def event_bits(e):
+    """An envelope event by family and float bits (NaN compares equal)."""
+    return e and (e.family, np.array([e.t_star, e.x_star]).tobytes())
+
+
+@st.composite
+def drawn_levels(draw, min_nodes=2, max_nodes=12):
+    """A level of 2 to 12 nodes, sorted and distinct in x, with random
+    states, at t = 0 (as level 0 is: every unit process solves its C0 foot
+    linearly, c2 == 0) or at uneven times."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.uniform(1e-3, 0.2, n))
+    t = np.zeros(n) if draw(st.booleans()) else rng.uniform(0.0, 0.05, n)
+    spread = draw(st.sampled_from([0.05, 0.5, 3.0]))  # 3.0: crossings
+    return (x, t, rng.uniform(-spread, spread, n), rng.uniform(0.5, 1.5, n),
+            rng.uniform(0.5, 1.5, n), x.copy())
+
+
+def advance_net_reference(initial, t_end, gamma, tol=1e-12, max_iter=20):
+    """Reference: the net advanced with the reference level step and scan,
+    every level kept; the degenerate family from the reference gaps."""
+    x0, u0, a0, s0 = (np.array(q, float) for q in initial)
+    net = CharNet(gamma=gamma, x=[x0], t=[np.zeros_like(x0)], u=[u0],
+                  a=[a0], s=[s0], labels=[x0.copy()],
+                  c0_parent=[np.full(len(x0), -1, dtype=int)])
+    while len(net.x[-1]) >= 2:
+        k = net.n_levels - 1
+        level = [getattr(net, q)[k] for q in LEVEL_ARRAYS[:6]]
+        result, bad = advance_level_reference(*level, gamma, tol, max_iter)
+        if result is None:
+            gnorm = {fam: level_gaps_reference(net, k, fam)[2][bad]
+                     for fam in moc._SIGN}
+            net.envelope = EnvelopeEvent(
+                max(float(net.t[k][bad]), 1e-300),
+                float(0.5 * (net.x[k][bad] + net.x[k][bad + 1])),
+                min(gnorm, key=gnorm.get))
+            break
+        for q, arr in zip(LEVEL_ARRAYS, result, strict=True):
+            getattr(net, q).append(arr)
+        net.envelope = scan_level_pair_reference(net, k)
+        if net.envelope is not None or net.t[-1].min() >= t_end:
+            break
+    return net
+
+
+class TestDrawnReferences:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(level=drawn_levels(), gamma=st.floats(1.1, 1.8),
+           max_iter=st.sampled_from([1, 3, 20, 20, 20]))
+    def test_level_step_matches_reference(self, level, gamma, max_iter):
+        # 2-node levels take the linear stencil; a 1-3 iteration cap makes
+        # NonConvergence, crossings make degenerate unit processes
+        with np.errstate(all="ignore"):
+            assert_same_outcome(level, gamma, max_iter=max_iter)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.integers(2, 12),
+           tie_level0=st.booleans(), data=st.data())
+    def test_scan_matches_reference(self, seed, n0, tie_level0, data):
+        # a 2-node level 0 makes a 1-node level 1, with no gaps; two equal
+        # nodes make a gap of exactly 0.0 in both families, a NaN node a
+        # NaN gap in each family on either side of it
+        net = random_net(np.random.default_rng(seed), n0, min(n0, 4),
+                         tie_level0)
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(0, net.n_levels - 1))
+            n = net.level_size(k)
+            if n < 2:
+                continue
+            i = data.draw(st.integers(0, n - 2))
+            if data.draw(st.booleans()):
+                for q in ("x", "t", "u", "a"):
+                    getattr(net, q)[k][i + 1] = getattr(net, q)[k][i]
+            else:
+                getattr(net, data.draw(st.sampled_from("xtua")))[k][i] = np.nan
+        dx0, gaps = np.diff(net.x[0]), {}
+        with np.errstate(all="ignore"):
+            for k in range(net.n_levels - 1):
+                ref = event_bits(scan_level_pair_reference(net, k))
+                assert event_bits(moc._scan_level_pair(net, k, dx0, gaps)) == ref
+                assert event_bits(moc._scan_level_pair(net, k, dx0, {})) == ref
+
+    def test_scan_sees_exact_zero_and_nan_gaps(self):
+        # a gap of exactly 0.0 on the new level is a crossing; a NaN gap
+        # is not, and neither hides a crossing elsewhere on the level
+        net = random_net(np.random.default_rng(3), 8, 2, True)
+        net.x[1] = np.linspace(0.1, 0.9, 7)
+        net.t[1] = np.full(7, 0.1)
+        net.u[1] = np.zeros(7)
+        net.a[1] = np.ones(7)
+        for q in ("x", "t", "u", "a"):
+            getattr(net, q)[1][3] = getattr(net, q)[1][2]
+        assert moc._level_gaps(net, 1)[0][:, 2].tolist() == [0.0, 0.0]
+        event = moc._scan_level_pair(net, 0, np.diff(net.x[0]), {})
+        assert event_bits(event) == event_bits(scan_level_pair_reference(net, 0))
+        assert event is not None and event.family == "C+"
+        net.x[1][5] = np.nan
+        assert event_bits(moc._scan_level_pair(net, 0, np.diff(net.x[0]), {})) \
+            == event_bits(event)
+        net.x[1][3] = net.x[1][2] + 0.1  # only the NaN gaps are left
+        assert scan_level_pair_reference(net, 0) is None
+        assert moc._scan_level_pair(net, 0, np.diff(net.x[0]), {}) is None
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
+           amp=st.sampled_from([0.05, 0.3, 1.0, 20.0]),
+           t_end=st.sampled_from([0.05, 0.3, 2.0]), keep_levels=st.booleans())
+    def test_net_matches_reference(self, seed, n, amp, t_end, keep_levels):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.0, 1.0, n)
+        nodes = (x, amp * np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi)),
+                 rng.uniform(0.8, 1.2, n), rng.uniform(0.8, 1.2, n))
+        try:
+            ref = advance_net_reference(nodes, t_end, GAMMA)
+        except NonConvergence as exc:
+            with pytest.raises(NonConvergence, match=str(exc)):
+                moc.advance_net(nodes, t_end, M, keep_levels=keep_levels)
+            return
+        net = moc.advance_net(nodes, t_end, M, keep_levels=keep_levels)
+        assert net.n_levels == ref.n_levels
+        assert event_bits(net.envelope) == event_bits(ref.envelope)
+        for q in LEVEL_ARRAYS:
+            for k, arr in enumerate(getattr(net, q)):
+                assert (arr is None) == (not keep_levels
+                                         and 0 < k < net.n_levels - 2)
+                if arr is not None:
+                    assert_bitwise(arr, getattr(ref, q)[k])
