@@ -19,8 +19,12 @@ most three, so its memory grows with the node count, not with the net;
 the others run one pipeline, ``run_scenario``, which returns the dict
 that ``run_report.json`` holds.  Every run command makes its output
 directory before it reads its input.  Each stage writes its own files,
-and each run prints its report, the text ``report`` prints.  What a
-forked child (``_forked``) could not do, the run does after its part.
+and each run prints its report, the text ``report`` prints.  The 1-D
+stage writes ``net.csv`` while the net advances, in a forked child that
+formats each level as it is made; the run formats the levels the child
+has not reached once the net and its residuals are done
+(``_write_net_csv``).  What a forked child (``_forked``) could not do,
+the run does after its part.
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale).  A run writes its files into one
@@ -42,12 +46,13 @@ import json
 import mmap
 import os
 import re
+import select
 import shutil
 import sys
 import tempfile
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -598,20 +603,19 @@ def _event_dict(ev) -> Optional[dict]:
     return None if ev is None else dataclasses.asdict(ev)
 
 
-def _float_column(levels):
-    """``(spec, rows)`` for one float column split into levels (the net's,
-    or one trajectory's): ``rows(k)`` gives level k's values for ``spec``.
+def _float_column(values):
+    """``(spec, row values)`` for one float column of a trajectory CSV.
     Floats are written ``%.17g``; when at most half are distinct, each
     distinct bit pattern (``-0.0`` apart from ``0.0``) is formatted once.
     ``np.sort``, not ``np.unique``, whose hash path is far slower here."""
-    bits = [np.asarray(v, dtype=np.float64).view(np.int64) for v in levels]
-    flat = np.sort(np.concatenate(bits))
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    flat = np.sort(bits)
     distinct = np.delete(flat, np.flatnonzero(flat[1:] == flat[:-1]) + 1)
     if 2 * distinct.size > flat.size:  # formatting in the row is faster
-        return "%.17g", lambda k: bits[k].view(np.float64).tolist()
+        return "%.17g", bits.view(np.float64).tolist()
     text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
                     dtype=object)
-    return "%s", lambda k: text[np.searchsorted(distinct, bits[k])].tolist()
+    return "%s", text[np.searchsorted(distinct, bits)].tolist()
 
 
 def _write_trajectory_csv(path: Path, K):
@@ -619,50 +623,183 @@ def _write_trajectory_csv(path: Path, K):
     names = [n for n in ATTRIBUTION_ORDER if n in K.attribution]
     names += sorted(n for n in K.attribution if n not in names)
     header = ["xi1", "A1", "Anu", "K", *names]
-    cols = [_float_column([v]) for v in (
+    cols = [_float_column(v) for v in (
         K.xi, K.a1, K.anu, K.K, *[K.attribution[n] for n in names])]
     row = ",".join(spec for spec, _ in cols) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(row.__mod__, zip(*[r(0) for _, r in cols]))))
+        fh.write("".join(map(row.__mod__, zip(*[vals for _, vals in cols]))))
 
 
-def _write_net_csv(path: Path, net: moc.CharNet):
-    """Stream the net one level (one write) at a time; parent indices refer
-    to the previous level, -1 on the initial level.
+_NET_HEADER = ("level,index,t,x,u,a,s,cplus_parent,cminus_parent,"
+               "c0_parent\n")
 
-    Two processes format the levels (``_forked``): the parent writes the
-    header and the levels up to the one where the running node count
-    passes half, while the child writes the rest to the part file beside
-    ``path`` in the run's stage, ``net.csv.tail``, which the parent then
-    appends and removes (a failed run's stage goes with it).  The
-    column tables are built before the fork, so the child shares them."""
-    cols = [_float_column(q) for q in (net.t, net.x, net.u, net.a, net.s)]
-    specs = ",".join(spec for spec, _ in cols)
-    nodes = np.cumsum([net.level_size(k) for k in range(net.n_levels)])
-    mid = int(np.searchsorted(nodes, nodes[-1] / 2, side="right")) + 1
+
+class _NetText:
+    """The rows of a net's levels as ``net.csv`` holds them, from the
+    spool file open at ``fd``: the initial node count n0 (int64), then
+    level k as six float64 rows of n0 - k values, t, x, u, a, s and
+    c0_parent, at byte 8 + 48 (k n0 - k (k - 1) / 2).
+
+    Floats are written ``%.17g``.  Each float column is formatted through a
+    cache of the text of every bit pattern (``-0.0`` apart from ``0.0``) it
+    has met, until a level after the first finds none of its values there;
+    from then on it is formatted in the row.  The bytes are the same either
+    way."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.n0 = n0 = int.from_bytes(os.pread(fd, 8, 0), "little")
+        self.index = [f"{i}," for i in range(n0)]
+        self.pairs = [f"{i},{i + 1}," for i in range(n0)]
+        self.ends = [f"{c}\n" for c in range(-1, n0 + 1)]  # by c0_parent + 1
+        self.caches = [{} for _ in "txuas"]
+        self.levels = 0  # formatted so far
+
+    def split(self, done: int, levels: int) -> int:
+        """The node midpoint c >= ``done`` of the levels from ``done`` to
+        ``levels``: the first level at which those before it hold at least
+        half of their nodes."""
+        half = sum(self.n0 - k for k in range(done, levels)) / 2
+        c, nodes = done, 0
+        while nodes < half:
+            nodes += self.n0 - c
+            c += 1
+        return c
+
+    def level(self, k: int) -> str:
+        """The rows of level k, read from the spool."""
+        m = self.n0 - k
+        record = np.frombuffer(os.pread(
+            self.fd, 48 * m, 8 + 48 * (k * self.n0 - k * (k - 1) // 2)))
+        record = record.reshape(6, m)
+        specs, cols = [], []
+        for q, cache in enumerate(self.caches):
+            if cache is not None:
+                bits = record[q].view(np.int64).tolist()
+                text = list(map(cache.get, bits))
+                misses = text.count(None)
+                if misses < m or not self.levels:
+                    if misses:
+                        values = record[q].tolist()
+                        for i, t in enumerate(text):
+                            if t is None:
+                                text[i] = cache.setdefault(bits[i],
+                                                           "%.17g," % values[i])
+                    specs.append("%s")
+                    cols.append(text)
+                    continue
+                self.caches[q] = None
+            specs.append("%.17g,")
+            cols.append(record[q].tolist())
+        self.levels += 1
+        c0 = record[5].astype(np.int64).tolist()
+        pairs = self.pairs if k else [f"{c},{c}," for c in c0]
+        row = f"{k},%s{''.join(specs)}%s%s"
+        return "".join(map(row.__mod__, zip(
+            self.index, *cols, pairs, [self.ends[c + 1] for c in c0])))
+
+
+def _write_net_csv(path: Path, solve: Callable[[Callable], object]):
+    """Write to ``path`` the net that ``solve(on_level)`` advances, while it
+    advances; return what ``solve`` returns.  ``solve`` calls
+    ``on_level(net, k)`` once for each level k as it is made, as
+    ``moc.advance_net`` does.  Parent indices refer to the previous level,
+    -1 on the initial level.
+
+    Two processes format the levels (``_forked``), both through
+    ``_NetText``.  ``on_level`` appends the level to the spool file
+    ``net.spool`` beside ``path`` in the run's stage and writes one byte to
+    a pipe, so this process never waits for the child.  The child, forked
+    before ``solve`` starts, writes the header and then each level as soon
+    as it is announced.  At each level it looks, without blocking, for the
+    end byte this process sends once ``solve`` is done, and replies with
+    the split c, the node midpoint of the levels it has not written
+    (``_NetText.split``).  The child writes the levels before c, this
+    process those from c on to ``net.csv.tail``, which it appends once the
+    child is reaped; then it removes the part file and the spool.  Without
+    a reply c is 0; where the child failed, this process writes the header
+    and the levels before c itself."""
+    tail = path.with_name(path.name + ".tail")
+    spool_path = path.with_name("net.spool")
+    split = None  # set in this process once solve is done
 
     def write_levels(into, levels, header=""):
+        text = _NetText(spool.fileno())
         with open(into, "w", newline="") as fh:
             fh.write(header)
             for k in levels:
-                row = f"{k},%d,{specs},%d,%d,%d\n"
-                fh.write("".join(map(row.__mod__, zip(
-                    range(net.level_size(k)), *[r(k) for _, r in cols],
-                    *(p.tolist() for p in net.parents(k))))))
+                fh.write(text.level(k))
 
-    tail = path.with_name(path.name + ".tail")
-    _forked(lambda: write_levels(tail, range(mid, net.n_levels)),
-            lambda: write_levels(path, range(mid), "level,index,t,x,u,a,s,"
-                                 "cplus_parent,cminus_parent,c0_parent\n"))
+    def child():
+        if split is not None:  # the redo, after this process's part
+            write_levels(path, range(split), _NET_HEADER)
+            return
+        os.close(levels_w)
+        os.close(split_r)
+        with open(path, "w", newline="") as fh:
+            fh.write(_NET_HEADER)
+            text, done, made = None, 0, 0
+            while True:
+                if done == made or select.select([levels_r], [], [], 0)[0]:
+                    news = os.read(levels_r, 1 << 16)
+                    if not news:
+                        raise EOFError("the run ended before the net")
+                    made += news.count(b"L")
+                    text = text or _NetText(spool.fileno())
+                    if news.endswith(b"E"):
+                        break
+                if done < made:
+                    fh.write(text.level(done))
+                    done += 1
+            c = text.split(done, made)
+            os.write(split_w, c.to_bytes(8, "little"))
+            for k in range(done, c):
+                fh.write(text.level(k))
+
+    def parent():
+        nonlocal split
+        os.close(levels_r)
+        os.close(split_w)
+        levels = 0  # spooled so far
+
+        def on_level(net, k):
+            nonlocal levels
+            if not k:
+                spool.write(net.level_size(0).to_bytes(8, "little"))
+            spool.write(np.array((net.t[k], net.x[k], net.u[k], net.a[k],
+                                  net.s[k], net.c0_parent[k]), float))
+            spool.flush()
+            levels = k + 1
+            with suppress(BrokenPipeError):  # no child reads the pipe
+                os.write(levels_w, b"L")
+
+        try:
+            result = solve(on_level)
+            split = 0
+            with suppress(BrokenPipeError):
+                os.write(levels_w, b"E")
+                split = int.from_bytes(os.read(split_r, 8), "little")
+            write_levels(tail, range(split, levels))
+        finally:
+            os.close(levels_w)
+            os.close(split_r)
+        return result
+
+    with open(spool_path, "w+b") as spool:
+        levels_r, levels_w = os.pipe()
+        split_r, split_w = os.pipe()
+        result = _forked(child, parent)
     with open(path, "ab") as fh, open(tail, "rb") as part:
         shutil.copyfileobj(part, fh)
     os.unlink(tail)
+    os.unlink(spool_path)
+    return result
 
 
-def _solve_1d(cfg: ScenarioConfig, keep_levels: bool = True):
+def _solve_1d(cfg: ScenarioConfig, **advance):
     """Load the config's 1-D initial data and advance its characteristic
-    net, released unless ``keep_levels`` (see ``moc.advance_net``);
+    net, with the keyword arguments ``advance`` of ``moc.advance_net``;
     returns the net and the analytic straight-characteristic envelope
     estimate.
 
@@ -680,7 +817,7 @@ def _solve_1d(cfg: ScenarioConfig, keep_levels: bool = True):
                  else float(x[-1] - x[0]) / float(np.min(a)))
     net = moc.advance_net(initial, t_end=t_end, m=cfg.gas,
                           corrector_tol=v["tolerances"]["corrector"],
-                          keep_levels=keep_levels)
+                          **advance)
     return net, analytic
 
 
@@ -696,8 +833,8 @@ def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
     """The stages, in order, writing into ``out``.  2-D fields: ingest,
     Lagrange test, A1, tolerance, tracing, A_nu sampled on the tiles the
     trajectories cross, then per trajectory the commutator, its CSV and its
-    class.  1-D data: the net and its CSV, the envelope, the residuals.
-    Then the jump checks and the report."""
+    class.  1-D data: the net, written to its CSV as it advances, and its
+    residuals, then the envelope.  Then the jump checks and the report."""
     t_start = time.perf_counter()
     v = cfg.values
     report = dict.fromkeys((
@@ -769,14 +906,17 @@ def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
         report["regime"] = evoform.classify_regime(speed.flat[j], a).value
 
     if v["initial_data"] is not None:
-        net, analytic = _solve_1d(cfg)
-        _write_net_csv(out / "net.csv", net)
+        def solve(on_level):
+            net, analytic = _solve_1d(cfg, on_level=on_level)
+            return net, analytic, moc.pseudostructure_residual(net)
+
+        net, analytic, report["moc_residuals"] = _write_net_csv(
+            out / "net.csv", solve)
         report["net_levels"] = net.n_levels
         report["envelope"] = {"detected": net.envelope is not None,
                               "event": _event_dict(net.envelope),
                               "analytic": _event_dict(analytic)}
         _write_json(out / "envelope.json", report["envelope"])
-        report["moc_residuals"] = moc.pseudostructure_residual(net)
         _write_json(out / "residuals.json", report["moc_residuals"])
         # the identical relation holds on the trajectory pseudostructure when
         # the transported quantity is conserved to discretization accuracy

@@ -45,7 +45,7 @@ count, not the net's O(n^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -390,6 +390,7 @@ def advance_net(
     max_iter: int = 20,
     *,
     keep_levels: bool = True,
+    on_level: Optional[Callable[[CharNet, int], object]] = None,
 ) -> CharNet:
     """Advance the characteristic net from t=0 initial data ``(x, u, a, s)``.
 
@@ -399,7 +400,9 @@ def advance_net(
     is released once the scan of the level pair after it is done, so the
     net keeps the initial level and the last two (see :class:`CharNet`),
     and its envelope, level count and level sizes are those of the whole
-    net.
+    net.  ``on_level(net, k)``, if given, is called once for each level k
+    as it is made: for the initial level before the first step, for each
+    new level once the scan of its level pair is done.
 
     Raises
     ------
@@ -417,6 +420,8 @@ def advance_net(
                   c0_parent=[np.full(len(x0), -1, dtype=int)])
     levels = (net.x, net.t, net.u, net.a, net.s, net.labels, net.c0_parent)
     dx0, gaps = np.diff(x0), {}  # gaps: the last level's, by level
+    if on_level is not None:
+        on_level(net, 0)
 
     while net.level_size(net.n_levels - 1) >= 2:
         k = net.n_levels - 1
@@ -439,6 +444,8 @@ def advance_net(
         for lst, arr in zip(levels, result):
             lst.append(arr)
         event = _scan_level_pair(net, k, dx0, gaps)
+        if on_level is not None:
+            on_level(net, k + 1)
         if not keep_levels and k >= 2:
             for lst in levels:
                 lst[k - 1] = None
@@ -469,9 +476,8 @@ def pseudostructure_residual(net: CharNet) -> dict:
       parent i and the C- parent i + 1 that :meth:`CharNet.parents` states.
 
     A block concatenates as many levels as fit in ``_BLOCK_NODES`` nodes
-    (at least one), so the sweep's memory stays bounded; the maxima are
-    still folded level by level, so a level holding a NaN drift is passed
-    over as it was when the sweep took one level at a time.
+    (at least one), so the sweep's memory stays bounded.  A NaN drift makes
+    its family's defect NaN, which no report accepts as a result.
     """
     xs0, s0 = net.x[0], net.s[0]
     worst = dict.fromkeys(("C0", "C+", "C-"), 0.0)
@@ -489,14 +495,11 @@ def pseudostructure_residual(net: CharNet) -> dict:
                                              net.gamma)
         sizes = [net.level_size(q) for q in range(k - 1, end)]
         par = np.arange(sizes[0], sum(sizes)) - np.repeat(sizes[:-1], sizes[1:])
-        starts = np.cumsum([0] + sizes[1:-1])  # of the levels in the block
         for fam, drift in (("C0", np.concatenate(net.s[k:end]) - s0_lab),
                            ("C+", J_plus[sizes[0]:] - J_plus[par]),
                            ("C-", J_minus[sizes[0]:] - J_minus[par + 1])):
-            # level by level, as a NaN level is passed over
-            for level_max in np.maximum.reduceat(np.abs(drift), starts).tolist():
-                worst[fam] = max(worst[fam], level_max)
-    return worst
+            worst[fam] = np.maximum(worst[fam], np.abs(drift).max())
+    return {fam: float(v) for fam, v in worst.items()}
 
 
 def detect_envelope(initial: Sequence[np.ndarray]) -> Optional[EnvelopeEvent]:

@@ -4,8 +4,10 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -591,6 +593,31 @@ def written_files(out):
     return sorted(p.name for p in out.iterdir()) if out.exists() else []
 
 
+def write_net_csv(path, net):
+    """``cli._write_net_csv`` of a finished net: its solve announces each
+    level of ``net`` in turn."""
+    def solve(on_level):
+        for k in range(net.n_levels):
+            on_level(net, k)
+        return net
+    assert cli._write_net_csv(path, solve) is net
+
+
+def spy_levels(monkeypatch, act):
+    """Patch ``cli._NetText.level`` to run ``act(k)`` first in the writer's
+    child; returns the list of the levels that this process formats."""
+    parent_pid, level, written = os.getpid(), cli._NetText.level, []
+
+    def patched(self, k):
+        if os.getpid() == parent_pid:
+            written.append(k)
+        else:
+            act(k)
+        return level(self, k)
+    monkeypatch.setattr(cli._NetText, "level", patched)
+    return written
+
+
 class TestFailedRunWritesNothing:
     def two_stage_config(self, tmp_path, init_rows):
         write_uniform_csv(tmp_path / "f.csv", nx=33, ny=33)
@@ -678,23 +705,28 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("half", ["child", "parent"])
     def test_failed_net_csv_half(self, tmp_path, monkeypatch, capfd, half):
         # the net.csv writer forks: a disk-full write of a level in the
-        # child's half (the child fails, and the parent redoes that half)
-        # or in the parent's exits 2 with the one line a one-process write
-        # prints, errno text included, no part file left and the child
+        # child's part (level 0, which the child writes first: it fails,
+        # and the parent fails again writing the child's levels) or in the
+        # parent's (the child slowed, so the parent has levels left to
+        # write) exits 2 with the one line a one-process write prints,
+        # errno text included, no spool or part file left and the child
         # reaped
-        from vortigen import moc
         init = compression_init(tmp_path / "init.csv", n=41)
         out = tmp_path / "out"
         out.mkdir()
-        parents = moc.CharNet.parents
+        parent_pid, level = os.getpid(), cli._NetText.level
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
                        str(out / "net.csv"))
 
-        def failing(net, k):
-            if k == (net.n_levels - 1 if half == "child" else 0):
+        def failing(self, k):
+            if half == "child" and k == 0:
                 raise full
-            return parents(net, k)
-        monkeypatch.setattr(moc.CharNet, "parents", failing)
+            if half == "parent" and os.getpid() == parent_pid:
+                raise full
+            if os.getpid() != parent_pid:
+                time.sleep(0.02)
+            return level(self, k)
+        monkeypatch.setattr(cli._NetText, "level", failing)
         assert cli.main(["solve-moc", "--init", str(init), "--gamma",
                          str(GAMMA), "--R", "1.0", "--t-end", "1.0",
                          "--out", str(out)]) == 2
@@ -714,33 +746,79 @@ class TestFailedRunWritesNothing:
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
         with cli._staged_run(tmp_path) as stage:
-            cli._write_net_csv(stage / "net.csv", net)
+            write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
         assert written_files(tmp_path) == ["init.csv", "net.csv"]
 
-    def test_failed_net_csv_child_is_redone(self, tmp_path, monkeypatch,
-                                            capfd):
-        # a child that dies without writing its half: the parent writes
-        # those levels itself, and net.csv keeps its bytes
-        from vortigen import moc
+    def check_child_is_redone(self, tmp_path, monkeypatch, capfd, act):
+        """A run whose writing child runs ``act(k)`` before it writes level
+        k has the bytes of a run without it, and its parent writes every
+        level, in its own part or in the redo of the child's."""
         init = compression_init(tmp_path / "init.csv", n=41)
         argv = ["solve-moc", "--init", str(init), "--gamma", str(GAMMA),
                 "--R", "1.0", "--t-end", "1.0", "--out"]
         assert cli.main(argv + [str(tmp_path / "one")]) == 0
-        parent_pid, parents = os.getpid(), moc.CharNet.parents
-
-        def dying(net, k):
-            if os.getpid() != parent_pid:
-                os._exit(1)
-            return parents(net, k)
-        monkeypatch.setattr(moc.CharNet, "parents", dying)
+        written = spy_levels(monkeypatch, act)
         assert cli.main(argv + [str(tmp_path / "two")]) == 0
         assert capfd.readouterr().err == ""
         assert ((tmp_path / "two" / "net.csv").read_bytes()
                 == (tmp_path / "one" / "net.csv").read_bytes())
         assert written_files(tmp_path / "two") == written_files(
             tmp_path / "one")
+        levels = json.loads((tmp_path / "one" / "run_report.json")
+                            .read_text())["net_levels"]
+        assert sorted(written) == list(range(levels))
+
+    def test_failed_net_csv_child_is_redone(self, tmp_path, monkeypatch,
+                                            capfd):
+        # a child killed before its reply: no split comes, so the parent
+        # writes every level to the part file and the redo the header
+        self.check_child_is_redone(tmp_path, monkeypatch, capfd, lambda k:
+                                   os.kill(os.getpid(), signal.SIGKILL))
+
+    def test_child_killed_after_its_reply_is_redone(self, tmp_path,
+                                                    monkeypatch, capfd):
+        # the child slowed, so that it replies with levels left to write,
+        # and killed at the first level it writes after its reply: the
+        # parent writes the levels from the split on, the redo those
+        # before it
+        replied, write = [], os.write
+
+        def sending(fd, data):
+            if len(data) == 8:  # the split, the child's one 8-byte write
+                replied.append(True)
+            return write(fd, data)
+        monkeypatch.setattr(os, "write", sending)
+
+        def act(k):
+            if replied:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.02)
+        self.check_child_is_redone(tmp_path, monkeypatch, capfd, act)
+
+    def test_slow_child_leaves_the_parent_most_levels(self, tmp_path,
+                                                      monkeypatch):
+        # a child slowed at every level is far behind when the net is
+        # done: the parent writes the levels from the node midpoint of
+        # those left, the most of them, and net.csv keeps its bytes
+        from vortigen import moc
+        written, nets = spy_levels(monkeypatch,
+                                   lambda k: time.sleep(0.02)), []
+        advance = moc.advance_net
+        monkeypatch.setattr(moc, "advance_net", lambda *a, **kw: nets.append(
+            advance(*a, **kw)) or nets[-1])
+        out = tmp_path / "out"
+        assert cli.main(["solve-moc", "--init", str(compression_init(
+            tmp_path / "init.csv", n=101)), "--gamma", str(GAMMA), "--R",
+            "1.0", "--t-end", "3.0", "--out", str(out)]) == 0
+        n = nets[0].n_levels
+        assert written == list(range(written[0], n))
+        assert len(written) > n / 2
+        assert (out / "net.csv").read_bytes() \
+            == net_csv_reference(nets[0]).encode()
+        assert written_files(out) == ["envelope.json", "net.csv",
+                                      "residuals.json", "run_report.json"]
 
 
 class TestSubcommands:
@@ -938,14 +1016,13 @@ class TestOnePassPipeline:
                               t_end=3.0, m=M)
         assert net.envelope is not None
         with cli._staged_run(tmp_path) as stage:
-            cli._write_net_csv(stage / "net.csv", net)
+            write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
 
-    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_net_csv_bytes_of_one_and_two_levels(self, tmp_path, levels):
-        # the writer's child formats the levels after the node midpoint:
-        # none of a one-level net, the last level of a two-level one
+        # nets of a few levels, whichever process writes each of them
         from vortigen import moc
         x, rho, u, p = cli.load_initial_1d(
             compression_init(tmp_path / "init.csv", n=101))
@@ -956,7 +1033,7 @@ class TestOnePassPipeline:
             for q in ("x", "t", "u", "a", "s", "labels", "c0_parent")})
         assert net.n_levels == levels
         with cli._staged_run(tmp_path) as stage:
-            cli._write_net_csv(stage / "net.csv", net)
+            write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
             == net_csv_reference(net).encode()
         assert written_files(tmp_path) == ["init.csv", "net.csv"]
@@ -1048,13 +1125,9 @@ class TestFloatColumns:
                 for q in "txuas"}
         c0 = [np.full(n0, -1)] + [np.arange(m) for m in sizes[1:]]
         net = moc.CharNet(gamma=GAMMA, c0_parent=c0, **cols)
-        for q in "txuas":
-            n_distinct = np.unique(float_bits(np.concatenate(cols[q]))).size
-            spec, _ = cli._float_column(cols[q])
-            assert spec == ("%s" if 2 * n_distinct <= sum(sizes) else "%.17g")
         path = tmp_path_factory.mktemp("net") / "net.csv"
         with cli._staged_run(path.parent) as stage:
-            cli._write_net_csv(stage / path.name, net)
+            write_net_csv(stage / path.name, net)
         assert path.read_bytes() == net_csv_reference(net).encode()
 
     @settings(max_examples=60, deadline=None)
@@ -1068,6 +1141,10 @@ class TestFloatColumns:
         names = ["zz_extra", "viscous_production", "pressure_baroclinic"]
         K = SimpleNamespace(xi=xi, a1=a1, anu=anu, K=k_total,
                             attribution=dict(zip(names, terms)))
+        for col in (xi, a1, anu, k_total, *terms):
+            spec, _ = cli._float_column(col)
+            n_distinct = np.unique(float_bits(col)).size
+            assert spec == ("%s" if 2 * n_distinct <= n else "%.17g")
         path = tmp_path_factory.mktemp("traj") / "trajectory_000.csv"
         with cli._staged_run(path.parent) as stage:
             cli._write_trajectory_csv(stage / path.name, K)
@@ -1080,7 +1157,7 @@ class TestFloatColumns:
         net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
                               t_end=3.0, m=M)
         with cli._staged_run(tmp_path) as stage:
-            cli._write_net_csv(stage / "net.csv", net)
+            write_net_csv(stage / "net.csv", net)
         back = np.loadtxt(tmp_path / "net.csv", delimiter=",", skiprows=1)
         for j, q in enumerate((net.t, net.x, net.u, net.a, net.s), start=2):
             assert np.array_equal(float_bits(back[:, j]),

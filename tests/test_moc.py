@@ -556,6 +556,28 @@ class TestReleasedNet:
         "two_mode": (lambda: two_mode_nodes(201), 2.0, True),
     }
 
+    @pytest.mark.parametrize("keep_levels", [True, False])
+    @pytest.mark.parametrize("case", CASES)
+    def test_on_level_sees_each_level_as_it_is_made(self, case, keep_levels,
+                                                    monkeypatch):
+        # once per level, in order: the initial level first, each new level
+        # once the scan of its level pair is done, and before any release
+        nodes, t_end, _ = self.CASES[case]
+        kept = advance_net(nodes(), t_end=t_end, m=M)
+        scans, scan = [], moc._scan_level_pair
+        monkeypatch.setattr(moc, "_scan_level_pair", lambda net, k, *carry:
+                            scans.append(k) or scan(net, k, *carry))
+        seen = []
+
+        def on_level(net, k):
+            assert net.n_levels == k + 1 and len(scans) == k
+            seen.append([getattr(net, q)[k].tobytes() for q in LEVEL_ARRAYS])
+        net = moc.advance_net(nodes(), t_end=t_end, m=M,
+                              keep_levels=keep_levels, on_level=on_level)
+        assert len(seen) == net.n_levels == kept.n_levels
+        assert seen == [[getattr(kept, q)[k].tobytes() for q in LEVEL_ARRAYS]
+                        for k in range(kept.n_levels)]
+
     @pytest.mark.parametrize("case", CASES)
     def test_same_net_as_kept(self, case, monkeypatch):
         nodes, t_end, degenerate = self.CASES[case]
@@ -685,7 +707,7 @@ def pseudostructure_residual_reference(net, family):
     if family == "C0":
         xs0 = net.x[0]
         s0 = net.s[0]
-        worst = 0.0
+        worst = [0.0]
         for k in range(1, net.n_levels):
             lab = net.labels[k]
             pos = np.clip(lab, xs0[0], xs0[-1])
@@ -693,21 +715,25 @@ def pseudostructure_residual_reference(net, family):
             stencil = moc._stencil(xs0, pos, i)
             s0_lab = moc._dot(moc._weights(stencil, pos),
                               [s0[j] for j in stencil[0]])
-            worst = max(worst, float(np.max(np.abs(net.s[k] - s0_lab))))
-        return worst
+            worst.append(np.max(np.abs(net.s[k] - s0_lab)))
+        return float(np.max(worst))
     j = 0 if family == "C+" else 1
-    worst = 0.0
+    worst = [0.0]
     for k in range(1, net.n_levels):
         J_par = riemann_invariants(net.u[k - 1], net.a[k - 1], g)[j]
         J = riemann_invariants(net.u[k], net.a[k], g)[j]
-        worst = max(worst, float(np.max(np.abs(J - J_par[net.parents(k)[j]]))))
-    return worst
+        worst.append(np.max(np.abs(J - J_par[net.parents(k)[j]])))
+    return float(np.max(worst))  # NaN if any level's drift is NaN
 
 
 def assert_residual_matches_reference(net):
-    assert pseudostructure_residual(net) == {
-        fam: pseudostructure_residual_reference(net, fam)
-        for fam in ("C0", "C+", "C-")}
+    got = pseudostructure_residual(net)
+    want = {fam: pseudostructure_residual_reference(net, fam)
+            for fam in ("C0", "C+", "C-")}
+    assert list(got) == list(want)
+    assert np.array_equal(list(got.values()), list(want.values()),
+                          equal_nan=True), (got, want)
+    return got
 
 
 class TestArrayKernels:
@@ -729,7 +755,7 @@ class TestArrayKernels:
     def test_residual_matches_reference_in_any_block(self, real_nets, block,
                                                      monkeypatch):
         # blocks of one level (levels larger than the block too), of a few
-        # levels, and of many; a NaN node drops its level's drift alone
+        # levels, and of many; a NaN node makes its families' defects NaN
         monkeypatch.setattr(moc, "_BLOCK_NODES", block)
         for net in real_nets:
             assert_residual_matches_reference(net)
@@ -739,7 +765,34 @@ class TestArrayKernels:
         for k in range(1, net.n_levels, 2):
             nan_net.s[k][k % len(nan_net.s[k])] = np.nan
         nan_net.u[9][3] = nan_net.a[30][0] = np.nan
-        assert_residual_matches_reference(nan_net)
+        assert np.isnan(list(assert_residual_matches_reference(
+            nan_net).values())).all()
+
+    def test_nan_drift_gives_a_nan_residual(self, tmp_path):
+        # one NaN u node on the last of three levels makes its C+ and C-
+        # drifts NaN: the residuals are NaN, which residuals.json refuses,
+        # not the largest finite drift of the other levels; C0 reads no u
+        from vortigen import cli
+        from vortigen.errors import NonFiniteResult
+        n0 = 6
+        x = [np.linspace(0.0, 1.0, n0 - k) for k in range(3)]
+        ramp = [0.1 * (k + 1) * np.arange(n0 - k) for k in range(3)]
+        net = CharNet(gamma=GAMMA, x=x,
+                      t=[np.full(n0 - k, 0.1 * k) for k in range(3)],
+                      u=ramp, a=[np.ones(n0 - k) for k in range(3)],
+                      s=[np.ones(n0 - k) for k in range(3)],
+                      labels=[q.copy() for q in x],
+                      c0_parent=[np.full(n0, -1)] + [np.arange(n0 - k)
+                                                      for k in (1, 2)])
+        finite = pseudostructure_residual(net)
+        assert all(np.isfinite(v) and v > 0.0 for v in
+                   (finite["C+"], finite["C-"]))
+        net.u[2][1] = np.nan
+        res = pseudostructure_residual(net)
+        assert np.isnan(res["C+"]) and np.isnan(res["C-"])
+        assert res["C0"] == finite["C0"]
+        with pytest.raises(NonFiniteResult):
+            cli._write_json(tmp_path / "residuals.json", res)
 
     def test_residual_memory_follows_the_block(self, real_nets, monkeypatch):
         # the 301-node net holds about 43,000 nodes; a sweep of 2,048-node
