@@ -47,10 +47,10 @@ from .evoform import (
 from .moc import (
     CharNet,
     EnvelopeEvent,
+    ResidualFold,
     advance_net,
     compat_residual,
     detect_envelope,
-    pseudostructure_residual,
     riemann_invariants,
 )
 from .jumps import (

@@ -14,15 +14,14 @@ Subcommands
 
 Every command but ``report`` reads one config (``_config``): ``diagnose``
 its file, the others the one their flags make.  ``detect-shock`` advances
-its net alone and keeps only the levels that the envelope scan reads, at
-most three, so its memory grows with the node count, not with the net;
-the others run one pipeline, ``run_scenario``, which returns the dict
-that ``run_report.json`` holds.  Every run command makes its output
-directory before it reads its input.  Each stage writes its own files,
-and each run prints its report, the text ``report`` prints.  The 1-D
-stage writes ``net.csv`` while the net advances, in a forked child that
-formats each level as it is made; the run formats the levels the child
-has not reached once the net and its residuals are done
+its net alone; the others run one pipeline, ``run_scenario``, which
+returns the dict that ``run_report.json`` holds.  Every run command makes
+its output directory before it reads its input.  Each stage writes its
+own files, and each run prints its report, the text ``report`` prints.
+The 1-D stage takes each level of the net as it is made, so its memory
+grows with the node count, not with the net: a forked child formats the
+level into ``net.csv``, and the run folds it into the residuals and, once
+the net is done, formats the levels the child has not reached
 (``_write_net_csv``).  What a forked child (``_forked``) could not do,
 the run does after its part.
 
@@ -797,11 +796,10 @@ def _write_net_csv(path: Path, solve: Callable[[Callable], object]):
     return result
 
 
-def _solve_1d(cfg: ScenarioConfig, **advance):
-    """Load the config's 1-D initial data and advance its characteristic
-    net, with the keyword arguments ``advance`` of ``moc.advance_net``;
-    returns the net and the analytic straight-characteristic envelope
-    estimate.
+def _solve_1d(cfg: ScenarioConfig, *hooks):
+    """Load the config's 1-D initial data and advance its net, calling
+    ``hooks`` in turn as ``moc.advance_net``'s ``on_level``; returns the
+    net and the analytic straight-characteristic envelope estimate.
 
     Without ``t_end`` the net runs to 1.5x the analytic envelope time,
     else for one slowest-sound crossing of the data.
@@ -817,7 +815,7 @@ def _solve_1d(cfg: ScenarioConfig, **advance):
                  else float(x[-1] - x[0]) / float(np.min(a)))
     net = moc.advance_net(initial, t_end=t_end, m=cfg.gas,
                           corrector_tol=v["tolerances"]["corrector"],
-                          **advance)
+                          on_level=lambda net, k: [f(net, k) for f in hooks])
     return net, analytic
 
 
@@ -833,8 +831,9 @@ def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
     """The stages, in order, writing into ``out``.  2-D fields: ingest,
     Lagrange test, A1, tolerance, tracing, A_nu sampled on the tiles the
     trajectories cross, then per trajectory the commutator, its CSV and its
-    class.  1-D data: the net, written to its CSV as it advances, and its
-    residuals, then the envelope.  Then the jump checks and the report."""
+    class.  1-D data: the net, written to its CSV and folded into its
+    residuals as it advances, then the envelope.  Then the jump checks and
+    the report."""
     t_start = time.perf_counter()
     v = cfg.values
     report = dict.fromkeys((
@@ -906,9 +905,9 @@ def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
         report["regime"] = evoform.classify_regime(speed.flat[j], a).value
 
     if v["initial_data"] is not None:
-        def solve(on_level):
-            net, analytic = _solve_1d(cfg, on_level=on_level)
-            return net, analytic, moc.pseudostructure_residual(net)
+        def solve(spool):  # the spool first: the writer hears at once
+            fold = moc.ResidualFold()
+            return (*_solve_1d(cfg, spool, fold), fold.result())
 
         net, analytic, report["moc_residuals"] = _write_net_csv(
             out / "net.csv", solve)
@@ -973,7 +972,7 @@ def _cmd_detect_shock(args) -> int:
     """The envelope report alone; the net is not written."""
     cfg = _config(args)
     with _staged_run(cfg.values["output_dir"]) as stage:
-        net, analytic = _solve_1d(cfg, keep_levels=False)
+        net, analytic = _solve_1d(cfg)
         event = net.envelope
         _write_json(stage / "envelope_report.json", {
             "detected": event is not None,

@@ -102,13 +102,8 @@ class JumpCheckReport:
     side_errors: Dict[str, float] = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_error": self.rel_error,
-            "passed": self.passed,
-        }
+        return {key: getattr(self, key)
+                for key in ("relation", "lhs", "rhs", "rel_error", "passed")}
 
 
 def _guarded_rel(num: float, scale: float) -> float:

@@ -12,9 +12,9 @@ which is the form du +/- dp/(rho a) = 0 rewritten with p = s rho**gamma
 (the two are verified equivalent in the test suite by evaluating both on
 random states and small increments).  :func:`riemann_invariants` (J+/- =
 u +/- 2a/(gamma-1)) and the private midpoint entropy term state these
-relations: :func:`compat_residual` calls both and
-:func:`pseudostructure_residual` the invariants; the corrector evaluates the
-same expressions inline, on the left and right parents of a level at once.
+relations: :func:`compat_residual` calls both and :class:`ResidualFold`
+the invariants; the corrector evaluates the same expressions inline, on the
+left and right parents of a level at once.
 
 The net is advanced level-synchronously: each new node is placed at the
 intersection of the C+ characteristic from its left parent and the C-
@@ -36,10 +36,10 @@ vectorized pass; a finished net is treated as immutable and all analyses
 on it are pure.  A level costs a fixed number of numpy calls, about 75 per
 corrector iteration and three iterations on smooth data, so small levels
 cost nearly what large ones do (about 0.19 ms at 6 nodes, 0.34 ms at 601
-and 0.48 ms at 1,200 on a 2-vCPU x86 host).  The envelope scan reads only
-the last two levels, so a caller that needs the envelope alone can
-release the others as the net advances: memory O(n) in the initial node
-count, not the net's O(n^2).
+and 0.48 ms at 1,200 on a 2-vCPU x86 host).  The net keeps its initial
+level and the last two, which the envelope scan reads, so its memory is
+O(n) in the initial node count, not O(n^2); a reader of every level, such
+as :class:`ResidualFold`, takes each one as it is made through ``on_level``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
     "compat_residual",
     "nodes_from_primitive",
     "advance_net",
-    "pseudostructure_residual",
+    "ResidualFold",
     "detect_envelope",
 ]
 
@@ -88,10 +88,10 @@ class CharNet:
     foot); :meth:`parents` reads this rule.  ``labels`` carries each
     node's trajectory launch coordinate.
 
-    Level k has ``len(x[0]) - k`` nodes.  A net advanced with
-    ``keep_levels=False`` is released: the seven entries of every level
-    but the initial one and the last two are None, while ``n_levels``,
-    :meth:`level_size` and ``envelope`` still describe the whole net.
+    Level k has ``len(x[0]) - k`` nodes.  :func:`advance_net` releases the
+    net as it advances: the seven entries of every level but the initial
+    one and the last two are None, while ``n_levels``, :meth:`level_size`
+    and ``envelope`` still describe the whole net.
     """
 
     gamma: float
@@ -389,20 +389,18 @@ def advance_net(
     corrector_tol: float = 1e-12,
     max_iter: int = 20,
     *,
-    keep_levels: bool = True,
-    on_level: Optional[Callable[[CharNet, int], object]] = None,
+    on_level: Callable[[CharNet, int], object] = lambda net, k: None,
 ) -> CharNet:
     """Advance the characteristic net from t=0 initial data ``(x, u, a, s)``.
 
     Stops at ``t_end``, at the first envelope event (recorded on
     ``net.envelope``), or when the shrinking domain of determinacy is
-    exhausted.  With ``keep_levels=False`` each level but the initial one
-    is released once the scan of the level pair after it is done, so the
-    net keeps the initial level and the last two (see :class:`CharNet`),
-    and its envelope, level count and level sizes are those of the whole
-    net.  ``on_level(net, k)``, if given, is called once for each level k
-    as it is made: for the initial level before the first step, for each
-    new level once the scan of its level pair is done.
+    exhausted.  Each level but the initial one is released once the scan
+    of the level pair after it is done (see :class:`CharNet`).
+    ``on_level(net, k)`` is called once for each level k as it is made,
+    while ``net`` holds levels 0, k - 1 and k: for the initial level before
+    the first step, for each new level once the scan of its level pair is
+    done and before level k - 1 is released.
 
     Raises
     ------
@@ -420,8 +418,7 @@ def advance_net(
                   c0_parent=[np.full(len(x0), -1, dtype=int)])
     levels = (net.x, net.t, net.u, net.a, net.s, net.labels, net.c0_parent)
     dx0, gaps = np.diff(x0), {}  # gaps: the last level's, by level
-    if on_level is not None:
-        on_level(net, 0)
+    on_level(net, 0)
 
     while net.level_size(net.n_levels - 1) >= 2:
         k = net.n_levels - 1
@@ -444,9 +441,8 @@ def advance_net(
         for lst, arr in zip(levels, result):
             lst.append(arr)
         event = _scan_level_pair(net, k, dx0, gaps)
-        if on_level is not None:
-            on_level(net, k + 1)
-        if not keep_levels and k >= 2:
+        on_level(net, k + 1)
+        if k >= 2:
             for lst in levels:
                 lst[k - 1] = None
         if event is not None:
@@ -461,12 +457,13 @@ def advance_net(
 # net analyses
 
 
-_BLOCK_NODES = 1 << 13  # nodes per block of levels in pseudostructure_residual
+_BLOCK_NODES = 1 << 13  # nodes per block of levels that ResidualFold folds
 
 
-def pseudostructure_residual(net: CharNet) -> dict:
+class ResidualFold:
     """Constancy defects ``{"C0", "C+", "C-"}`` of the families' conserved
-    quantities on the net, in one sweep over blocks of its levels.
+    quantities on a net, folded in level by level from ``advance_net``'s
+    ``on_level(net, k)``; :meth:`result` returns them.
 
     * ``"C0"``: max over nodes of |s - s0(label)|, the drift of entropy from
       its value at the trajectory's launch point (s0 interpolated on the
@@ -475,31 +472,46 @@ def pseudostructure_residual(net: CharNet) -> dict:
       invariant u +/- 2a/(gamma-1) along the family's chains, with the C+
       parent i and the C- parent i + 1 that :meth:`CharNet.parents` states.
 
-    A block concatenates as many levels as fit in ``_BLOCK_NODES`` nodes
-    (at least one), so the sweep's memory stays bounded.  A NaN drift makes
-    its family's defect NaN, which no report accepts as a result.
+    Levels are held until they reach ``_BLOCK_NODES`` nodes (at least one)
+    and folded as one block, whose last level is the next one's parent, so
+    memory stays bounded.  A NaN drift makes its family's defect NaN, which
+    no report accepts as a result.
     """
-    xs0, s0 = net.x[0], net.s[0]
-    worst = dict.fromkeys(("C0", "C+", "C-"), 0.0)
-    per_block = max(1, _BLOCK_NODES // len(xs0))  # no level is longer than xs0
-    for k in range(1, net.n_levels, per_block):
-        end = min(k + per_block, net.n_levels)
-        pos = np.clip(np.concatenate(net.labels[k:end]), xs0[0], xs0[-1])
+
+    def __call__(self, net: CharNet, k: int):
+        if k == 0:
+            self._x0, self._s0, self._gamma = net.x[0], net.s[0], net.gamma
+            self._per_block = max(1, _BLOCK_NODES // len(net.x[0]))
+            self._worst = dict.fromkeys(("C0", "C+", "C-"), 0.0)
+            self._levels = []  # the parent level, then those not yet folded
+        self._levels.append((net.u[k], net.a[k], net.s[k], net.labels[k]))
+        if len(self._levels) > self._per_block:
+            self._fold()
+
+    def _fold(self):
+        (u, a, s, labels), xs0 = zip(*self._levels), self._x0
+        pos = np.clip(np.concatenate(labels[1:]), xs0[0], xs0[-1])
         i = np.clip(np.searchsorted(xs0, pos) - 1, 0, len(xs0) - 2)
         stencil = _stencil(xs0, pos, i)
-        s0_lab = _dot(_weights(stencil, pos), s0[stencil[0]])
-        # the block's levels after the parent level k - 1, whose node j at
-        # flat index f has its C+ parent at f - (size of the level before)
-        J_plus, J_minus = riemann_invariants(np.concatenate(net.u[k - 1:end]),
-                                             np.concatenate(net.a[k - 1:end]),
-                                             net.gamma)
-        sizes = [net.level_size(q) for q in range(k - 1, end)]
-        par = np.arange(sizes[0], sum(sizes)) - np.repeat(sizes[:-1], sizes[1:])
-        for fam, drift in (("C0", np.concatenate(net.s[k:end]) - s0_lab),
-                           ("C+", J_plus[sizes[0]:] - J_plus[par]),
-                           ("C-", J_minus[sizes[0]:] - J_minus[par + 1])):
-            worst[fam] = np.maximum(worst[fam], np.abs(drift).max())
-    return {fam: float(v) for fam, v in worst.items()}
+        s0_lab = _dot(_weights(stencil, pos), self._s0[stencil[0]])
+        # node j (flat index f) of a level after the parent level u[0] has
+        # its C+ parent at f - (size of the level before)
+        J_plus, J_minus = riemann_invariants(np.concatenate(u),
+                                             np.concatenate(a), self._gamma)
+        n = list(map(len, u))
+        par = np.arange(n[0], sum(n)) - np.repeat(n[:-1], n[1:])
+        for fam, drift in (("C0", np.concatenate(s[1:]) - s0_lab),
+                           ("C+", J_plus[n[0]:] - J_plus[par]),
+                           ("C-", J_minus[n[0]:] - J_minus[par + 1])):
+            self._worst[fam] = np.maximum(self._worst[fam],
+                                          np.abs(drift).max())
+        del self._levels[:-1]
+
+    def result(self) -> dict:
+        """The defects of the levels taken so far."""
+        if len(self._levels) > 1:
+            self._fold()
+        return {fam: float(v) for fam, v in self._worst.items()}
 
 
 def detect_envelope(initial: Sequence[np.ndarray]) -> Optional[EnvelopeEvent]:

@@ -30,12 +30,7 @@ from vortigen.jumps import (
     measure_discontinuity,
     synthesize_contact_field,
 )
-from vortigen.moc import (
-    advance_net,
-    nodes_from_primitive,
-    pseudostructure_residual,
-    riemann_invariants,
-)
+from vortigen.moc import nodes_from_primitive, riemann_invariants
 from vortigen.thermo import (
     GasModel,
     PrimitiveState,
@@ -44,6 +39,7 @@ from vortigen.thermo import (
 )
 
 from fv_oracle import godunov_solve
+from nets import collect_net, fold_residual
 from scenarios import (
     GAMMA,
     MODEL,
@@ -166,13 +162,13 @@ def test_c04_crocco_sign_resolution():
 def test_c05_envelope_detection():
     w = SimpleWave(lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
                    gamma=GAMMA)
-    net = advance_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
+    net = collect_net(w.initial_nodes(np.linspace(-0.55, 3.55, 821)),
                       t_end=3.0, m=MODEL)
     t_true = 1.0 / (0.2 * np.pi)
     rel = abs(net.envelope.t_star - t_true) / t_true if net.envelope else np.inf
 
     w_exp = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=GAMMA)
-    net_exp = advance_net(w_exp.initial_nodes(np.linspace(-1, 1, 201)),
+    net_exp = collect_net(w_exp.initial_nodes(np.linspace(-1, 1, 201)),
                           t_end=0.6, m=MODEL)
     no_event = net_exp.envelope is None
     ok = rel <= 0.02 and no_event
@@ -184,7 +180,7 @@ def test_c05_envelope_detection():
 def test_c06_moc_fidelity():
     # isentropic simple wave vs the exact implicit solution
     w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
-    net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
+    net = collect_net(w.initial_nodes(np.linspace(0, 1, 201)),
                       t_end=0.35, m=MODEL)
     err = scale = 0.0
     jm_worst = 0.0
@@ -206,7 +202,7 @@ def test_c06_moc_fidelity():
         return rho, 0.05 * np.cos(2 * np.pi * x), s * rho ** GAMMA
 
     x = np.linspace(0.0, 1.0, 101)
-    net2 = advance_net(nodes_from_primitive(x, *profiles(x), MODEL),
+    net2 = collect_net(nodes_from_primitive(x, *profiles(x), MODEL),
                        t_end=0.2, m=MODEL)
     xf = np.linspace(-0.5, 1.5, 1601)
     fv = godunov_solve(xf, *profiles(xf), GAMMA, t_end=0.25)
@@ -235,9 +231,9 @@ def test_c07_pseudostructure_residuals():
     c0 = []
     for n in (51, 101, 201):
         x = np.linspace(0.0, 1.0, n)
-        net = advance_net(nodes_from_primitive(x, *profiles(x), MODEL),
+        net = collect_net(nodes_from_primitive(x, *profiles(x), MODEL),
                           t_end=0.2, m=MODEL)
-        c0.append(pseudostructure_residual(net)["C0"])
+        c0.append(fold_residual(net)["C0"])
     c0_order = fitted_order(c0)
 
     # isentropic invariants: transported exactly (machine floor counts)
@@ -245,9 +241,9 @@ def test_c07_pseudostructure_residuals():
     for n in (51, 101, 201):
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)),
                        gamma=GAMMA)
-        net = advance_net(w.initial_nodes(np.linspace(0, 1, n)),
+        net = collect_net(w.initial_nodes(np.linspace(0, 1, n)),
                           t_end=0.2, m=MODEL)
-        res = pseudostructure_residual(net)
+        res = fold_residual(net)
         for fam in ("C+", "C-"):
             inv[fam].append(res[fam])
     inv_ok = all(

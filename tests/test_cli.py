@@ -22,6 +22,7 @@ from vortigen.exact import SimpleWave
 from vortigen.fields import FieldSet
 from vortigen.thermo import GasModel
 
+from nets import collect_net
 from scenarios import GAMMA, couette_flow, source_flow
 
 M = GasModel(gamma=GAMMA, R=1.0)
@@ -500,19 +501,18 @@ class TestScenarios:
         assert len(set(handoffs)) == 1 and handoffs[0] > 0
 
     def test_residuals_computed_once_per_solve(self, tmp_path, monkeypatch):
-        # one sweep gives all three families' residuals
+        # one fold gives all three families' residuals, read once
         from vortigen import moc
-        calls = []
-        fn = moc.pseudostructure_residual
-        monkeypatch.setattr(moc, "pseudostructure_residual", lambda *a: (
-            calls.append(a) or fn(*a)))
+        folds, result = [], moc.ResidualFold.result
+        monkeypatch.setattr(moc.ResidualFold, "result", lambda self: (
+            folds.append(self) or result(self)))
         init = compression_init(tmp_path / "init.csv", n=101)
         out = tmp_path / "out"
         assert cli.main(["solve-moc", "--init", str(init), "--t-end", "3.0",
                          "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert len(folds) == 1
         res = json.loads((out / "residuals.json").read_text())
-        assert res == fn(*calls[0])
+        assert res == result(folds[0])
 
     def test_unsorted_initial_data_exits_2(self, tmp_path):
         path = tmp_path / "init.csv"
@@ -649,7 +649,7 @@ class TestFailedRunWritesNothing:
 
         def fail(*args, **kwargs):
             raise NonConvergence("residual failed")
-        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        monkeypatch.setattr(moc.ResidualFold, "result", fail)
         x = np.linspace(0.0, 1.0, 21)
         init = write_init_csv(tmp_path / "init.csv", x, np.ones(21),
                               np.zeros(21), np.ones(21))
@@ -665,7 +665,7 @@ class TestFailedRunWritesNothing:
 
         def fail(*args, **kwargs):
             raise NonConvergence("residual failed")
-        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        monkeypatch.setattr(moc.ResidualFold, "result", fail)
         x = np.linspace(0.0, 1.0, 21)
         init = write_init_csv(tmp_path / "init.csv", x, np.ones(21),
                               np.zeros(21), np.ones(21))
@@ -688,7 +688,7 @@ class TestFailedRunWritesNothing:
 
         def fail(*args, **kwargs):
             raise MemoryError(message)
-        monkeypatch.setattr(moc, "pseudostructure_residual", fail)
+        monkeypatch.setattr(moc.ResidualFold, "result", fail)
         monkeypatch.setattr(cli, "_jump_check_sweep", fail)
         out = tmp_path / "out"
         argv = (["solve-moc", "--init", str(compression_init(
@@ -743,8 +743,8 @@ class TestFailedRunWritesNothing:
         from vortigen import moc
         x, rho, u, p = cli.load_initial_1d(
             compression_init(tmp_path / "init.csv", n=101))
-        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
-                              t_end=3.0, m=M)
+        net = collect_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                          t_end=3.0, m=M)
         with cli._staged_run(tmp_path) as stage:
             write_net_csv(stage / "net.csv", net)
         assert (tmp_path / "net.csv").read_bytes() \
@@ -803,20 +803,20 @@ class TestFailedRunWritesNothing:
         # done: the parent writes the levels from the node midpoint of
         # those left, the most of them, and net.csv keeps its bytes
         from vortigen import moc
-        written, nets = spy_levels(monkeypatch,
-                                   lambda k: time.sleep(0.02)), []
-        advance = moc.advance_net
-        monkeypatch.setattr(moc, "advance_net", lambda *a, **kw: nets.append(
-            advance(*a, **kw)) or nets[-1])
+        written = spy_levels(monkeypatch, lambda k: time.sleep(0.02))
         out = tmp_path / "out"
-        assert cli.main(["solve-moc", "--init", str(compression_init(
-            tmp_path / "init.csv", n=101)), "--gamma", str(GAMMA), "--R",
-            "1.0", "--t-end", "3.0", "--out", str(out)]) == 0
-        n = nets[0].n_levels
+        init = compression_init(tmp_path / "init.csv", n=101)
+        assert cli.main(["solve-moc", "--init", str(init), "--gamma",
+                         str(GAMMA), "--R", "1.0", "--t-end", "3.0",
+                         "--out", str(out)]) == 0
+        net = collect_net(moc.nodes_from_primitive(
+            *cli.load_initial_1d(init), M), t_end=3.0, m=M)
+        n = json.loads((out / "run_report.json").read_text())["net_levels"]
+        assert n == net.n_levels
         assert written == list(range(written[0], n))
         assert len(written) > n / 2
         assert (out / "net.csv").read_bytes() \
-            == net_csv_reference(nets[0]).encode()
+            == net_csv_reference(net).encode()
         assert written_files(out) == ["envelope.json", "net.csv",
                                       "residuals.json", "run_report.json"]
 
@@ -1012,8 +1012,8 @@ class TestOnePassPipeline:
         from vortigen import moc
         x, rho, u, p = cli.load_initial_1d(
             compression_init(tmp_path / "init.csv", n=n))
-        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
-                              t_end=3.0, m=M)
+        net = collect_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                          t_end=3.0, m=M)
         assert net.envelope is not None
         with cli._staged_run(tmp_path) as stage:
             write_net_csv(stage / "net.csv", net)
@@ -1026,8 +1026,8 @@ class TestOnePassPipeline:
         from vortigen import moc
         x, rho, u, p = cli.load_initial_1d(
             compression_init(tmp_path / "init.csv", n=101))
-        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
-                              t_end=3.0, m=M)
+        net = collect_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                          t_end=3.0, m=M)
         net = dataclasses.replace(net, **{
             q: getattr(net, q)[:levels]
             for q in ("x", "t", "u", "a", "s", "labels", "c0_parent")})
@@ -1077,6 +1077,28 @@ class TestOnePassPipeline:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2 * 2 ** 20
+
+    def test_solve_moc_memory_grows_with_the_node_count(self, tmp_path):
+        # the same expansion to its last level: kept whole, the net made the
+        # run peak near 13.6 MiB; three levels, the residual fold and the
+        # levels this process formats into net.csv stay near 3.8 MiB (4.2
+        # with a slow child, 6.5 with none, when this process formats all)
+        w = SimpleWave(lambda x: 0.1 * np.tanh((x - 2.0) / 0.5), gamma=GAMMA)
+        init = write_init_csv(tmp_path / "init.csv", *w.primitive_profile(
+            np.linspace(0.0, 4.0, 601), M))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve-moc", "--init", str(init), "--gamma",
+                             str(GAMMA), "--R", "1.0", "--t-end", "100.0",
+                             "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((out / "run_report.json").read_text()) \
+            ["net_levels"] == 601
+        assert peak < 8 * 2 ** 20
 
 
 # values whose text is easy to get wrong: signed zeros, subnormals, the
@@ -1154,8 +1176,8 @@ class TestFloatColumns:
         from vortigen import moc
         x, rho, u, p = cli.load_initial_1d(
             compression_init(tmp_path / "init.csv"))
-        net = moc.advance_net(moc.nodes_from_primitive(x, rho, u, p, M),
-                              t_end=3.0, m=M)
+        net = collect_net(moc.nodes_from_primitive(x, rho, u, p, M),
+                          t_end=3.0, m=M)
         with cli._staged_run(tmp_path) as stage:
             write_net_csv(stage / "net.csv", net)
         back = np.loadtxt(tmp_path / "net.csv", delimiter=",", skiprows=1)

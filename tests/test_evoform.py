@@ -329,6 +329,42 @@ class TestA1:
                                    expected, rtol=1e-10)
         assert np.all(a1.pieces["conduction_production"] > 0.0)
 
+    @pytest.mark.parametrize("variant", list(A1Variant))
+    def test_x_varying_closed_forms(self, variant):
+        # rho constant, u = U(x), v = 0 and T = T(x) through p = rho R T:
+        # per unit rho the pieces are 4/3 mu U'^2, k (T''/T - T'^2/T^2) and
+        # k T'^2 / T, the productions over T once more in the standard
+        # variant; second order away from the two x edges, whose one-sided
+        # stencils the second derivative compounds
+        mu, k, rho0 = 0.2, 0.3, 1.3
+        errors = {name: [] for name in ("viscous_production",
+                                        "heatflux_divergence",
+                                        "conduction_production")}
+        for nx in (33, 65, 129):
+            grid = StructuredGrid2D(nx, 9, hx=1.0 / (nx - 1), hy=0.125)
+            X, _ = np.meshgrid(grid.x, grid.y)
+            U, dU = 0.3 * np.sin(np.pi * X) + 0.1 * X, \
+                0.3 * np.pi * np.cos(np.pi * X) + 0.1
+            T = 1.0 + 0.2 * np.cos(np.pi * X)
+            dT = -0.2 * np.pi * np.sin(np.pi * X)
+            ddT = -0.2 * np.pi ** 2 * np.cos(np.pi * X)
+            rho = np.full(grid.shape, rho0)
+            fs = FieldSet(grid, rho, U, np.zeros(grid.shape),
+                          rho * MODEL.R * T)
+            a1 = viscous_a1(fs, TransportModel(mu=mu, k=k), MODEL, variant)
+            per_T = T if variant is A1Variant.STANDARD_PRODUCTION else 1.0
+            exact = {
+                "viscous_production": 4.0 / 3.0 * mu * dU ** 2 / rho / per_T,
+                "heatflux_divergence": k * (ddT / T - dT ** 2 / T ** 2) / rho,
+                "conduction_production": k * dT ** 2 / (rho * T) / per_T,
+            }
+            for name, want in exact.items():
+                got = a1.pieces[name]
+                errors[name].append(np.max(np.abs(got - want)[:, 2:-2]))
+        for name, errs in errors.items():
+            order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
+            assert order >= 1.85, (name, errs)
+
     def test_production_nonnegative_sweep(self):
         # 10 transport/flow cases, both variants, both production terms.
         rng = np.random.default_rng(2024)

@@ -18,6 +18,8 @@ from vortigen import moc
 from vortigen.exact import SimpleWave
 from vortigen.thermo import GasModel
 
+from nets import collect_net
+
 MODULES = sorted(info.name for info in pkgutil.iter_modules(vortigen.__path__))
 
 
@@ -73,14 +75,15 @@ def test_span_observers_are_layer_functions():
 
 
 def test_net_counters_read_a_released_net():
-    # detect-shock releases its net's inner levels; the benchmark's level
-    # and node counters (the 1-D work_per_s) must read the whole net
+    # every net releases its inner levels; the benchmark's level and node
+    # counters (the 1-D work_per_s) must read the whole net, as collected
     spans = load_spans()
     m = GasModel(gamma=1.4, R=1.0)
     nodes = SimpleWave(lambda x: 0.1 * np.tanh(2 * x), gamma=1.4) \
         .initial_nodes(np.linspace(-1, 1, 101))
-    kept, released = (moc.advance_net(nodes, t_end=0.6, m=m, keep_levels=keep)
-                      for keep in (True, False))
+    released = moc.advance_net(nodes, t_end=0.6, m=m)
+    whole = collect_net(nodes, t_end=0.6, m=m)
     assert released.x[1] is None
+    assert spans._net_nodes(whole) == sum(map(len, whole.x))
     for count in (spans._net_levels, spans._net_nodes):
-        assert count(released) == count(kept) > 1
+        assert count(released) == count(whole) > 1

@@ -11,22 +11,23 @@ from vortigen.moc import (
     compat_residual,
     detect_envelope,
     nodes_from_primitive,
-    pseudostructure_residual,
     riemann_invariants,
 )
 from vortigen.thermo import GasModel
 
 from fv_oracle import godunov_solve
+from nets import LEVEL_ARRAYS, collect_net, fold_residual
 
 GAMMA = 1.4
 M = GasModel(gamma=GAMMA, R=1.0)
 
 
 def advance_net(*args, **kwargs):
-    """moc.advance_net, checking on every net that a rescan of all its level
-    pairs finds nothing the pair-by-pair scan during advancement missed,
-    and that the net matches the reference level step and scan."""
-    net = moc.advance_net(*args, **kwargs)
+    """moc.advance_net's whole net (``collect_net``), checking on every net
+    that a rescan of all its level pairs finds nothing the pair-by-pair
+    scan during advancement missed, and that the net matches the reference
+    level step and scan."""
+    net = collect_net(*args, **kwargs)
     rescan = None
     for k in range(net.n_levels - 1):
         rescan = moc._scan_level_pair(net, k, np.diff(net.x[0]), {})
@@ -322,7 +323,7 @@ class TestAdvanceNet:
             u, a, _ = w.state(x, t, (x - 1.5 * t - 0.3, x + 0.3))
             return u, a
         assert net_linf_error_vs(net, exact) <= 1e-4
-        res = pseudostructure_residual(net)
+        res = fold_residual(net)
         assert res["C0"] <= 1e-10
         assert res["C+"] <= 1e-10
 
@@ -330,7 +331,7 @@ class TestAdvanceNet:
 class TestPseudostructure:
     def test_uniform_net_zero_all_families(self):
         net = advance_net(uniform_nodes(21), t_end=0.4, m=M)
-        res = pseudostructure_residual(net)
+        res = fold_residual(net)
         for fam in ("C0", "C+", "C-"):
             assert res[fam] <= 1e-14
 
@@ -338,7 +339,7 @@ class TestPseudostructure:
         w = SimpleWave(lambda x: 0.05 * (1.0 + np.cos(2 * np.pi * x)), gamma=GAMMA)
         net = advance_net(w.initial_nodes(np.linspace(0, 1, 201)),
                           t_end=0.35, m=M)
-        res = pseudostructure_residual(net)
+        res = fold_residual(net)
         assert res["C0"] <= 1e-10
         assert res["C+"] <= 1e-10
         assert res["C-"] <= 1e-10
@@ -346,7 +347,7 @@ class TestPseudostructure:
     def test_nonisentropic_residual_order(self):
         res = []
         for n in (51, 101, 201):
-            res.append(pseudostructure_residual(nonisentropic_net(n))["C0"])
+            res.append(fold_residual(nonisentropic_net(n))["C0"])
         orders = [np.log2(res[k] / res[k + 1]) for k in range(2)]
         assert min(orders) >= 1.9
 
@@ -537,9 +538,10 @@ def simple_wave_nodes(u0, span, n):
 
 
 class TestReleasedNet:
-    # keep_levels=False keeps the initial level and the last two; the
-    # rest of the net reads as if it were all kept.  Each case: its
-    # initial nodes, t_end, and whether it ends at a degenerate unit process
+    # every net keeps the initial level and the last two; the rest of the
+    # net reads as the collected net does, and on_level sees every level.
+    # Each case: its initial nodes, t_end, and whether it ends at a
+    # degenerate unit process
     CASES = {
         "c05_compression": (lambda: simple_wave_nodes(
             lambda x: -0.1 * np.sin(2 * np.pi * x) * 2.0 / (GAMMA + 1.0),
@@ -556,12 +558,11 @@ class TestReleasedNet:
         "two_mode": (lambda: two_mode_nodes(201), 2.0, True),
     }
 
-    @pytest.mark.parametrize("keep_levels", [True, False])
     @pytest.mark.parametrize("case", CASES)
-    def test_on_level_sees_each_level_as_it_is_made(self, case, keep_levels,
-                                                    monkeypatch):
+    def test_on_level_sees_each_level_as_it_is_made(self, case, monkeypatch):
         # once per level, in order: the initial level first, each new level
-        # once the scan of its level pair is done, and before any release
+        # once the scan of its level pair is done, and before the level
+        # before it is released
         nodes, t_end, _ = self.CASES[case]
         kept = advance_net(nodes(), t_end=t_end, m=M)
         scans, scan = [], moc._scan_level_pair
@@ -571,9 +572,10 @@ class TestReleasedNet:
 
         def on_level(net, k):
             assert net.n_levels == k + 1 and len(scans) == k
+            assert all(getattr(net, q)[j] is not None for q in LEVEL_ARRAYS
+                       for j in (0, max(k - 1, 0), k))
             seen.append([getattr(net, q)[k].tobytes() for q in LEVEL_ARRAYS])
-        net = moc.advance_net(nodes(), t_end=t_end, m=M,
-                              keep_levels=keep_levels, on_level=on_level)
+        net = moc.advance_net(nodes(), t_end=t_end, m=M, on_level=on_level)
         assert len(seen) == net.n_levels == kept.n_levels
         assert seen == [[getattr(kept, q)[k].tobytes() for q in LEVEL_ARRAYS]
                         for k in range(kept.n_levels)]
@@ -585,8 +587,7 @@ class TestReleasedNet:
         steps, step = [], moc._advance_level
         monkeypatch.setattr(moc, "_advance_level", lambda *a: steps.append(
             step(*a)) or steps[-1])
-        released = moc.advance_net(nodes(), t_end=t_end, m=M,
-                                   keep_levels=False)
+        released = moc.advance_net(nodes(), t_end=t_end, m=M)
         assert (steps[-1][0] is None) == degenerate
         n = kept.n_levels
         assert released.n_levels == n
@@ -599,6 +600,38 @@ class TestReleasedNet:
             assert [k for k in range(n) if levels[k] is not None] == alive
             for k in alive:
                 assert levels[k].tobytes() == getattr(kept, q)[k].tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fold_as_levels_are_made_matches_the_whole_net(self, case,
+                                                           monkeypatch):
+        # the fold fed by on_level reads the residuals of the collected net
+        # bit for bit, in blocks of one level as in blocks of many
+        nodes, t_end, _ = self.CASES[case]
+        kept = advance_net(nodes(), t_end=t_end, m=M)
+        for block in (1, moc._BLOCK_NODES):
+            monkeypatch.setattr(moc, "_BLOCK_NODES", block)
+            fold = moc.ResidualFold()
+            moc.advance_net(nodes(), t_end=t_end, m=M, on_level=fold)
+            assert np.array(list(fold.result().values())).tobytes() == \
+                np.array(list(fold_residual(kept).values())).tobytes()
+
+    def test_advance_and_fold_memory_grows_with_the_node_count(self):
+        # a 601-node expansion runs to its last level, 180,901 nodes: kept
+        # whole and swept, the net peaked near 12.5 MiB; released, with the
+        # fold, near 1.9 MiB
+        import tracemalloc
+        nodes = simple_wave_nodes(lambda x: 0.1 * np.tanh((x - 2.0) / 0.5),
+                                  (0.0, 4.0), 601)
+        tracemalloc.start()
+        try:
+            fold = moc.ResidualFold()
+            net = moc.advance_net(nodes, t_end=100.0, m=M, on_level=fold)
+            fold.result()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n_levels == 601 and net.envelope is None
+        assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +760,7 @@ def pseudostructure_residual_reference(net, family):
 
 
 def assert_residual_matches_reference(net):
-    got = pseudostructure_residual(net)
+    got = fold_residual(net)
     want = {fam: pseudostructure_residual_reference(net, fam)
             for fam in ("C0", "C+", "C-")}
     assert list(got) == list(want)
@@ -784,11 +817,11 @@ class TestArrayKernels:
                       labels=[q.copy() for q in x],
                       c0_parent=[np.full(n0, -1)] + [np.arange(n0 - k)
                                                       for k in (1, 2)])
-        finite = pseudostructure_residual(net)
+        finite = fold_residual(net)
         assert all(np.isfinite(v) and v > 0.0 for v in
                    (finite["C+"], finite["C-"]))
         net.u[2][1] = np.nan
-        res = pseudostructure_residual(net)
+        res = fold_residual(net)
         assert np.isnan(res["C+"]) and np.isnan(res["C-"])
         assert res["C0"] == finite["C0"]
         with pytest.raises(NonFiniteResult):
@@ -803,7 +836,7 @@ class TestArrayKernels:
         monkeypatch.setattr(moc, "_BLOCK_NODES", 2048)
         tracemalloc.start()
         try:
-            pseudostructure_residual(net)
+            fold_residual(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1014,9 +1047,6 @@ def scan_level_pair_reference(net, k):
         best = EnvelopeEvent(float(t_star[j]), float(x_star), family)
         best_gnorm = gnorm[i]
     return best
-
-
-LEVEL_ARRAYS = ("x", "t", "u", "a", "s", "labels", "c0_parent")
 
 
 def assert_bitwise(got, ref):
@@ -1245,8 +1275,8 @@ class TestDrawnReferences:
     @settings(max_examples=150, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
            amp=st.sampled_from([0.05, 0.3, 1.0, 20.0]),
-           t_end=st.sampled_from([0.05, 0.3, 2.0]), keep_levels=st.booleans())
-    def test_net_matches_reference(self, seed, n, amp, t_end, keep_levels):
+           t_end=st.sampled_from([0.05, 0.3, 2.0]))
+    def test_net_matches_reference(self, seed, n, amp, t_end):
         rng = np.random.default_rng(seed)
         x = np.linspace(0.0, 1.0, n)
         nodes = (x, amp * np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi)),
@@ -1255,14 +1285,20 @@ class TestDrawnReferences:
             ref = advance_net_reference(nodes, t_end, GAMMA)
         except NonConvergence as exc:
             with pytest.raises(NonConvergence, match=str(exc)):
-                moc.advance_net(nodes, t_end, M, keep_levels=keep_levels)
+                moc.advance_net(nodes, t_end, M)
             return
-        net = moc.advance_net(nodes, t_end, M, keep_levels=keep_levels)
-        assert net.n_levels == ref.n_levels
-        assert event_bits(net.envelope) == event_bits(ref.envelope)
+        # the released net keeps the levels it needs, the collected net
+        # every level, each bitwise the reference's
+        net = moc.advance_net(nodes, t_end, M)
+        whole = collect_net(nodes, t_end, M)
+        assert net.n_levels == whole.n_levels == ref.n_levels
+        assert event_bits(net.envelope) == event_bits(whole.envelope) \
+            == event_bits(ref.envelope)
         for q in LEVEL_ARRAYS:
             for k, arr in enumerate(getattr(net, q)):
-                assert (arr is None) == (not keep_levels
-                                         and 0 < k < net.n_levels - 2)
+                assert (arr is None) == (0 < k < net.n_levels - 2)
                 if arr is not None:
                     assert_bitwise(arr, getattr(ref, q)[k])
+            assert len(getattr(whole, q)) == ref.n_levels
+            for k, arr in enumerate(getattr(whole, q)):
+                assert_bitwise(arr, getattr(ref, q)[k])
