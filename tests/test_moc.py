@@ -558,12 +558,17 @@ class TestReleasedNet:
         "two_mode": (lambda: two_mode_nodes(201), 2.0, True),
     }
 
+    @pytest.mark.parametrize("fold_first", [True, False])
     @pytest.mark.parametrize("case", CASES)
-    def test_on_level_sees_each_level_as_it_is_made(self, case, monkeypatch):
+    def test_on_level_sees_each_level_as_it_is_made(self, case, fold_first,
+                                                    monkeypatch):
         # once per level, in order: the initial level first, each new level
         # once the scan of its level pair is done, and before the level
-        # before it is released
+        # before it is released; with fold_first a ResidualFold reads each
+        # level before the check, as the 1-D stage chains its hooks, and
+        # leaves the level as it was made
         nodes, t_end, _ = self.CASES[case]
+        fold = moc.ResidualFold()
         kept = advance_net(nodes(), t_end=t_end, m=M)
         scans, scan = [], moc._scan_level_pair
         monkeypatch.setattr(moc, "_scan_level_pair", lambda net, k, *carry:
@@ -571,6 +576,8 @@ class TestReleasedNet:
         seen = []
 
         def on_level(net, k):
+            if fold_first:
+                fold(net, k)
             assert net.n_levels == k + 1 and len(scans) == k
             assert all(getattr(net, q)[j] is not None for q in LEVEL_ARRAYS
                        for j in (0, max(k - 1, 0), k))
@@ -579,6 +586,9 @@ class TestReleasedNet:
         assert len(seen) == net.n_levels == kept.n_levels
         assert seen == [[getattr(kept, q)[k].tobytes() for q in LEVEL_ARRAYS]
                         for k in range(kept.n_levels)]
+        if fold_first:
+            assert np.array(list(fold.result().values())).tobytes() == \
+                np.array(list(fold_residual(kept).values())).tobytes()
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_net_as_kept(self, case, monkeypatch):
