@@ -21,9 +21,10 @@ own files, and each run prints its report, the text ``report`` prints.
 The 1-D stage takes each level of the net as it is made, so its memory
 grows with the node count, not with the net: a forked child formats the
 level into ``net.csv``, and the run folds it into the residuals and, once
-the net is done, formats the levels the child has not reached
-(``_write_net_csv``).  What a forked child (``_forked``) could not do,
-the run does after its part.
+the net is done, formats the levels the child has not reached (the net
+advances in the block of ``_net_csv``).  Work shared with a forked
+child is a block, ``with _forked(child):``; what the child could not do,
+the run does after the block.
 
 All outputs are deterministic for identical inputs (floats are written
 with 17 significant digits, no locale).  A run writes its files into one
@@ -109,17 +110,18 @@ def _staged_run(output_dir):
         raise
 
 
-def _forked(child: Callable[[], object], parent: Callable[[], object]):
+@contextmanager
+def _forked(child: Callable[[], object]):
     """Run ``child`` in a forked process (POSIX ``os.fork``) while this one
-    runs ``parent``; ``parent``'s result once ``child``'s part is done.
+    runs the block: ``with _forked(child): <this process's part>``.
 
     The child leaves only through ``os._exit``, 0 if ``child`` returned and
     1 if it raised, so it never runs the caller's cleanup, ``atexit`` or a
     flush of inherited buffers.  Where no child can be started (no
     ``os.fork``, or it raises ``OSError``) or the child exits nonzero, this
-    process runs ``child`` after ``parent``, and its exception propagates.
-    The child is reaped before this returns or an exception propagates;
-    ``parent``'s exception skips that redo."""
+    process runs ``child`` after the block, and its exception propagates.
+    The child is reaped when the block ends, however it ends; an exception
+    from the block skips that redo."""
     try:
         pid = os.fork()
     except (AttributeError, OSError):
@@ -132,12 +134,11 @@ def _forked(child: Callable[[], object], parent: Callable[[], object]):
         finally:
             os._exit(code)
     try:
-        result = parent()
+        yield
     finally:
         failed = pid < 0 or os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if failed:
         child()
-    return result
 
 
 def _write_json(path: Path, obj):
@@ -261,12 +262,12 @@ def _split_body(path) -> Optional[Tuple[int, int]]:
 
 
 def _read_body(path, n: int) -> Optional[np.ndarray]:
-    """The ``n``-column body of ``path`` parsed in two processes
-    (``_forked``): this one parses the lines before ``_split_body``'s split
-    (``max_rows``) and a forked child the rest (``skiprows``); both write
-    into one table in a shared anonymous map.  None if the body does not
-    split, either half was refused or a half's row count is not its line
-    count."""
+    """The ``n``-column body of ``path`` parsed in two processes: a child
+    forked by ``_forked`` parses the lines from ``_split_body``'s split on
+    (``skiprows``) while this one parses those before it (``max_rows``) as
+    the block; both write into one table in a shared anonymous map.  None
+    if the body does not split, either half was refused or a half's row
+    count is not its line count."""
     cut = _split_body(path)
     if cut is None:
         return None
@@ -282,8 +283,8 @@ def _read_body(path, n: int) -> Optional[np.ndarray]:
         table[part] = arr
 
     try:
-        _forked(lambda: parse(slice(head, None), skiprows=1 + head),
-                lambda: parse(slice(head), skiprows=1, max_rows=head))
+        with _forked(lambda: parse(slice(head, None), skiprows=1 + head)):
+            parse(slice(head), skiprows=1, max_rows=head)
     except (OSError, ValueError):
         return None
     return table
@@ -699,20 +700,21 @@ class _NetText:
             self.index, *cols, pairs, [self.ends[c + 1] for c in c0])))
 
 
-def _write_net_csv(path: Path, solve: Callable[[Callable], object]):
-    """Write to ``path`` the net that ``solve(on_level)`` advances, while it
-    advances; return what ``solve`` returns.  ``solve`` calls
-    ``on_level(net, k)`` once for each level k as it is made, as
-    ``moc.advance_net`` does.  Parent indices refer to the previous level,
-    -1 on the initial level.
+@contextmanager
+def _net_csv(path: Path):
+    """Write to ``path`` the net whose levels the block announces, while it
+    announces them: ``with _net_csv(path) as on_level:`` yields the hook
+    that the block calls as ``on_level(net, k)`` once for each level k as
+    it is made, as ``moc.advance_net`` does.  Parent indices refer to the
+    previous level, -1 on the initial level.
 
     Two processes format the levels (``_forked``), both through
     ``_NetText``.  ``on_level`` appends the level to the spool file
     ``net.spool`` beside ``path`` in the run's stage and writes one byte to
     a pipe, so this process never waits for the child.  The child, forked
-    before ``solve`` starts, writes the header and then each level as soon
+    before the block starts, writes the header and then each level as soon
     as it is announced.  At each level it looks, without blocking, for the
-    end byte this process sends once ``solve`` is done, and replies with
+    end byte this process sends once the block is done, and replies with
     the split c, the node midpoint of the levels it has not written
     (``_NetText.split``).  The child writes the levels before c, this
     process those from c on to ``net.csv.tail``, which it appends once the
@@ -721,7 +723,8 @@ def _write_net_csv(path: Path, solve: Callable[[Callable], object]):
     and the levels before c itself."""
     tail = path.with_name(path.name + ".tail")
     spool_path = path.with_name("net.spool")
-    split = None  # set in this process once solve is done
+    split = None  # set in this process once the block is done
+    spooled = 0  # levels so far
 
     def write_levels(into, levels, header=""):
         text = _NetText(spool.fileno())
@@ -756,44 +759,37 @@ def _write_net_csv(path: Path, solve: Callable[[Callable], object]):
             for k in range(done, c):
                 fh.write(text.level(k))
 
-    def parent():
-        nonlocal split
-        os.close(levels_r)
-        os.close(split_w)
-        levels = 0  # spooled so far
-
-        def on_level(net, k):
-            nonlocal levels
-            if not k:
-                spool.write(net.level_size(0).to_bytes(8, "little"))
-            spool.write(np.array((net.t[k], net.x[k], net.u[k], net.a[k],
-                                  net.s[k], net.c0_parent[k]), float))
-            spool.flush()
-            levels = k + 1
-            with suppress(BrokenPipeError):  # no child reads the pipe
-                os.write(levels_w, b"L")
-
-        try:
-            result = solve(on_level)
-            split = 0
-            with suppress(BrokenPipeError):
-                os.write(levels_w, b"E")
-                split = int.from_bytes(os.read(split_r, 8), "little")
-            write_levels(tail, range(split, levels))
-        finally:
-            os.close(levels_w)
-            os.close(split_r)
-        return result
+    def on_level(net, k):
+        nonlocal spooled
+        if not k:
+            spool.write(net.level_size(0).to_bytes(8, "little"))
+        spool.write(np.array((net.t[k], net.x[k], net.u[k], net.a[k],
+                              net.s[k], net.c0_parent[k]), float))
+        spool.flush()
+        spooled = k + 1
+        with suppress(BrokenPipeError):  # no child reads the pipe
+            os.write(levels_w, b"L")
 
     with open(spool_path, "w+b") as spool:
         levels_r, levels_w = os.pipe()
         split_r, split_w = os.pipe()
-        result = _forked(child, parent)
+        with _forked(child):
+            os.close(levels_r)
+            os.close(split_w)
+            try:
+                yield on_level
+                split = 0
+                with suppress(BrokenPipeError):
+                    os.write(levels_w, b"E")
+                    split = int.from_bytes(os.read(split_r, 8), "little")
+                write_levels(tail, range(split, spooled))
+            finally:
+                os.close(levels_w)
+                os.close(split_r)
     with open(path, "ab") as fh, open(tail, "rb") as part:
         shutil.copyfileobj(part, fh)
     os.unlink(tail)
     os.unlink(spool_path)
-    return result
 
 
 def _solve_1d(cfg: ScenarioConfig, *hooks):
@@ -905,12 +901,10 @@ def _run_stages(cfg: ScenarioConfig, out: Path) -> dict:
         report["regime"] = evoform.classify_regime(speed.flat[j], a).value
 
     if v["initial_data"] is not None:
-        def solve(spool):  # the spool first: the writer hears at once
-            fold = moc.ResidualFold()
-            return (*_solve_1d(cfg, spool, fold), fold.result())
-
-        net, analytic, report["moc_residuals"] = _write_net_csv(
-            out / "net.csv", solve)
+        fold = moc.ResidualFold()
+        with _net_csv(out / "net.csv") as spool:  # the child hears first
+            net, analytic = _solve_1d(cfg, spool, fold)
+            report["moc_residuals"] = fold.result()  # while the child formats
         report["net_levels"] = net.n_levels
         report["envelope"] = {"detected": net.envelope is not None,
                               "event": _event_dict(net.envelope),

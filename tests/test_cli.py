@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import json
+import mmap
 import os
 import random
 import re
@@ -594,13 +595,11 @@ def written_files(out):
 
 
 def write_net_csv(path, net):
-    """``cli._write_net_csv`` of a finished net: its solve announces each
-    level of ``net`` in turn."""
-    def solve(on_level):
+    """``cli._net_csv`` of a finished net: the block announces each level
+    of ``net`` in turn."""
+    with cli._net_csv(path) as on_level:
         for k in range(net.n_levels):
             on_level(net, k)
-        return net
-    assert cli._write_net_csv(path, solve) is net
 
 
 def spy_levels(monkeypatch, act):
@@ -657,6 +656,40 @@ class TestFailedRunWritesNothing:
         assert cli.main(["solve-moc", "--init", str(init), "--t-end", "0.1",
                          "--out", str(out)]) == 3
         assert written_files(out) == []
+
+    def test_corrector_failure_mid_net(self, tmp_path, monkeypatch, capfd):
+        # the corrector fails making level 5 while the writer's child,
+        # slowed, still formats the levels before it: the run exits 3 with
+        # one line, stages nothing and reaps the child
+        from vortigen import moc
+        from vortigen.errors import NonConvergence
+        started = mmap.mmap(-1, 8)  # 1 + the last level the child started
+
+        def act(k):
+            started[:] = (k + 1).to_bytes(8, "little")
+            time.sleep(0.05)
+        spy_levels(monkeypatch, act)
+        advance, made, child_at = moc._advance_level, [], []
+
+        def failing(*args):
+            made.append(len(made) + 1)  # the level this call makes
+            if made[-1] == 5:
+                child_at.append(int.from_bytes(started[:], "little"))
+                raise NonConvergence("corrector did not converge")
+            return advance(*args)
+        monkeypatch.setattr(moc, "_advance_level", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["solve-moc", "--init", str(compression_init(
+            tmp_path / "init.csv", n=41)), "--gamma", str(GAMMA), "--R",
+            "1.0", "--t-end", "1.0", "--out", str(out)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: corrector did not converge\n"
+        assert written_files(out) == []
+        assert made == [1, 2, 3, 4, 5] and child_at[0] < 5, child_at
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failure_removes_only_directories_it_made(self, tmp_path,
                                                       monkeypatch):

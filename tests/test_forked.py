@@ -1,8 +1,9 @@
-"""``cli._forked(child, parent)``: ``parent``'s result once ``child``'s
-part is done, in a forked child or, where none could be started or it
-exited nonzero, in this process after ``parent``.  The child is reaped
-before ``_forked`` returns or raises (the autouse ``no_unreaped_child``
-fixture checks that after every test)."""
+"""``with cli._forked(child): <the parent's part>``: ``child`` runs in a
+forked child while this process runs the block, the parent's part, or,
+where no child could be started or it exited nonzero, in this process
+after the block.  The child is reaped when the block ends, however it
+ends (the autouse ``no_unreaped_child`` fixture checks that after every
+test)."""
 
 import mmap
 import os
@@ -42,14 +43,16 @@ class Log:
 
 def test_result_is_the_parents_alone():
     log = Log()
-    assert cli._forked(log.part("child"), log.part("parent")) == "parent"
+    with cli._forked(log.part("child")) as entered:
+        result = log.part("parent")()
+    assert entered is None and result == "parent"
     assert log.forked == ["child"] and log.here == ["parent"]
 
 
 def test_child_exiting_1_is_redone_after_the_parent():
     log = Log()
-    child = log.part("child", fail=lambda forked: forked)
-    assert cli._forked(child, log.part("parent")) == "parent"
+    with cli._forked(log.part("child", fail=lambda forked: forked)):
+        log.part("parent")()
     assert log.forked == ["child"] and log.here == ["parent", "child"]
 
 
@@ -61,7 +64,8 @@ def test_child_killed_by_a_signal_is_redone():
         if os.getpid() != log.pid:
             os.kill(os.getpid(), signal.SIGKILL)
         redo()
-    assert cli._forked(child, log.part("parent")) == "parent"
+    with cli._forked(child):
+        log.part("parent")()
     assert log.forked == [] and log.here == ["parent", "child"]
 
 
@@ -69,13 +73,15 @@ def test_failed_redo_propagates():
     log = Log()
     child = log.part("child", fail=lambda forked: True)
     with pytest.raises(ValueError, match="child failed"):
-        cli._forked(child, log.part("parent"))
+        with cli._forked(child):
+            log.part("parent")()
     assert log.forked == ["child"] and log.here == ["parent", "child"]
 
 
 def test_no_child_runs_both_parts_here(no_child):
     log = Log()
-    assert cli._forked(log.part("child"), log.part("parent")) == "parent"
+    with cli._forked(log.part("child")):
+        log.part("parent")()
     assert log.forked == [] and log.here == ["parent", "child"]
 
 
@@ -85,7 +91,8 @@ def test_parent_raising_skips_the_redo(child_fails):
     child = log.part("child", fail=lambda forked: child_fails)
     parent = log.part("parent", fail=lambda forked: True)
     with pytest.raises(ValueError, match="parent failed"):
-        cli._forked(child, parent)
+        with cli._forked(child):
+            parent()
     assert log.forked == ["child"] and log.here == ["parent"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -95,5 +102,6 @@ def test_parent_raising_without_a_child(no_child):
     log = Log()
     parent = log.part("parent", fail=lambda forked: True)
     with pytest.raises(ValueError, match="parent failed"):
-        cli._forked(log.part("child"), parent)
+        with cli._forked(log.part("child")):
+            parent()
     assert log.here == ["parent"]

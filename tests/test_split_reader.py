@@ -54,7 +54,8 @@ def check(tmp_path, monkeypatch, text, forks):
     path.write_bytes(text.encode())
     forked, real = [], cli._forked
     with monkeypatch.context() as m:
-        m.setattr(cli, "_forked", lambda *a: forked.append(a) or real(*a))
+        m.setattr(cli, "_forked",
+                  lambda child: forked.append(child) or real(child))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = outcome(path)
